@@ -1,6 +1,13 @@
 """Planar geometry for mask measurement: boundary tracing, convex hulls,
 and minimum-area enclosing triangles.
 
+The enclosing triangle is exact. By O'Rourke, Aggarwal, Maddila &
+Baldwin (J. Algorithms 7, 1986) a minimal triangle has a side flush with
+a hull edge and every side's midpoint on the hull; from that, the
+optimum has two flush sides, and for each pair of hull-edge lines the
+best third side is the tangent to a hyperbola over the wedge they bound
+(see ``min_enclosing_triangle``).
+
 Points are (x, y) = (column, row) pixel coordinates; polygons are (n, 2)
 float arrays ordered counterclockwise in the mathematical sense (positive
 shoelace area).
@@ -117,20 +124,6 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.array(hull, dtype=np.float64)
 
 
-def _line_intersection(n1, c1, n2, c2):
-    det = n1[0] * n2[1] - n1[1] * n2[0]
-    if abs(det) < 1e-14:
-        return None
-    x = (c1 * n2[1] - c2 * n1[1]) / det
-    y = (n1[0] * c2 - n2[0] * c1) / det
-    return np.array([x, y])
-
-
-def _triangle_area(tri: np.ndarray) -> float:
-    a, b, c = tri
-    return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-
 def _contains(tri: np.ndarray, pts: np.ndarray, tol: float) -> bool:
     if signed_area(tri) < 0:
         tri = tri[::-1]
@@ -142,92 +135,81 @@ def _contains(tri: np.ndarray, pts: np.ndarray, tol: float) -> bool:
     return True
 
 
-def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
-    """Minimum-area triangle containing a convex polygon.
+# Bound on the (edge pairs x hull vertices) elements searched per numpy
+# pass, so a large hull costs several passes rather than unbounded memory.
+_PASS_ELEMENTS = 1 << 20
 
-    Exploits the classical structure of the optimum: at least one side is
-    flush with a hull edge and every non-flush side touches the hull at
-    the side's midpoint. Candidates are enumerated from the resulting
-    finite families (three flush sides; two flush sides plus a
-    midpoint-vertex side; one flush side plus two midpoint vertices at
-    equal support height) and the smallest valid triangle is returned,
-    vertices counterclockwise.
+
+def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
+    """Minimum-area triangle containing a convex polygon, vertices
+    counterclockwise; exact up to floating-point rounding.
+
+    A locally minimal enclosing triangle has at least one side flush with
+    a hull edge, and the midpoint of every side touches the hull
+    (O'Rourke, Aggarwal, Maddila & Baldwin, "An optimal algorithm for
+    finding minimal enclosing triangles", J. Algorithms 7, 1986). The
+    optimum has two flush sides. Where only one side is flush, the other
+    two are bisected by hull vertices a and b, which must sit at equal
+    height h over the flush side; every such triangle has the same area
+    2h|(a - b).t| whatever its apex (t the flush side's direction). Each
+    hull point constrains the apex linearly, so the valid apexes form an
+    interval, and at either end of it a second side lies flush with a
+    hull edge: a triangle of the same area with two flush sides.
+
+    The search therefore runs over pairs of hull-edge lines i, j, which
+    bound a wedge holding the hull, with apex q. Write each point as
+    p - q = u d_i + v d_j, with d_i, d_j along the wedge's rays. The
+    smallest cut of the wedge that holds the hull is the tangent to the
+    hyperbola uv = max(uv) over the hull; the tangent point is the new
+    side's midpoint, and the area is 2 max(uv) |d_i x d_j|. In terms of
+    H_i(p) = e_i x (p - p_i), the height of p over edge i times |e_i|,
+    the area is 2 max(H_i H_j) / |e_i x e_j|. The maximum over the
+    boundary lies at a vertex or, on an edge where the product is a
+    concave quadratic, at its stationary point; the latter also covers
+    triangles with three flush sides. All edge pairs are searched in one
+    vectorised pass, O(n^3) for n hull vertices.
     """
     hull = convex_hull(np.asarray(hull, dtype=np.float64))
     n = len(hull)
     edges = np.roll(hull, -1, axis=0) - hull
-    # inward normals of a CCW polygon point left of each directed edge
-    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-    norms = np.linalg.norm(normals, axis=1)
-    normals = normals / norms[:, None]
-    offsets = np.einsum("ij,ij->i", normals, hull)
+    # cross[i, k] = e_i x e_k is also the change of H_i along edge k;
+    # height[i, k] = H_i(p_k) >= 0 on a counterclockwise hull
+    cross = np.outer(edges[:, 0], edges[:, 1]) - np.outer(edges[:, 1], edges[:, 0])
+    rel = hull[None, :, :] - hull[:, None, :]
+    height = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
 
-    scale = float(np.max(np.ptp(hull, axis=0)))
-    tol = 1e-9 * max(scale, 1.0)
-
-    best_area = np.inf
-    best_tri = None
-
-    def consider(tri):
-        nonlocal best_area, best_tri
-        area = _triangle_area(tri)
-        if area < best_area - 1e-15 and area > tol and _contains(tri, hull, tol):
-            best_area = area
-            best_tri = tri
-
-    # family 1: three flush sides
-    for i in range(n):
-        for j in range(i + 1, n):
-            q_ij = _line_intersection(normals[i], offsets[i], normals[j], offsets[j])
-            if q_ij is None:
-                continue
-            for k in range(j + 1, n):
-                q_ik = _line_intersection(normals[i], offsets[i], normals[k], offsets[k])
-                q_jk = _line_intersection(normals[j], offsets[j], normals[k], offsets[k])
-                if q_ik is None or q_jk is None:
-                    continue
-                consider(np.array([q_ij, q_ik, q_jk]))
-
-    # family 2: two flush sides, third side bisected by a hull vertex
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            q = _line_intersection(normals[i], offsets[i], normals[j], offsets[j])
-            if q is None:
-                continue
-            for w in hull:
-                # X on line i, Y on line j, with w the midpoint of X-Y
-                y = _line_intersection(normals[j], offsets[j], normals[i],
-                                       2.0 * float(np.dot(normals[i], w)) - offsets[i])
-                if y is None:
-                    continue
-                x = 2.0 * w - y
-                consider(np.array([q, x, y]))
-
-    # family 3: one flush side, both other sides bisected by hull vertices
-    # at (numerically) equal support height; all members share one area,
-    # so sampling the apex along its line suffices.
-    heights = hull @ normals.T - offsets[None, :]  # height of vertex v over edge line i
-    for i in range(n):
-        h_i = heights[:, i]
-        for a in range(n):
-            if h_i[a] <= tol:
-                continue
-            for b in range(a + 1, n):
-                if abs(h_i[a] - h_i[b]) > 1e-7 * max(scale, 1.0):
-                    continue
-                u, v = hull[a], hull[b]
-                h = 0.5 * (h_i[a] + h_i[b])
-                mid = 0.5 * (u + v)
-                foot = mid + normals[i] * (2.0 * h - (float(np.dot(normals[i], mid)) - offsets[i]))
-                tangent = np.array([-normals[i][1], normals[i][0]])
-                for t in np.linspace(-2.0 * scale, 2.0 * scale, 41):
-                    c = foot + t * tangent
-                    consider(np.array([2.0 * u - c, 2.0 * v - c, c]))
-
-    if best_tri is None:
+    first, second = np.triu_indices(n, 1)
+    best_area, best = np.inf, None
+    step = max(1, _PASS_ELEMENTS // n)
+    for lo in range(0, len(first), step):
+        i, j = first[lo:lo + step], second[lo:lo + step]
+        hi, hj, si, sj = height[i], height[j], cross[i], cross[j]
+        # H_i H_j along edge k is hi hj + (hi sj + hj si) t + si sj t^2, t in [0, 1]
+        curv = si * sj
+        concave = curv < 0
+        t = np.zeros_like(curv)
+        t[concave] = np.clip(-(hi * sj + hj * si)[concave] / (2.0 * curv[concave]), 0.0, 1.0)
+        prod = (hi + t * si) * (hj + t * sj)
+        span = np.abs(cross[i, j])
+        area = np.divide(2.0 * prod.max(axis=1), span, out=np.full(len(i), np.inf),
+                         where=span > 1e-12 * lengths[i] * lengths[j])  # parallel edges
+        w = int(np.argmin(area))
+        if area[w] < best_area:
+            k = int(np.argmax(prod[w]))
+            best_area, best = area[w], (i[w], j[w], k, t[w, k])
+    if best is None:
         raise MeasurementError("no enclosing triangle found (degenerate hull?)")
-    if signed_area(best_tri) < 0:
-        best_tri = best_tri[::-1].copy()
-    return best_tri
+
+    i, j, k, t = best
+    x = cross[i, j]
+    apex = hull[i] + edges[i] * ((rel[i, j, 0] * edges[j, 1] - rel[i, j, 1] * edges[j, 0]) / x)
+    touch = hull[k] + t * edges[k]
+    on_i = apex - edges[i] * (2.0 * (height[j, k] + t * cross[j, k]) / x)
+    tri = np.array([apex, on_i, 2.0 * touch - on_i])
+    if signed_area(tri) < 0:
+        tri = tri[::-1].copy()
+    scale = float(np.max(np.ptp(hull, axis=0)))
+    if not _contains(tri, hull, 1e-9 * max(scale, 1.0)):
+        raise MeasurementError("enclosing triangle misses the hull (degenerate hull?)")
+    return tri

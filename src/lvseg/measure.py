@@ -90,27 +90,24 @@ def lv_length(contour: np.ndarray, landmarks: Landmarks, calibration: float) -> 
     d = perp if side > 0 else -perp
 
     eps = 1e-9
-    ts: list[float] = []
-    seg_a = contour
-    seg_b = np.roll(contour, -1, axis=0)
-    for p, q in zip(seg_a, seg_b):
-        e = q - p
-        denom = d[0] * e[1] - d[1] * e[0]
-        rel = p - mid
-        if abs(denom) < 1e-12:
-            # segment parallel to the perpendicular; collect endpoints if collinear
-            if abs(rel[0] * d[1] - rel[1] * d[0]) < 1e-9:
-                ts.extend([float(np.dot(rel, d)), float(np.dot(q - mid, d))])
-            continue
-        t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-        u = (rel[0] * d[1] - rel[1] * d[0]) / denom
-        if -eps <= u <= 1 + eps and t > eps:
-            ts.append(t)
-    apex_side = [t for t in ts if t > eps]
-    if not apex_side:
+    rel = contour - mid
+    rel_next = np.roll(rel, -1, axis=0)
+    e = np.roll(contour, -1, axis=0) - contour
+    denom = d[0] * e[:, 1] - d[1] * e[:, 0]
+    off_line = rel[:, 0] * d[1] - rel[:, 1] * d[0]
+    parallel = np.abs(denom) < 1e-12
+    # a segment parallel to the perpendicular counts with both endpoints if collinear
+    along = parallel & (np.abs(off_line) < 1e-9)
+    crossing = ~parallel
+    denom = denom[crossing]
+    t = (rel[crossing, 0] * e[crossing, 1] - rel[crossing, 1] * e[crossing, 0]) / denom
+    u = off_line[crossing] / denom
+    ts = np.concatenate([rel[along] @ d, rel_next[along] @ d, t[(-eps <= u) & (u <= 1 + eps)]])
+    apex_side = ts[ts > eps]
+    if not apex_side.size:
         raise MeasurementError("perpendicular does not meet the contour on the apex side; "
                                "segmentation is likely malformed")
-    return px_to_cm(max(apex_side), calibration)
+    return px_to_cm(float(apex_side.max()), calibration)
 
 
 def lv_area(mask: np.ndarray, calibration: float) -> float:

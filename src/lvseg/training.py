@@ -4,8 +4,9 @@ Training runs subject-level cross-validation: for each fold the training
 images are augmented by the configured factor (one original plus
 factor - 1 elastic deformations), composed into 2-channel inputs,
 shuffled by the run seed, and optimized with momentum SGD; the epoch with
-the best validation Dice supplies the saved checkpoint. Everything is
-deterministic given (seed, config, data).
+the best validation Dice supplies the saved checkpoint, or the last epoch
+when there are no validation samples. Everything is deterministic given
+(seed, config, data).
 """
 
 from __future__ import annotations
@@ -41,7 +42,12 @@ def resolve_data(data_dir: str, n: int, seed: int) -> list[ImageSample]:
     """Load a dataset directory, or synthesize one for the sentinel
     ``synthetic:<count>``. Samples are resized to n x n if needed."""
     if data_dir.startswith(SYNTH_PREFIX):
-        count = int(data_dir[len(SYNTH_PREFIX):])
+        text = data_dir[len(SYNTH_PREFIX):]
+        try:
+            count = int(text)
+        except ValueError:
+            raise ContractViolation(f"synthetic sample count must be an integer, "
+                                    f"got {text!r}") from None
         if count < 1:
             raise ContractViolation(f"synthetic sample count must be >= 1, got {count}")
         return generate_phantom_set(count, n, seed)
@@ -153,8 +159,9 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
             best_dice = val
             best = {name: t.data.copy() for name, t in params.items()}
 
-    for name, t in params.items():
-        t.data = best[name]
+    if val_samples:  # with nothing to validate on, the last epoch's weights stand
+        for name, t in params.items():
+            t.data = best[name]
     return FoldResult(fold=fold, model=model, log=log, best_val_dice=best_dice,
                       train_subjects=sorted({s.subject for s in train_samples}),
                       val_subjects=sorted({s.subject for s in val_samples}))

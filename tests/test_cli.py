@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,11 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["train", "--config", str(garbled)]) == 3
 
 
+def test_non_integer_synthetic_count_is_a_contract_violation(tmp_path, capsys):
+    assert main(["measure", "--data", "synthetic:abc", "--out", str(tmp_path / "m")]) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
 def test_multi_method_report_emits_anova(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--count", "5", "--n", "64", "--seed", "8", "--out", str(data)])
@@ -139,3 +146,19 @@ def test_console_script_installed(tmp_path):
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "8 samples" in out.stdout
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    import lvseg
+    src_dir = str(Path(lvseg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "lvseg", "synth", "--count", "4", "--n", "64",
+                          "--out", str(tmp_path / "d")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "8 samples" in out.stdout
+    out = subprocess.run([sys.executable, "-m", "lvseg", "measure", "--data", "synthetic:x",
+                          "--out", str(tmp_path / "m")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2

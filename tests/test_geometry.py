@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage, optimize
@@ -226,6 +228,104 @@ def _dist_to_polygon_boundary(p, poly):
     return min(_point_segment_dist(p, poly[i], poly[(i + 1) % n]) for i in range(n))
 
 
+def _line_intersection(n1, c1, n2, c2):
+    det = n1[0] * n2[1] - n1[1] * n2[0]
+    if abs(det) < 1e-14:
+        return None
+    x = (c1 * n2[1] - c2 * n1[1]) / det
+    y = (n1[0] * c2 - n2[0] * c1) / det
+    return np.array([x, y])
+
+
+def _triangle_area(tri):
+    a, b, c = tri
+    return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
+
+
+def _enumerated_min_triangle(hull):
+    """Reference oracle: the smallest valid member of the three candidate
+    families of a locally minimal enclosing triangle (three flush sides;
+    two flush sides plus a side bisected by a hull vertex; one flush side
+    plus two sides bisected by hull vertices at equal support height,
+    with the apex sampled along its line). O(n^4); earlier versions of
+    ``min_enclosing_triangle`` ran exactly this enumeration."""
+    hull = convex_hull(np.asarray(hull, dtype=np.float64))
+    n = len(hull)
+    edges = np.roll(hull, -1, axis=0) - hull
+    # inward normals of a CCW polygon point left of each directed edge
+    normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
+    norms = np.linalg.norm(normals, axis=1)
+    normals = normals / norms[:, None]
+    offsets = np.einsum("ij,ij->i", normals, hull)
+
+    scale = float(np.max(np.ptp(hull, axis=0)))
+    tol = 1e-9 * max(scale, 1.0)
+
+    best_area = np.inf
+    best_tri = None
+
+    def consider(tri):
+        nonlocal best_area, best_tri
+        area = _triangle_area(tri)
+        if area < best_area - 1e-15 and area > tol and _contains(tri, hull, tol):
+            best_area = area
+            best_tri = tri
+
+    # family 1: three flush sides
+    for i in range(n):
+        for j in range(i + 1, n):
+            q_ij = _line_intersection(normals[i], offsets[i], normals[j], offsets[j])
+            if q_ij is None:
+                continue
+            for k in range(j + 1, n):
+                q_ik = _line_intersection(normals[i], offsets[i], normals[k], offsets[k])
+                q_jk = _line_intersection(normals[j], offsets[j], normals[k], offsets[k])
+                if q_ik is None or q_jk is None:
+                    continue
+                consider(np.array([q_ij, q_ik, q_jk]))
+
+    # family 2: two flush sides, third side bisected by a hull vertex
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            q = _line_intersection(normals[i], offsets[i], normals[j], offsets[j])
+            if q is None:
+                continue
+            for w in hull:
+                # X on line i, Y on line j, with w the midpoint of X-Y
+                y = _line_intersection(normals[j], offsets[j], normals[i],
+                                       2.0 * float(np.dot(normals[i], w)) - offsets[i])
+                if y is None:
+                    continue
+                x = 2.0 * w - y
+                consider(np.array([q, x, y]))
+
+    # family 3: one flush side, both other sides bisected by hull vertices
+    # at (numerically) equal support height; all members share one area,
+    # so sampling the apex along its line suffices.
+    heights = hull @ normals.T - offsets[None, :]  # height of vertex v over edge line i
+    for i in range(n):
+        h_i = heights[:, i]
+        for a in range(n):
+            if h_i[a] <= tol:
+                continue
+            for b in range(a + 1, n):
+                if abs(h_i[a] - h_i[b]) > 1e-7 * max(scale, 1.0):
+                    continue
+                u, v = hull[a], hull[b]
+                h = 0.5 * (h_i[a] + h_i[b])
+                mid = 0.5 * (u + v)
+                foot = mid + normals[i] * (2.0 * h - (float(np.dot(normals[i], mid)) - offsets[i]))
+                tangent = np.array([-normals[i][1], normals[i][0]])
+                for t in np.linspace(-2.0 * scale, 2.0 * scale, 41):
+                    c = foot + t * tangent
+                    consider(np.array([2.0 * u - c, 2.0 * v - c, c]))
+
+    assert best_tri is not None, "no enclosing triangle found"
+    return best_tri
+
+
 def test_triangle_input_returns_itself():
     tri = np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]])
     out = min_enclosing_triangle(tri)
@@ -294,3 +394,41 @@ def test_triangle_on_rasterized_ellipse_hull():
     tri = min_enclosing_triangle(hull)
     assert _contains(tri, hull, tol=1e-6)
     assert _poly_area(hull) <= _tri_area(tri) <= 2 * _poly_area(hull)
+
+
+def _bullet_hull(seed, n=64):
+    """Pixel hull of a seeded bullet in the benchmark's shape ranges."""
+    rng = np.random.default_rng(seed)
+    a = n * rng.uniform(0.26, 0.33)
+    mask = ellipse_mask((n, n), (n / 2 + rng.uniform(-3, 3), n / 2 + rng.uniform(-3, 3)),
+                        (a, a * rng.uniform(0.45, 0.56)), angle=rng.uniform(-0.12, 0.12),
+                        base_cut=rng.uniform(0.1, 0.3))
+    return convex_hull(extract_contour(mask))
+
+
+def _random_hull(seed):
+    rng = np.random.default_rng(300 + seed)
+    return convex_hull(rng.uniform(-5, 5, size=(rng.integers(4, 16), 2)) * rng.uniform(0.1, 20))
+
+
+_ORACLE_CASES = {
+    "unit-square": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+    "triangle": np.array([[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]),
+    "rectangle": np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 2.0], [0.0, 2.0]]),
+    "hexagon-parallel-pairs": np.array([[0.0, 0.0], [3.0, 0.0], [4.0, 2.0], [3.0, 4.0],
+                                        [0.0, 4.0], [-1.0, 2.0]]),
+    **{f"bullet-{seed}": _bullet_hull(seed) for seed in range(6)},
+    **{f"random-{seed}": _random_hull(seed) for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_matches_enumeration_oracle(name):
+    hull = _ORACLE_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tri = min_enclosing_triangle(hull)
+    expected = _tri_area(_enumerated_min_triangle(hull))
+    assert abs(_tri_area(tri) - expected) <= 1e-12 * expected
+    assert signed_area(tri) > 0
+    assert _contains(tri, convex_hull(hull), tol=1e-9)

@@ -122,6 +122,46 @@ def test_length_degenerate_annulus():
         lv_length(contour, (contour[0], contour[0], contour[5]), 0.3)
 
 
+def _lv_length_loop(contour, landmarks, calibration):
+    """Reference: lv_length's intersection search as a per-segment loop."""
+    annulus_a, annulus_b, apex = (np.asarray(p, dtype=np.float64) for p in landmarks)
+    base = annulus_b - annulus_a
+    mid = 0.5 * (annulus_a + annulus_b)
+    perp = np.array([-base[1], base[0]]) / float(np.hypot(*base))
+    d = perp if float(np.dot(perp, apex - mid)) > 0 else -perp
+    eps = 1e-9
+    ts = []
+    for p, q in zip(contour, np.roll(contour, -1, axis=0)):
+        e = q - p
+        denom = d[0] * e[1] - d[1] * e[0]
+        rel = p - mid
+        if abs(denom) < 1e-12:
+            if abs(rel[0] * d[1] - rel[1] * d[0]) < 1e-9:
+                ts.extend([float(np.dot(rel, d)), float(np.dot(q - mid, d))])
+            continue
+        t = (rel[0] * e[1] - rel[1] * e[0]) / denom
+        u = (rel[0] * d[1] - rel[1] * d[0]) / denom
+        if -eps <= u <= 1 + eps and t > eps:
+            ts.append(t)
+    return px_to_cm(max(t for t in ts if t > eps), calibration)
+
+
+def test_length_matches_per_segment_loop():
+    # a contour edge lying on the perpendicular exercises the collinear branch
+    step = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 3.0], [2.0, 6.0], [0.0, 6.0]])
+    cases = [(step, (step[0], step[1], np.array([1.0, 6.0])))]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(22, 40)
+        mask, _ = _bullet(112, a, a * rng.uniform(0.45, 0.56), cut=rng.uniform(0.1, 0.3),
+                          angle=0.0 if seed < 4 else rng.uniform(-0.3, 0.3))
+        contour = extract_contour(mask)
+        cases.append((contour, lv_landmarks(contour, min_enclosing_triangle(convex_hull(contour)))))
+    for contour, marks in cases:
+        assert lv_length(contour, marks, 0.37) == _lv_length_loop(contour, marks, 0.37)
+    assert lv_length(*cases[0], 1.0) == px_to_cm(6.0, 1.0)
+
+
 # -- area / volume / EF ---------------------------------------------------------
 
 def test_area_empty_mask_zero():

@@ -90,6 +90,20 @@ def test_zero_epochs_checkpoint_equals_initialization(tmp_path):
     assert result.log == []
 
 
+def test_no_validation_samples_keeps_last_epoch_weights(tmp_path):
+    samples = generate_phantom_set(2, 32, 5)
+    cfg = _tiny_cfg(tmp_path, epochs=2)
+    result = train_fold(cfg, samples, [], fold=0)
+    fresh = build_model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
+                        dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
+    moved = [not np.array_equal(t.data, f.data)
+             for t, f in zip(result.model.parameters().values(),
+                             fresh.parameters().values())]
+    assert all(moved)
+    assert [math.isnan(rec.val_dice) for rec in result.log] == [True, True]
+    assert math.isnan(result.best_val_dice)
+
+
 def test_training_deterministic_byte_identical_checkpoints(tmp_path):
     cfg_a = _tiny_cfg(tmp_path / "a", epochs=1, augment_factor=2)
     cfg_b = _tiny_cfg(tmp_path / "b", epochs=1, augment_factor=2)
