@@ -106,6 +106,12 @@ def _as_tensor(x, dtype) -> Tensor:
 
 
 def _result(data, parents: Iterable[Tensor], backward_fn, op: str) -> Tensor:
+    # Each op's backward closure reads ``out.grad``, a reference cycle that
+    # leaves the tape to the cyclic GC. Passing the gradient in instead frees
+    # each tape at once, and glibc then returns and re-faults its pages: 48
+    # MFP-Unet ``forward_segment`` calls at n=128 (2-core Xeon, one BLAS
+    # thread) took a median 34 ms instead of 20-22 ms, with 0.75M minor page
+    # faults instead of 0.1M, though peak RSS fell from 500-660 to 141 MB.
     parents = tuple(parents)
     needs = any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=needs, parents=parents,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ContractViolation, FormatError
-from .models import ARCH_TAGS
+from .models import check_spec
 
 
 @dataclass
@@ -38,12 +38,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        if self.arch not in ARCH_TAGS:
-            raise ContractViolation(f"arch must be one of {ARCH_TAGS}, got {self.arch!r}")
-        if self.n % 16 != 0 or self.n <= 0:
-            raise ContractViolation(f"n must be a positive multiple of 16, got {self.n}")
-        positive = ("base_width", "dilation", "learning_rate", "momentum", "batch_size",
-                    "augment_factor", "elastic_sigma", "folds")
+        # unet ignores the dilation field: train_fold builds it at dilation 1
+        check_spec(self.arch, self.n, self.base_width, 1 if self.arch == "unet" else self.dilation)
+        positive = ("learning_rate", "momentum", "batch_size", "augment_factor",
+                    "elastic_sigma", "folds")
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ContractViolation(f"{name} must be positive, got {getattr(self, name)}")

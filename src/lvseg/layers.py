@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, _result
 from .errors import ContractViolation
 
 
@@ -65,7 +65,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     out_data = np.tensordot(weight.data, patches, axes=([1, 2, 3], [0, 1, 2]))
     out_data += bias.data[:, None, None]
 
-    from .autograd import _result
     out = _result(out_data, (x, weight, bias), None, "conv2d")
 
     def backward():
@@ -92,7 +91,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient passes where x > 0."""
     mask = x.data > 0
-    from .autograd import _result
     out = _result(np.where(mask, x.data, 0), (x,), None, "relu")
 
     def backward():
@@ -114,7 +112,6 @@ def max_pool2d(x: Tensor) -> Tensor:
     idx = blocks.argmax(axis=3)
     out_data = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
 
-    from .autograd import _result
     out = _result(out_data, (x,), None, "max_pool2d")
 
     def backward():
@@ -148,7 +145,6 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
                      b:b + (w - 1) * stride + 1:stride] += prod[:, a, b]
     out_data += bias.data[:, None, None]
 
-    from .autograd import _result
     out = _result(out_data, (x, weight, bias), None, "transposed_conv2d")
 
     def backward():
@@ -179,7 +175,6 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     else:
         data = np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)
 
-    from .autograd import _result
     out = _result(data, (x,), None, "upsample_nearest")
 
     def backward():
@@ -202,7 +197,6 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
             raise ContractViolation(f"concat spatial mismatch: {t.shape[1:]} vs {hw}")
     data = np.concatenate([t.data for t in xs], axis=0)
 
-    from .autograd import _result
     out = _result(data, tuple(xs), None, "concat_channels")
 
     def backward():
@@ -241,7 +235,6 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     n = h * w
     loss_val = np.asarray((lse - picked).sum() / n, dtype=z.dtype)
 
-    from .autograd import _result
     out = _result(loss_val, (logits,), None, "softmax_cross_entropy")
 
     def backward():
@@ -261,8 +254,6 @@ class Conv2d:
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, dilation: int = 1, padding=0,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.kernel_size = kernel_size
         self.stride = stride
         self.dilation = dilation
@@ -278,21 +269,12 @@ class Conv2d:
         return conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
 
 
-class TransposedConv2d:
+class TransposedConv2d(Conv2d):
     """2x upsampling transposed convolution (2x2 kernel, stride 2)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 2,
                  stride: int = 2, rng: np.random.Generator | None = None, dtype=np.float32):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        rng = rng or np.random.default_rng(0)
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Tensor(he_uniform(
-            (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng, dtype),
-            requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
+        super().__init__(in_channels, out_channels, kernel_size, stride, rng=rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
         return transposed_conv2d(x, self.weight, self.bias, self.stride)
@@ -338,9 +320,3 @@ class SGD:
             t.data -= (lr * v).astype(t.data.dtype, copy=False)
             t.grad = None
 
-
-def sgd_step(params: dict[str, Tensor], state: SGD) -> None:
-    """Single optimizer step over ``params`` using ``state``'s hyperparameters."""
-    if set(params) - set(state.params):
-        raise ContractViolation("sgd_step received parameters unknown to the optimizer state")
-    state.step()

@@ -34,60 +34,75 @@ LEVELS = 4
 PYRAMID_CHANNELS = 16
 
 
+def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
+    """Raise ContractViolation for a spec no network can be built from;
+    ``RunConfig`` checks its model fields with this too."""
+    if arch not in ARCH_TAGS:
+        raise ContractViolation(f"unknown architecture tag {arch!r}")
+    if n % 16 != 0 or n <= 0:
+        raise ContractViolation(f"input extent must be a positive multiple of 16, got {n}")
+    if base_width < 2:
+        raise ContractViolation(f"base width must be >= 2, got {base_width}")
+    if dilation < 1:
+        raise ContractViolation(f"dilation must be >= 1, got {dilation}")
+    if arch == "unet" and dilation != 1:
+        raise ContractViolation("unet uses dilation 1")
+
+
 class Model:
-    """Ordered layer graph with a stable named parameter map."""
+    """Ordered layer graph; ``layers`` maps each layer's name to the layer,
+    in construction order, which is also the parameter order."""
 
     def __init__(self, arch: str, n: int, base_width: int, dilation: int,
                  dtype=np.float32, seed: int = 0):
-        if arch not in ARCH_TAGS:
-            raise ContractViolation(f"unknown architecture tag {arch!r}")
-        if n % 16 != 0 or n <= 0:
-            raise ContractViolation(f"input extent must be a positive multiple of 16, got {n}")
-        if base_width < 2:
-            raise ContractViolation(f"base width must be >= 2, got {base_width}")
-        if dilation < 1:
-            raise ContractViolation(f"dilation must be >= 1, got {dilation}")
+        check_spec(arch, n, base_width, dilation)
         self.arch = arch
         self.n = n
         self.base_width = base_width
         self.dilation = dilation
         self.dtype = dtype
         rng = np.random.default_rng(seed)
+        self.layers: dict[str, Conv2d] = {}
+
+        def add(name, layer):
+            self.layers[name] = layer
+            return layer
+
+        def conv3(name, cin, cout, d):
+            # "same" padding keeps extents constant within a level
+            return add(name, Conv2d(cin, cout, 3, dilation=d, padding=d, rng=rng, dtype=dtype))
 
         B = base_width
-
-        def conv3(cin, cout, d):
-            # "same" padding keeps extents constant within a level
-            return Conv2d(cin, cout, 3, dilation=d, padding=d, rng=rng, dtype=dtype)
-
         self.encoders = []
         cin = IN_CHANNELS
-        for lvl in range(LEVELS):
-            cout = B * (2 ** lvl)
-            self.encoders.append((conv3(cin, cout, dilation), conv3(cout, cout, dilation)))
+        for lvl in range(1, LEVELS + 1):
+            cout = B * (2 ** (lvl - 1))
+            self.encoders.append((conv3(f"enc{lvl}.conv1", cin, cout, dilation),
+                                  conv3(f"enc{lvl}.conv2", cout, cout, dilation)))
             cin = cout
-        self.bottleneck = (conv3(8 * B, 16 * B, dilation), conv3(16 * B, 16 * B, dilation))
+        self.bottleneck = (conv3("bottleneck.conv1", 8 * B, 16 * B, dilation),
+                           conv3("bottleneck.conv2", 16 * B, 16 * B, dilation))
 
         self.decoders = []
         for stage in range(1, LEVELS + 1):  # up1 deepest .. up4 full resolution
             cup = B * (2 ** (LEVELS - stage))        # channels after upsampling
             self.decoders.append((
-                TransposedConv2d(2 * cup, cup, rng=rng, dtype=dtype),
-                conv3(2 * cup, cup, 1),              # skip concat doubles the input
-                conv3(cup, cup, 1),
+                add(f"up{stage}.tconv", TransposedConv2d(2 * cup, cup, rng=rng, dtype=dtype)),
+                conv3(f"up{stage}.conv1", 2 * cup, cup, 1),  # skip concat doubles the input
+                conv3(f"up{stage}.conv2", cup, cup, 1),
             ))
 
         if arch == "mfp-unet":
             self.pyramid = [
-                Conv2d(B * (2 ** (LEVELS - stage)), PYRAMID_CHANNELS, 3, padding=1,
-                       rng=rng, dtype=dtype)
+                add(f"pyramid{stage}.conv", Conv2d(B * (2 ** (LEVELS - stage)), PYRAMID_CHANNELS,
+                                                   3, padding=1, rng=rng, dtype=dtype))
                 for stage in range(1, LEVELS + 1)
             ]
-            self.classifier = Conv2d(LEVELS * PYRAMID_CHANNELS, OUT_CHANNELS, 1,
-                                     rng=rng, dtype=dtype)
+            cls_in = LEVELS * PYRAMID_CHANNELS
         else:
             self.pyramid = None
-            self.classifier = Conv2d(B, OUT_CHANNELS, 1, rng=rng, dtype=dtype)
+            cls_in = B
+        self.classifier = add("classifier", Conv2d(cls_in, OUT_CHANNELS, 1, rng=rng, dtype=dtype))
 
     # -- forward -------------------------------------------------------
 
@@ -130,31 +145,8 @@ class Model:
 
     def parameters(self) -> dict[str, Tensor]:
         """Stable name -> tensor map (insertion ordered)."""
-        out: dict[str, Tensor] = {}
-        for lvl, (c1, c2) in enumerate(self.encoders, start=1):
-            out[f"enc{lvl}.conv1.weight"] = c1.weight
-            out[f"enc{lvl}.conv1.bias"] = c1.bias
-            out[f"enc{lvl}.conv2.weight"] = c2.weight
-            out[f"enc{lvl}.conv2.bias"] = c2.bias
-        c1, c2 = self.bottleneck
-        out["bottleneck.conv1.weight"] = c1.weight
-        out["bottleneck.conv1.bias"] = c1.bias
-        out["bottleneck.conv2.weight"] = c2.weight
-        out["bottleneck.conv2.bias"] = c2.bias
-        for stage, (tconv, c1, c2) in enumerate(self.decoders, start=1):
-            out[f"up{stage}.tconv.weight"] = tconv.weight
-            out[f"up{stage}.tconv.bias"] = tconv.bias
-            out[f"up{stage}.conv1.weight"] = c1.weight
-            out[f"up{stage}.conv1.bias"] = c1.bias
-            out[f"up{stage}.conv2.weight"] = c2.weight
-            out[f"up{stage}.conv2.bias"] = c2.bias
-        if self.pyramid is not None:
-            for stage, conv in enumerate(self.pyramid, start=1):
-                out[f"pyramid{stage}.conv.weight"] = conv.weight
-                out[f"pyramid{stage}.conv.bias"] = conv.bias
-        out["classifier.weight"] = self.classifier.weight
-        out["classifier.bias"] = self.classifier.bias
-        return out
+        return {f"{name}.{attr}": getattr(layer, attr)
+                for name, layer in self.layers.items() for attr in ("weight", "bias")}
 
     def parameter_count(self) -> int:
         return sum(t.data.size for t in self.parameters().values())
@@ -179,19 +171,6 @@ def build_mfp_unet(n: int, base_width: int, dilation: int = 2,
                    dtype=np.float32, seed: int = 0) -> Model:
     """Dilated body plus the per-level feature pyramid feeding a 64-channel classifier."""
     return Model("mfp-unet", n, base_width, dilation=dilation, dtype=dtype, seed=seed)
-
-
-def build_model(arch: str, n: int, base_width: int, dilation: int,
-                dtype=np.float32, seed: int = 0) -> Model:
-    if arch == "unet":
-        if dilation != 1:
-            raise ContractViolation("unet uses dilation 1")
-        return build_unet(n, base_width, dtype=dtype, seed=seed)
-    if arch == "dilated-unet":
-        return build_dilated_unet(n, base_width, dilation, dtype=dtype, seed=seed)
-    if arch == "mfp-unet":
-        return build_mfp_unet(n, base_width, dilation, dtype=dtype, seed=seed)
-    raise ContractViolation(f"unknown architecture tag {arch!r}")
 
 
 def forward_segment(model: Model, image_2ch: Tensor | np.ndarray) -> np.ndarray:

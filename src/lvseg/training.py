@@ -30,7 +30,7 @@ from .geometry import extract_contour
 from .layers import SGD, softmax_cross_entropy
 from .measure import ejection_fraction, measure_mask
 from .metrics import dice, hausdorff, jaccard, mad
-from .models import Model, build_model, forward_segment
+from .models import Model, forward_segment
 from .phantom import generate_phantom_set
 from .preprocess import compose_input, elastic_deform
 from .report import MeasurementRow, MetricsRow
@@ -115,8 +115,8 @@ def mean_val_dice(model: Model, samples: list[ImageSample]) -> float:
 def train_fold(config: RunConfig, train_samples: list[ImageSample],
                val_samples: list[ImageSample], fold: int) -> FoldResult:
     dilation = 1 if config.arch == "unet" else config.dilation
-    model = build_model(config.arch, config.n, config.base_width, dilation,
-                        dtype=np.float32, seed=_derived_seed(config.seed, fold, 0))
+    model = Model(config.arch, config.n, config.base_width, dilation,
+                  dtype=np.float32, seed=_derived_seed(config.seed, fold, 0))
     augmented = augment_samples(train_samples, config.augment_factor,
                                 config.elastic_alpha, config.elastic_sigma,
                                 _derived_seed(config.seed, fold, 1))

@@ -11,6 +11,3 @@ def px_to_cm(px: float, mm_per_px: float) -> float:
 def px_area_to_cm2(pixel_count: float, mm_per_px: float) -> float:
     return pixel_count * mm_per_px * mm_per_px / (MM_PER_CM * MM_PER_CM)
 
-
-def px_to_mm(px: float, mm_per_px: float) -> float:
-    return px * mm_per_px

@@ -15,7 +15,7 @@ from lvseg.layers import (concat_channels, conv2d, max_pool2d, relu,
                           softmax_cross_entropy, transposed_conv2d, upsample_nearest)
 from lvseg.measure import lv_area, lv_length, lv_volume, measure_mask
 from lvseg.metrics import dice, hausdorff, jaccard, mad
-from lvseg.models import build_model, build_mfp_unet, forward_segment
+from lvseg.models import Model, build_mfp_unet, forward_segment
 from lvseg.phantom import bullet_area, bullet_height, ellipse_mask, generate_phantom_set
 from lvseg.preprocess import compose_input
 from lvseg.stats import PairedSeries, anova_from_sums, bland_altman
@@ -132,7 +132,7 @@ def test_gradient_suite():
     worst_arch = 0.0
     for seed in range(20):
         arch, dilation = archs[seed % 3]
-        model = build_model(arch, 16, 2, dilation, dtype=np.float64, seed=seed)
+        model = Model(arch, 16, 2, dilation, dtype=np.float64, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         x = Tensor(rng.uniform(0, 1, (2, 16, 16)))
         target = rng.integers(0, 2, (16, 16))
@@ -226,8 +226,8 @@ def overfit_run(tmp_path_factory):
     cfg = RunConfig(arch="mfp-unet", n=64, base_width=4, learning_rate=0.05,
                     batch_size=1, epochs=60, augment_factor=1, folds=5, seed=17,
                     data_dir="synthetic:6", out_dir=str(tmp))
-    untrained = build_model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
-                            dtype=np.float32, seed=999)
+    untrained = Model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
+                      dtype=np.float32, seed=999)
     baseline = mean_val_dice(untrained, val_s)
     t0 = time.perf_counter()
     result = train_fold(cfg, train_s, val_s, fold=0)

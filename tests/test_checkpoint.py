@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lvseg.checkpoint import MAGIC, checkpoint_read, checkpoint_write
+from lvseg.cli import main
 from lvseg.errors import FormatError
 from lvseg.models import build_dilated_unet, build_mfp_unet, build_unet
 
@@ -77,6 +78,23 @@ def test_trailing_bytes_rejected(tmp_path):
     bloated.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(FormatError, match="trailing"):
         checkpoint_read(bloated)
+
+
+def test_header_the_model_rejects_is_a_format_error(tmp_path, capsys):
+    model = build_unet(32, 2)
+    path = tmp_path / "ck.bin"
+    checkpoint_write(model, path)
+    raw = bytearray(path.read_bytes())
+    n_at = 12 + len(b"unet")  # magic, version, tag length, tag
+    assert struct.unpack("<I", raw[n_at:n_at + 4])[0] == 32
+    raw[n_at:n_at + 4] = struct.pack("<I", 60)
+    bad = tmp_path / "n60.bin"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="n60.bin.*multiple of 16, got 60"):
+        checkpoint_read(bad)
+    assert main(["eval", "--checkpoint", str(bad), "--data", "synthetic:2",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert "n60.bin" in capsys.readouterr().err
 
 
 def test_magic_constant():

@@ -4,7 +4,7 @@ import pytest
 from lvseg.autograd import Tensor
 from lvseg.errors import ContractViolation
 from lvseg.layers import max_pool2d, relu
-from lvseg.models import (build_dilated_unet, build_mfp_unet, build_unet, build_model,
+from lvseg.models import (Model, build_dilated_unet, build_mfp_unet, build_unet,
                           forward_segment)
 
 
@@ -131,9 +131,15 @@ def test_invalid_configs_rejected():
     with pytest.raises(ContractViolation):
         build_unet(64, 1)  # base width too small
     with pytest.raises(ContractViolation):
-        build_model("unet", 64, 4, dilation=2)
+        Model("unet", 64, 4, dilation=2)
     with pytest.raises(ContractViolation):
-        build_model("resnet", 64, 4, dilation=1)
+        Model("resnet", 64, 4, dilation=1)
+
+
+def test_unet_with_dilation_rejected():
+    # a dilated net labelled unet would write a checkpoint its reader refuses
+    with pytest.raises(ContractViolation, match="unet uses dilation 1"):
+        Model("unet", 32, 2, 2)
 
 
 def test_input_shape_mismatch_rejected():

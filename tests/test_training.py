@@ -7,7 +7,7 @@ from lvseg.checkpoint import checkpoint_read
 from lvseg.config import RunConfig
 from lvseg.dataset import load_dataset
 from lvseg.errors import ContractViolation, TrainingDiverged
-from lvseg.models import build_model
+from lvseg.models import Model
 from lvseg.phantom import generate_phantom_set
 from lvseg.report import (MeasurementRow, MetricsRow, read_measurements_csv,
                           read_metrics_csv, write_measurements_csv, write_metrics_csv)
@@ -82,8 +82,8 @@ def test_zero_epochs_checkpoint_equals_initialization(tmp_path):
     samples = generate_phantom_set(3, 32, 5)
     cfg = _tiny_cfg(tmp_path, epochs=0)
     result = train_fold(cfg, samples[:4], samples[4:], fold=0)
-    fresh = build_model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
-                        dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
+    fresh = Model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
+                  dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
     for (name, t), (_, f) in zip(result.model.parameters().items(),
                                  fresh.parameters().items()):
         assert np.array_equal(t.data, f.data), name
@@ -94,8 +94,8 @@ def test_no_validation_samples_keeps_last_epoch_weights(tmp_path):
     samples = generate_phantom_set(2, 32, 5)
     cfg = _tiny_cfg(tmp_path, epochs=2)
     result = train_fold(cfg, samples, [], fold=0)
-    fresh = build_model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
-                        dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
+    fresh = Model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
+                  dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
     moved = [not np.array_equal(t.data, f.data)
              for t, f in zip(result.model.parameters().values(),
                              fresh.parameters().values())]
@@ -176,7 +176,7 @@ def test_summary_rows_match_independent_recomputation():
 
 def test_evaluate_model_emits_rows_and_summary(tmp_path):
     samples = generate_phantom_set(2, 32, 9)
-    model = build_model("unet", 32, 2, 1, seed=0)
+    model = Model("unet", 32, 2, 1, seed=0)
     rows = evaluate_model(model, samples)
     assert len(rows) == len(samples) + 2
     assert rows[-2].sample_id == "mean" and rows[-1].sample_id == "sd"
