@@ -7,6 +7,7 @@ a contract violation, 3 on an I/O or format error.
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -102,8 +103,9 @@ def _cmd_eval(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(rows, out_dir / "metrics.csv")
     print(format_summary(rows))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"evaluated {len(samples)} images in {elapsed:.2f} s "
-          f"({elapsed / max(len(samples), 1):.3f} s/image)")
+          f"({elapsed / max(len(samples), 1):.3f} s/image, peak RSS {peak_mb:.0f} MB)")
 
 
 def _cmd_measure(args) -> None:

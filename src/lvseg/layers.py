@@ -54,14 +54,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         raise ContractViolation(
             f"effective kernel extent {eff} exceeds padded input {h + 2 * ph}x{w + 2 * pw}")
 
-    xp = np.pad(x.data, ((0, 0), (ph, ph), (pw, pw)))
-    patches = np.empty((c_in, m, m, h_out, w_out), dtype=x.dtype)
-    for a in range(m):
-        ra = a * dilation
-        for b in range(m):
-            rb = b * dilation
-            patches[:, a, b] = xp[:, ra:ra + (h_out - 1) * stride + 1:stride,
-                                  rb:rb + (w_out - 1) * stride + 1:stride]
+    if ph or pw:
+        xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+        xp[:, ph:ph + h, pw:pw + w] = x.data
+    else:
+        xp = x.data
+    if m == 1:  # the (strided) input is its own patch matrix
+        patches = xp[:, None, None, :(h_out - 1) * stride + 1:stride,
+                     :(w_out - 1) * stride + 1:stride]
+    else:
+        patches = np.empty((c_in, m, m, h_out, w_out), dtype=x.dtype)
+        for a in range(m):
+            ra = a * dilation
+            for b in range(m):
+                rb = b * dilation
+                patches[:, a, b] = xp[:, ra:ra + (h_out - 1) * stride + 1:stride,
+                                      rb:rb + (w_out - 1) * stride + 1:stride]
     out_data = np.tensordot(weight.data, patches, axes=([1, 2, 3], [0, 1, 2]))
     out_data += bias.data[:, None, None]
 
@@ -89,13 +97,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
 
 def relu(x: Tensor) -> Tensor:
-    """Elementwise max(0, x); gradient passes where x > 0."""
-    mask = x.data > 0
-    out = _result(np.where(mask, x.data, 0), (x,), None, "relu")
+    """Elementwise max(0, x); gradient passes where x > 0. A NaN input
+    stays NaN (and gets no gradient)."""
+    out = _result(np.maximum(x.data, 0), (x,), None, "relu")
 
     def backward():
         if x.requires_grad:
-            x.accumulate_grad(out.grad * mask)
+            x.accumulate_grad(out.grad * (out.data > 0))
 
     out.backward_fn = backward if out.requires_grad else None
     return out
@@ -107,15 +115,14 @@ def max_pool2d(x: Tensor) -> Tensor:
     c, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2d needs even extents, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    blocks = x.data.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
-    idx = blocks.argmax(axis=3)
-    out_data = np.take_along_axis(blocks, idx[..., None], axis=3)[..., 0]
-
-    out = _result(out_data, (x,), None, "max_pool2d")
+    row_max = np.maximum(x.data[:, 0::2], x.data[:, 1::2])
+    out = _result(np.maximum(row_max[:, :, 0::2], row_max[:, :, 1::2]), (x,), None, "max_pool2d")
 
     def backward():
         if x.requires_grad:
+            h2, w2 = h // 2, w // 2
+            blocks = x.data.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
+            idx = blocks.argmax(axis=3)
             gx = np.zeros_like(x.data)
             rows = np.arange(h2)[None, :, None] * 2 + idx // 2
             cols = np.arange(w2)[None, None, :] * 2 + idx % 2

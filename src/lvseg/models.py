@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .errors import ContractViolation
 from .layers import Conv2d, TransposedConv2d, concat_channels, max_pool2d, relu, upsample_nearest
 
@@ -175,8 +175,10 @@ def build_mfp_unet(n: int, base_width: int, dilation: int = 2,
 
 def forward_segment(model: Model, image_2ch: Tensor | np.ndarray) -> np.ndarray:
     """Binary N x N mask: per-pixel argmax over the 2 logit channels,
-    channel 1 being foreground."""
+    channel 1 being foreground. The forward pass runs under ``no_grad``,
+    so it records no tape and each activation is freed once consumed."""
     if not isinstance(image_2ch, Tensor):
         image_2ch = Tensor(np.asarray(image_2ch, dtype=model.dtype))
-    logits = model.forward(image_2ch)
+    with no_grad():
+        logits = model.forward(image_2ch)
     return np.argmax(logits.data, axis=0).astype(np.uint8)

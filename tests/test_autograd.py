@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lvseg.autograd import Tensor, backward, grad_check
+from lvseg.autograd import Tensor, backward, grad_check, no_grad
 from lvseg.errors import ContractViolation
 
 
@@ -80,3 +80,50 @@ def test_grad_slots_lazy():
     backward((w * x).sum())
     assert w.grad is not None
     assert x.grad is None
+
+
+# -- no_grad --------------------------------------------------------------
+
+def _is_untaped(out):
+    return not out.requires_grad and out.backward_fn is None and out.parents == ()
+
+
+def test_no_grad_results_keep_no_tape():
+    from lvseg.layers import (concat_channels, conv2d, max_pool2d, relu,
+                              softmax_cross_entropy, transposed_conv2d, upsample_nearest)
+
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    w1 = Tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(3, 2, 2, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    with no_grad():
+        outs = [x + x, x * 2.0, x - x, -x, x.sum(),
+                conv2d(x, w, b, padding=1), conv2d(x, w1, b), conv2d(x, w1, b, stride=2),
+                relu(x), max_pool2d(x), transposed_conv2d(x, wt, b),
+                upsample_nearest(x, 2), upsample_nearest(x, 1), concat_channels([x, x]),
+                softmax_cross_entropy(x, np.zeros((4, 4), dtype=int))]
+    for out in outs:
+        assert _is_untaped(out), out.op
+    assert (x * x).requires_grad  # recording is back on after the block
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with no_grad():
+        with no_grad():
+            assert _is_untaped(w * w)
+        assert _is_untaped(w * w)  # leaving the inner block keeps recording off
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside no_grad")
+    out = (w * w).sum()
+    assert out.requires_grad and out.parents
+    backward(out)
+    assert np.array_equal(w.grad, [2.0, 4.0])
+
+
+def test_untaped_result_needs_no_parents_outside_no_grad():
+    c = Tensor(np.array([1.0, 2.0]))  # constants: nothing to differentiate
+    assert _is_untaped(c * c)

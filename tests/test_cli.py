@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lvseg.checkpoint import checkpoint_write
 from lvseg.cli import main
+from lvseg.models import Model
 from lvseg.pgm import pgm_read
 from lvseg.report import (agreement_reports, method_anova, read_measurements_csv,
                           read_metrics_csv)
@@ -91,6 +95,19 @@ def test_eval_command_and_arch_mismatch(tmp_path):
     # wrong architecture expectation is an I/O format error
     assert main(["eval", "--checkpoint", str(ck), "--data", "synthetic:2",
                  "--arch", "mfp-unet", "--out", str(tmp_path / "eval2")]) == 3
+
+
+def test_eval_prints_its_peak_rss(tmp_path, capsys):
+    ck = tmp_path / "checkpoint.bin"
+    checkpoint_write(Model("unet", 32, 2, 1), ck)
+    assert main(["eval", "--checkpoint", str(ck), "--data", "synthetic:2",
+                 "--out", str(tmp_path / "eval")]) == 0
+    found = re.search(r"evaluated \d+ images in .* s/image, peak RSS (\d+) MB\)",
+                      capsys.readouterr().out)
+    assert found
+    # the figure is this process's ru_maxrss (KiB on Linux), in MB
+    now_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0 < int(found.group(1)) <= round(now_mb)
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

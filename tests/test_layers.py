@@ -92,6 +92,17 @@ def test_relu_subgradient():
     assert np.array_equal(x.grad, [0.0, 1.0])
 
 
+def test_relu_propagates_nan():
+    # np.where(x > 0, x, 0) used to map NaN to 0 and hide it from the
+    # finite-loss check in training; NaN now flows on (and gets no gradient)
+    x = t([np.nan, -1.0, -0.0, 2.0], grad=True)
+    out = relu(x)
+    assert np.isnan(out.data[0]) and out.data[1:].tolist() == [0.0, 0.0, 2.0]
+    assert not np.signbit(out.data[2])
+    backward(relu(x).sum())
+    assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0]
+
+
 # -- max_pool2d -----------------------------------------------------------
 
 def test_pool_block_max():
@@ -121,6 +132,30 @@ def test_pool_gradient_single_nonzero_per_block():
         backward(max_pool2d(x).sum())
         blocks = x.grad.reshape(2, 3, 2, 4, 2).transpose(0, 1, 3, 2, 4).reshape(2, 3, 4, 4)
         assert np.all((blocks != 0).sum(axis=-1) == 1)
+
+
+def _argmax_pool(x):
+    """Reference: each block's argmax (first in row-major order) picked out."""
+    c, h, w = x.shape
+    blocks = x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+        c, h // 2, w // 2, 4)
+    return np.take_along_axis(blocks, blocks.argmax(axis=3)[..., None], axis=3)[..., 0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_forward_matches_argmax_reference(dtype):
+    rng = np.random.default_rng(2)
+    x = rng.integers(-2, 3, size=(3, 8, 10)).astype(dtype)  # many ties, zeros included
+    x[0, 0, 0] = np.nan
+    x[1, 2:4, 4:6] = np.nan
+    x[2, 4, 7] = np.nan
+    x[2, 0:2, 0:2] = [[-0.0, 0.0], [-1.0, -1.0]]  # the reference pools this to -0.0
+    ref = _argmax_pool(x)
+    out = max_pool2d(Tensor(x)).data
+    assert out.dtype == dtype
+    # equal values (NaN where the block has one); the sign of a zero may differ
+    np.testing.assert_array_equal(out, ref)
+    assert np.isnan(out).sum() == 3
 
 
 # -- transposed_conv2d ----------------------------------------------------
@@ -333,3 +368,16 @@ def test_primitive_gradients_against_finite_differences():
             err = grad_check(
                 lambda: (concat_channels([xa, xb]) * concat_channels([xa, xb])).sum(), theta)
             assert err < 1e-6
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv_1x1_gradients_against_finite_differences(stride):
+    # a 1x1 kernel reads the (strided) input directly, with no im2col copy
+    rng = np.random.default_rng(stride)
+    x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    for theta in (x, w, b):
+        err = grad_check(lambda: (conv2d(x, w, b, stride=stride)
+                                  * conv2d(x, w, b, stride=stride)).sum(), theta)
+        assert err < 1e-6

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 
-from lvseg.autograd import Tensor
+from lvseg.autograd import Tensor, backward
 from lvseg.errors import ContractViolation
-from lvseg.layers import max_pool2d, relu
+from lvseg.layers import max_pool2d, relu, softmax_cross_entropy
 from lvseg.models import (Model, build_dilated_unet, build_mfp_unet, build_unet,
                           forward_segment)
 
@@ -123,6 +125,43 @@ def test_forward_segment_sign_map_of_chosen_feature():
     model.classifier.weight.data[1, k, 0, 0] = 1.0
     mask = forward_segment(model, x)
     assert np.array_equal(mask, (feats.data[k] > 0).astype(np.uint8))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch", ["unet", "dilated-unet", "mfp-unet"])
+def test_forward_segment_equals_argmax_of_taped_logits(arch, dtype):
+    model = Model(arch, 32, 2, 1 if arch == "unet" else 2, dtype=dtype, seed=4)
+    x = _rand_input(32, seed=6, dtype=dtype)
+    logits = model.forward(x)
+    assert logits.requires_grad  # Model.forward itself stays taped
+    assert np.array_equal(forward_segment(model, x),
+                          np.argmax(logits.data, axis=0).astype(np.uint8))
+
+
+def test_forward_segment_leaves_no_reference_cycles():
+    model = build_mfp_unet(32, 2, seed=1)
+    x = _rand_input(32, seed=3, dtype=np.float32)
+    gc.collect()
+    gc.disable()
+    try:
+        forward_segment(model, x)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_taped_gradients_unchanged_by_a_prior_forward_segment():
+    def grads(segment_first):
+        model = build_mfp_unet(32, 2, seed=2)
+        x = _rand_input(32, seed=8, dtype=np.float32)
+        if segment_first:
+            forward_segment(model, x)
+        backward(softmax_cross_entropy(model.forward(x), np.eye(32, dtype=int)))
+        return {name: t.grad for name, t in model.parameters().items()}
+
+    plain, after = grads(False), grads(True)
+    for name, g in plain.items():
+        assert after[name] is not None and np.array_equal(g, after[name]), name
 
 
 def test_invalid_configs_rejected():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -141,6 +142,17 @@ def test_divergence_aborts_with_diagnostics(tmp_path):
     cfg = _tiny_cfg(tmp_path, learning_rate=1e9, epochs=10)
     with np.errstate(all="ignore"), pytest.raises(TrainingDiverged, match=r"epoch \d+.*lr"):
         train_fold(cfg, samples[:4], samples[4:], fold=0)
+
+
+def test_nan_input_pixel_aborts_training(tmp_path):
+    # relu passes NaN on, so one NaN pixel reaches the loss and the
+    # finite-loss check; when relu mapped NaN to 0 the fold trained on
+    samples = generate_phantom_set(3, 32, 6)
+    image = samples[0].image.astype(np.float64)
+    image[10, 10] = np.nan
+    samples[0] = dataclasses.replace(samples[0], image=image)
+    with pytest.raises(TrainingDiverged, match="non-finite loss"):
+        train_fold(_tiny_cfg(tmp_path), samples[:4], samples[4:], fold=0)
 
 
 def test_train_requires_two_folds(tmp_path):
