@@ -9,6 +9,7 @@ works; masks use pixel values {0, 255}.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,8 +41,9 @@ class ImageSample:
         vals = np.unique(self.mask)
         if not np.all(np.isin(vals, (0, 1))):
             raise ContractViolation(f"mask must be binary, found values {vals[:8]}")
-        if not self.calibration > 0:
-            raise ContractViolation(f"calibration must be positive, got {self.calibration}")
+        if not 0 < self.calibration < math.inf:
+            raise ContractViolation(
+                f"calibration must be positive and finite, got {self.calibration}")
         if self.phase not in PHASES:
             raise ContractViolation(f"phase must be one of {PHASES}, got {self.phase!r}")
         if not self.sample_id:

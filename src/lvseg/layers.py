@@ -112,7 +112,7 @@ def relu(x: Tensor) -> Tensor:
 def max_pool2d(x: Tensor) -> Tensor:
     """2x2 non-overlapping max pooling; gradient routes to the argmax
     (first position in row-major order on ties)."""
-    c, h, w = x.shape
+    _, h, w = x.shape
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2d needs even extents, got {h}x{w}")
     row_max = np.maximum(x.data[:, 0::2], x.data[:, 1::2])
@@ -120,14 +120,17 @@ def max_pool2d(x: Tensor) -> Tensor:
 
     def backward():
         if x.requires_grad:
-            h2, w2 = h // 2, w // 2
-            blocks = x.data.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
-            idx = blocks.argmax(axis=3)
+            # the first position in row-major order that holds the block's
+            # maximum, or its first NaN (the NaN is the maximum), as argmax picks
             gx = np.zeros_like(x.data)
-            rows = np.arange(h2)[None, :, None] * 2 + idx // 2
-            cols = np.arange(w2)[None, None, :] * 2 + idx % 2
-            chans = np.arange(c)[:, None, None]
-            gx[chans, rows, cols] = out.grad
+            free = np.ones(out.shape, dtype=bool)
+            for r in (0, 1):
+                for s in (0, 1):
+                    xs = x.data[:, r::2, s::2]
+                    hit = (xs == out.data) | (xs != xs)
+                    hit &= free
+                    free ^= hit
+                    np.copyto(gx[:, r::2, s::2], out.grad, where=hit)
             x.accumulate_grad(gx)
 
     out.backward_fn = backward if out.requires_grad else None
@@ -187,8 +190,21 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     def backward():
         if x.requires_grad:
             c, h, w = x.shape
-            g = out.grad.reshape(c, h, factor, w, factor)
-            x.accumulate_grad(g.sum(axis=(2, 4)))
+            g = out.grad
+            if 1 < factor < 8 and w > 1:
+                # strided adds in the order numpy's block sum takes below: the
+                # column offsets of each row offset, then the row sums. From 8
+                # terms on numpy sums pairwise, and at w == 1 it merges both
+                # block axes into one run, so those stay on the reshape sum.
+                gx = None
+                for a in range(factor):
+                    row = g[:, a::factor, 0::factor]
+                    for b in range(1, factor):
+                        row = row + g[:, a::factor, b::factor]
+                    gx = row if gx is None else gx + row
+            else:
+                gx = g.reshape(c, h, factor, w, factor).sum(axis=(2, 4))
+            x.accumulate_grad(gx)
 
     out.backward_fn = backward if out.requires_grad else None
     return out

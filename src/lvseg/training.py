@@ -7,6 +7,11 @@ shuffled by the run seed, and optimized with momentum SGD; the epoch with
 the best validation Dice supplies the saved checkpoint, or the last epoch
 when there are no validation samples. Everything is deterministic given
 (seed, config, data).
+
+Each sample is backpropagated as soon as its forward ends
+(``backprop_batch``), and backward frees the tape as it consumes it, so
+training memory holds one sample's tape whatever the batch size; the
+gradients are bit-identical to those of one summed-batch loss.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ SYNTH_PREFIX = "synthetic:"
 def resolve_data(data_dir: str, n: int, seed: int) -> list[ImageSample]:
     """Load a dataset directory, or synthesize one for the sentinel
     ``synthetic:<count>``. Samples are resized to n x n if needed."""
+    if n < 1:
+        raise ContractViolation(f"image extent n must be >= 1, got {n}")
     if data_dir.startswith(SYNTH_PREFIX):
         text = data_dir[len(SYNTH_PREFIX):]
         try:
@@ -112,6 +119,28 @@ def mean_val_dice(model: Model, samples: list[ImageSample]) -> float:
     return float(np.mean(scores))
 
 
+def backprop_batch(model: Model, inputs: list[np.ndarray],
+                   targets: list[np.ndarray]) -> float:
+    """Add the gradient of the batch's mean loss into the parameters and
+    return that loss, running ``backward(loss_i * (1/B))`` as soon as each
+    sample's forward ends so that one sample's tape is alive at a time.
+
+    Backward of one summed-batch graph visits its samples in the same
+    order, so gradients and the float32 ``(loss_1 + ... + loss_B) * (1/B)``
+    returned are bit-identical to that graph's. A sample that makes the
+    sum non-finite is not backpropagated; the non-finite value is returned.
+    """
+    scale = 1.0 / len(inputs)
+    total = None
+    for x, target in zip(inputs, targets):
+        sample_loss = softmax_cross_entropy(model.forward(Tensor(x)), target)
+        total = sample_loss.data if total is None else total + sample_loss.data
+        if not np.isfinite(total):
+            break
+        backward(sample_loss * scale)
+    return float(total * total.dtype.type(scale))
+
+
 def train_fold(config: RunConfig, train_samples: list[ImageSample],
                val_samples: list[ImageSample], fold: int) -> FoldResult:
     dilation = 1 if config.arch == "unet" else config.dilation
@@ -138,19 +167,13 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
         running = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss = None
-            for i in batch:
-                sample_loss = softmax_cross_entropy(
-                    model.forward(Tensor(inputs[i])), targets[i])
-                loss = sample_loss if loss is None else loss + sample_loss
-            loss = loss * (1.0 / len(batch))
-            value = loss.item()
+            value = backprop_batch(model, [inputs[i] for i in batch],
+                                   [targets[i] for i in batch])
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss (fold {fold}, epoch {epoch}, batch index "
                     f"{start // config.batch_size}, lr {opt.learning_rate:.6g})")
             running += value * len(batch)
-            backward(loss)
             opt.step()
         val = mean_val_dice(model, val_samples)
         log.append(EpochRecord(epoch=epoch, loss=running / len(inputs), val_dice=val,

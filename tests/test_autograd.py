@@ -127,3 +127,35 @@ def test_no_grad_nests_and_restores_after_exception():
 def test_untaped_result_needs_no_parents_outside_no_grad():
     c = Tensor(np.array([1.0, 2.0]))  # constants: nothing to differentiate
     assert _is_untaped(c * c)
+
+
+# -- backward consumes the tape ------------------------------------------
+
+def test_backward_consumes_interior_nodes_and_keeps_leaf_gradients():
+    w = Tensor(np.array([2.0, -3.0]), requires_grad=True)
+    x = Tensor(np.array([0.5, 4.0]))  # a constant
+    prod = w * x
+    square = prod * prod
+    unused = prod * 0.0  # not an ancestor of the loss
+    loss = square.sum() + w.sum()
+    backward(loss)
+    for node in (prod, square, loss):
+        assert node.grad is None and node.parents == () and node.backward_fn is None, node.op
+    assert unused.backward_fn is not None  # backward leaves it alone
+    # d/dw of sum((w x)^2) + sum(w) = 2 w x^2 + 1
+    assert np.array_equal(w.grad, 2 * w.data * x.data ** 2 + 1)
+    assert x.grad is None
+
+
+def test_second_backward_on_a_consumed_graph_raises():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    loss = (w * w).sum()
+    backward(loss)
+    kept = w.grad.copy()
+    with pytest.raises(ContractViolation, match="consumed"):
+        backward(loss)
+    inner = w * w
+    backward((inner * 1.0).sum())
+    with pytest.raises(ContractViolation, match="consumed"):
+        backward((inner * 2.0).sum())  # a new root over a consumed node
+    assert np.array_equal(w.grad, kept + kept)  # the refused calls added nothing

@@ -126,6 +126,28 @@ def test_non_integer_synthetic_count_is_a_contract_violation(tmp_path, capsys):
     assert "'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_measure_rejects_a_non_positive_extent(tmp_path, capsys, n):
+    assert main(["measure", "--data", "synthetic:2", "--n", n,
+                 "--out", str(tmp_path / "m")]) == 2
+    assert f"extent n must be >= 1, got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("calibration", ["inf", "nan"])
+def test_measure_rejects_a_non_finite_calibration(tmp_path, capsys, calibration):
+    data = tmp_path / "data"
+    main(["synth", "--count", "1", "--n", "64", "--seed", "1", "--out", str(data)])
+    meta = data / "meta.csv"
+    lines = meta.read_text().splitlines()
+    lines[1] = ",".join(lines[1].split(",")[:3] + [calibration])
+    meta.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 2
+    assert f"calibration must be positive and finite, got {calibration}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m" / "measurements.csv").exists()
+
+
 def test_multi_method_report_emits_anova(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--count", "5", "--n", "64", "--seed", "8", "--out", str(data)])

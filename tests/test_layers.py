@@ -158,6 +158,41 @@ def test_pool_forward_matches_argmax_reference(dtype):
     assert np.isnan(out).sum() == 3
 
 
+def _argmax_scatter_pool_grad(x, g):
+    """Reference: each block's gradient goes to its argmax (the first
+    maximum in row-major order, or the first NaN), zeros elsewhere."""
+    c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    blocks = x.reshape(c, h2, 2, w2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h2, w2, 4)
+    idx = blocks.argmax(axis=3)
+    gx = np.zeros_like(x)
+    rows = np.arange(h2)[None, :, None] * 2 + idx // 2
+    cols = np.arange(w2)[None, None, :] * 2 + idx % 2
+    gx[np.arange(c)[:, None, None], rows, cols] = g
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_backward_matches_argmax_scatter(dtype):
+    rng = np.random.default_rng(4)
+    for _ in range(10):
+        x = rng.integers(-2, 3, size=(3, 8, 10)).astype(dtype)  # many ties
+        x[rng.random(x.shape) < 0.2] = -0.0
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[0, 0:2, 0:2] = [[-0.0, 0.0], [-1.0, -1.0]]
+        x[0, 0:2, 2:4] = [[-1.0, np.nan], [2.0, np.nan]]  # the first NaN takes it
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool2d(xt)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g[1, 1, 1], g[2, 2, 2] = np.nan, np.inf
+        with np.errstate(invalid="ignore"):  # inf times a zero pooled value
+            loss = (out * Tensor(g)).sum()
+        backward(loss)
+        ref = _argmax_scatter_pool_grad(x, g)
+        assert xt.grad.dtype == dtype
+        assert xt.grad.tobytes() == ref.tobytes()  # bit for bit
+
+
 # -- transposed_conv2d ----------------------------------------------------
 
 def test_tconv_single_scatter():
@@ -206,6 +241,21 @@ def test_upsample_preserves_scaled_sum():
     for factor in (1, 2, 3):
         out = upsample_nearest(x, factor)
         assert math.isclose(out.data.sum(), factor ** 2 * x.data.sum(), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("factor", range(1, 9))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_upsample_backward_matches_reshape_sum(factor, dtype):
+    rng = np.random.default_rng(factor)
+    for shape in ((3, 4, 5), (16, 8, 8), (2, 3, 1), (1, 1, 2), (4, 1, 1)):
+        c, h, w = shape
+        x = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        g = (rng.normal(size=(c, h * factor, w * factor))
+             * 10.0 ** rng.integers(-4, 5, size=(c, h * factor, w * factor))).astype(dtype)
+        backward((upsample_nearest(x, factor) * Tensor(g)).sum())
+        ref = g.reshape(c, h, factor, w, factor).sum(axis=(2, 4))
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == ref.tobytes(), shape  # bit for bit
 
 
 def test_upsample_rejects_bad_factor():

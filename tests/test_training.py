@@ -1,18 +1,22 @@
 import dataclasses
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from lvseg.autograd import Tensor, backward
 from lvseg.checkpoint import checkpoint_read
 from lvseg.config import RunConfig
 from lvseg.dataset import load_dataset
 from lvseg.errors import ContractViolation, TrainingDiverged
+from lvseg.layers import SGD, softmax_cross_entropy
 from lvseg.models import Model
 from lvseg.phantom import generate_phantom_set
+from lvseg.preprocess import compose_input
 from lvseg.report import (MeasurementRow, MetricsRow, read_measurements_csv,
                           read_metrics_csv, write_measurements_csv, write_metrics_csv)
-from lvseg.training import (_derived_seed, audit_folds, evaluate_model,
+from lvseg.training import (_derived_seed, audit_folds, backprop_batch, evaluate_model,
                             format_summary, measure_samples, metrics_for_masks,
                             resize_sample, resolve_data, summary_rows, synth, train,
                             train_fold)
@@ -153,6 +157,51 @@ def test_nan_input_pixel_aborts_training(tmp_path):
     samples[0] = dataclasses.replace(samples[0], image=image)
     with pytest.raises(TrainingDiverged, match="non-finite loss"):
         train_fold(_tiny_cfg(tmp_path), samples[:4], samples[4:], fold=0)
+
+
+def _batch():
+    samples = generate_phantom_set(2, 32, 8)[:3]
+    return [compose_input(s) for s in samples], [s.mask for s in samples]
+
+
+def _summed_batch_loss(model, inputs, targets):
+    """Reference: one graph over the whole batch, (l_1 + ... + l_B) * (1/B),
+    and one backward once every forward has run."""
+    loss = None
+    for x, target in zip(inputs, targets):
+        sample_loss = softmax_cross_entropy(model.forward(Tensor(x)), target)
+        loss = sample_loss if loss is None else loss + sample_loss
+    loss = loss * (1.0 / len(inputs))
+    value = loss.item()
+    backward(loss)
+    return value
+
+
+@pytest.mark.parametrize("arch", ["unet", "dilated-unet", "mfp-unet"])
+def test_per_sample_backprop_equals_summed_batch_loss(arch):
+    inputs, targets = _batch()
+    dilation = 1 if arch == "unet" else 2
+    per_sample, summed = (Model(arch, 32, 4, dilation, dtype=np.float32, seed=2)
+                          for _ in range(2))
+    assert backprop_batch(per_sample, inputs, targets) == _summed_batch_loss(
+        summed, inputs, targets)
+    for (name, p), q in zip(per_sample.parameters().items(), summed.parameters().values()):
+        assert p.grad.dtype == np.float32
+        assert p.grad.tobytes() == q.grad.tobytes(), name  # bit for bit
+
+
+def test_training_step_leaves_no_reference_cycles():
+    inputs, targets = _batch()
+    model = Model("mfp-unet", 32, 4, 2, dtype=np.float32, seed=2)
+    opt = SGD(model.parameters(), learning_rate=0.01)
+    gc.collect()
+    gc.disable()
+    try:
+        backprop_batch(model, inputs, targets)
+        opt.step()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_train_requires_two_folds(tmp_path):
