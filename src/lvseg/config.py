@@ -17,6 +17,12 @@ from .errors import ContractViolation, FormatError
 from .models import check_spec
 
 
+# the JSON values each field type takes: bool is no number, and a float
+# field takes an integer but an int field takes no float
+_JSON_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+               "str": ((str,), "a string")}
+
+
 @dataclass
 class RunConfig:
     arch: str = "mfp-unet"
@@ -52,10 +58,14 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        field_types = {f.name: f.type for f in dataclasses.fields(cls)}
+        unknown = set(raw) - set(field_types)
         if unknown:
             raise ContractViolation(f"unknown config keys: {sorted(unknown)}")
+        for name, value in raw.items():
+            accepted, what = _JSON_TYPES[field_types[name]]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ContractViolation(f"config field {name} must be {what}, got {value!r}")
         return cls(**raw)
 
     @classmethod

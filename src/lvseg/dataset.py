@@ -115,18 +115,36 @@ def load_dataset(directory: str | Path) -> list[ImageSample]:
     if not meta.exists():
         raise FormatError(f"{meta}: dataset index not found")
     samples = []
+    first_line: dict[str, int] = {}
     with open(meta, newline="") as fh:
         reader = csv.DictReader(fh)
-        required = {"id", "subject", "phase", "calibration_mm_per_px"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        required = ("id", "subject", "phase", "calibration_mm_per_px")
+        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
             raise FormatError(f"{meta}: header must contain {sorted(required)}")
         for row in reader:
+            line = reader.line_num
+            missing = [name for name in required if row[name] is None]
+            if missing:
+                raise FormatError(f"{meta}: line {line}: row ends before field {missing[0]}")
+            if None in row:  # csv's key for the cells past the header's last field
+                raise FormatError(f"{meta}: line {line}: {len(row[None])} field(s) past "
+                                  f"the header's last, {reader.fieldnames[-1]}")
             sid = row["id"]
+            if sid in first_line:
+                raise FormatError(f"{meta}: line {line}: field id: duplicate sample id "
+                                  f"{sid!r} (first on line {first_line[sid]})")
+            first_line[sid] = line
+            try:
+                calibration = float(row["calibration_mm_per_px"])
+            except ValueError:
+                raise FormatError(f"{meta}: line {line}: field calibration_mm_per_px: "
+                                  f"not a number: {row['calibration_mm_per_px']!r}") from None
             image = pgm_read(directory / "images" / f"{sid}.pgm")
             mask_img = pgm_read(directory / "masks" / f"{sid}.pgm")
             mask = (mask_img > 127).astype(np.uint8)
             samples.append(ImageSample(
-                image=image, mask=mask,
-                calibration=float(row["calibration_mm_per_px"]),
+                image=image, mask=mask, calibration=calibration,
                 phase=row["phase"], subject=row["subject"], sample_id=sid))
+    if not samples:
+        raise FormatError(f"{meta}: line 1: no sample rows follow the header")
     return samples

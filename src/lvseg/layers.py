@@ -31,12 +31,39 @@ def he_uniform(shape, fan_in: int, rng: np.random.Generator, dtype) -> np.ndarra
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
+def _im2col(xp: np.ndarray, m: int, stride: int, dilation: int,
+            h_out: int, w_out: int) -> np.ndarray:
+    """Patch matrix (C, m, m, h_out, w_out) of a padded (C, H, W) array:
+    entry [c, a, b, i, j] is xp[c, i*stride + a*dilation, j*stride + b*dilation]."""
+    if m == 1:  # the (strided) input is its own patch matrix
+        return xp[:, None, None, :(h_out - 1) * stride + 1:stride,
+                  :(w_out - 1) * stride + 1:stride]
+    patches = np.empty((xp.shape[0], m, m, h_out, w_out), dtype=xp.dtype)
+    for a in range(m):
+        ra = a * dilation
+        for b in range(m):
+            rb = b * dilation
+            patches[:, a, b] = xp[:, ra:ra + (h_out - 1) * stride + 1:stride,
+                                  rb:rb + (w_out - 1) * stride + 1:stride]
+    return patches
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
            dilation: int = 1, padding=0) -> Tensor:
     """2-D convolution on a (C,H,W) tensor, differentiable in x, weight, bias.
 
     out[o,i,j] = bias[o] + sum_{c,a,b} w[o,c,a,b] * x[c, i*stride + a*d, j*stride + b*d]
-    evaluated on the zero-padded input.
+    evaluated on the zero-padded input, as one GEMM of the weight (O, C*m*m)
+    with the im2col patch matrix P (C*m*m, H_out*W_out).
+
+    Backward is two more GEMMs. The weight gradient is (P @ g^T)^T, g the
+    output gradient as (O, H_out*W_out). The input gradient is the forward
+    correlation, at stride 1 and the same dilation, of g with the flipped,
+    transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3): g is
+    zero-stuffed (stride - 1 zeros between its entries) and padded by
+    eff - 1 - p, eff = d*(m - 1) + 1, plus at the bottom and right the
+    rows and columns (h + 2p - eff) mod stride that the forward's stride
+    left unvisited.
     """
     c_in, h, w = x.shape
     o_ch, c_w, m, m2 = weight.shape
@@ -59,17 +86,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         xp[:, ph:ph + h, pw:pw + w] = x.data
     else:
         xp = x.data
-    if m == 1:  # the (strided) input is its own patch matrix
-        patches = xp[:, None, None, :(h_out - 1) * stride + 1:stride,
-                     :(w_out - 1) * stride + 1:stride]
-    else:
-        patches = np.empty((c_in, m, m, h_out, w_out), dtype=x.dtype)
-        for a in range(m):
-            ra = a * dilation
-            for b in range(m):
-                rb = b * dilation
-                patches[:, a, b] = xp[:, ra:ra + (h_out - 1) * stride + 1:stride,
-                                      rb:rb + (w_out - 1) * stride + 1:stride]
+    patches = _im2col(xp, m, stride, dilation, h_out, w_out)
     out_data = np.tensordot(weight.data, patches, axes=([1, 2, 3], [0, 1, 2]))
     out_data += bias.data[:, None, None]
 
@@ -78,19 +95,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     def backward():
         g = out.grad
         if weight.requires_grad:
-            weight.accumulate_grad(np.tensordot(g, patches, axes=([1, 2], [3, 4])))
+            gw = patches.reshape(c_in * m * m, -1) @ g.reshape(o_ch, -1).T
+            weight.accumulate_grad(gw.T.reshape(weight.shape))
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)))
         if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for a in range(m):
-                ra = a * dilation
-                for b in range(m):
-                    rb = b * dilation
-                    gxp[:, ra:ra + (h_out - 1) * stride + 1:stride,
-                        rb:rb + (w_out - 1) * stride + 1:stride] += \
-                        np.tensordot(weight.data[:, :, a, b], g, axes=([0], [0]))
-            x.accumulate_grad(gxp[:, ph:ph + h, pw:pw + w])
+            # g sits at offset eff - 1 of a buffer as large as the padded
+            # input plus eff - 1, so the window from p on pads it by
+            # eff - 1 - p even where p > eff - 1 (a crop), and by the
+            # stride's remainder at the bottom and right
+            gs = np.zeros((o_ch, h + 2 * ph + eff - 1, w + 2 * pw + eff - 1), dtype=g.dtype)
+            gs[:, eff - 1:eff + (h_out - 1) * stride:stride,
+               eff - 1:eff + (w_out - 1) * stride:stride] = g
+            window = gs[:, ph:ph + h + eff - 1, pw:pw + w + eff - 1]
+            flipped = weight.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            x.accumulate_grad(np.tensordot(
+                flipped, _im2col(window, m, 1, dilation, h, w), axes=3))
 
     out.backward_fn = backward if out.requires_grad else None
     return out

@@ -11,7 +11,11 @@ when there are no validation samples. Everything is deterministic given
 Each sample is backpropagated as soon as its forward ends
 (``backprop_batch``), and backward frees the tape as it consumes it, so
 training memory holds one sample's tape whatever the batch size; the
-gradients are bit-identical to those of one summed-batch loss.
+gradients are bit-identical to those of one summed-batch loss. The
+``train`` verb has glibc keep that freed memory in the process
+(``cli._keep_freed_memory``), so each sample's tape reuses the pages of
+the one before instead of faulting in fresh ones; the functions here set
+nothing process-wide.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ class FoldResult:
     best_val_dice: float
     train_subjects: list[str]
     val_subjects: list[str]
+    sample_steps: int  # forward-backward passes over augmented training samples
 
 
 def _derived_seed(*parts: int) -> int:
@@ -187,7 +192,8 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
             t.data = best[name]
     return FoldResult(fold=fold, model=model, log=log, best_val_dice=best_dice,
                       train_subjects=sorted({s.subject for s in train_samples}),
-                      val_subjects=sorted({s.subject for s in val_samples}))
+                      val_subjects=sorted({s.subject for s in val_samples}),
+                      sample_steps=len(inputs) * config.epochs)
 
 
 def train(config: RunConfig) -> list[FoldResult]:
@@ -323,6 +329,8 @@ def measure_samples(samples: list[ImageSample]) -> list[MeasurementRow]:
 
 
 def synth(count: int, n: int, seed: int, out_dir: str | Path) -> list[ImageSample]:
+    if count < 1:
+        raise ContractViolation(f"subject count must be >= 1, got {count}")
     samples = generate_phantom_set(count, n, seed)
     save_dataset(samples, out_dir)
     return samples

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import resource
 import shutil
@@ -148,6 +149,109 @@ def test_measure_rejects_a_non_finite_calibration(tmp_path, capsys, calibration)
     assert not (tmp_path / "m" / "measurements.csv").exists()
 
 
+def _child_env() -> dict:
+    """This environment with the imported lvseg's source directory first on PYTHONPATH."""
+    import lvseg
+    src_dir = str(Path(lvseg.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+
+
+def _synth_with_meta(tmp_path, edit):
+    """A 2-subject dataset whose meta.csv lines pass through ``edit``."""
+    data = tmp_path / "data"
+    assert main(["synth", "--count", "2", "--n", "64", "--seed", "1", "--out", str(data)]) == 0
+    meta = data / "meta.csv"
+    meta.write_text("\n".join(edit(meta.read_text().splitlines())) + "\n")
+    return data
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param(
+        lambda lines: lines[:2] + [",".join(lines[2].split(",")[:3] + ["abc"])] + lines[3:],
+        "line 3: field calibration_mm_per_px: not a number: 'abc'", id="non-numeric calibration"),
+    pytest.param(
+        lambda lines: lines[:3] + [",".join(lines[3].split(",")[:2])] + lines[4:],
+        "line 4: row ends before field phase", id="short row"),
+    pytest.param(
+        lambda lines: lines[:2] + [lines[2] + ",9.9,x"] + lines[3:],
+        "line 3: 2 field(s) past the header's last, calibration_mm_per_px", id="long row"),
+    pytest.param(lambda lines: lines[:1], "line 1: no sample rows follow the header",
+                 id="header only"),
+    pytest.param(lambda lines: lines + [lines[1]],
+                 "line 6: field id: duplicate sample id 'subj000_ED' (first on line 2)",
+                 id="duplicate id"),
+])
+def test_measure_rejects_a_malformed_meta_csv(tmp_path, capsys, edit, message):
+    data = _synth_with_meta(tmp_path, edit)
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "meta.csv" in err and message in err
+    assert not (tmp_path / "m" / "measurements.csv").exists()
+
+
+def test_synth_rejects_a_zero_count(tmp_path, capsys):
+    assert main(["synth", "--count", "0", "--out", str(tmp_path / "d")]) == 2
+    assert "subject count must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epochs", "3"), ("folds", "x"), ("seed", None), ("batch_size", True), ("n", 64.0),
+    ("learning_rate", True), ("momentum", "0.9"), ("arch", 1), ("data_dir", None)])
+def test_train_config_fields_must_have_their_type(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value, "out_dir": str(tmp_path / "run")}))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"config field {field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_prints_its_sample_steps_and_peak_rss(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arch": "unet", "n": 32, "base_width": 2, "batch_size": 2,
+                               "epochs": 2, "augment_factor": 2, "folds": 2,
+                               "data_dir": "synthetic:2", "out_dir": str(tmp_path / "run")}))
+    assert main(["train", "--config", str(cfg)]) == 0
+    found = re.search(r"trained (\d+) sample-steps in .* ms/step, peak RSS (\d+) MB\)",
+                      capsys.readouterr().out)
+    assert found
+    # 2 folds, each training on 1 subject's 2 frames, augmented x2, for 2 epochs
+    assert int(found.group(1)) == 2 * 2 * 2 * 2
+    now_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0 < int(found.group(2)) <= round(now_mb)
+
+
+_FAULTS_PER_STEP = """
+import resource
+from lvseg.cli import _keep_freed_memory
+from lvseg.config import RunConfig
+from lvseg.phantom import generate_phantom_set
+from lvseg.training import train_fold
+if KEEP:
+    _keep_freed_memory()
+samples = generate_phantom_set(4, 32, 1)
+cfg = RunConfig(n=32, base_width=8, batch_size=4, epochs=2, augment_factor=2, seed=3)
+train_fold(cfg, samples[:6], samples[6:], 0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+result = train_fold(cfg, samples[:6], samples[6:], 1)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / result.sample_steps)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_train_keeps_freed_tape_memory_in_the_process():
+    # in a child process, since the setting holds for the whole process
+    faults = {}
+    for keep in (False, True):
+        out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP.replace("KEEP", str(keep))],
+                             capture_output=True, text=True, env=_child_env(), timeout=300)
+        assert out.returncode == 0, out.stderr
+        faults[keep] = float(out.stdout)
+    assert faults[True] < 200 < faults[False]
+
+
 def test_multi_method_report_emits_anova(tmp_path):
     data = tmp_path / "data"
     main(["synth", "--count", "5", "--n", "64", "--seed", "8", "--out", str(data)])
@@ -188,10 +292,7 @@ def test_console_script_installed(tmp_path):
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
-    import lvseg
-    src_dir = str(Path(lvseg.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src_dir, os.environ.get("PYTHONPATH")]))}
+    env = _child_env()
     out = subprocess.run([sys.executable, "-m", "lvseg", "synth", "--count", "4", "--n", "64",
                           "--out", str(tmp_path / "d")],
                          capture_output=True, text=True, env=env, timeout=120)

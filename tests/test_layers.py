@@ -431,3 +431,61 @@ def test_conv_1x1_gradients_against_finite_differences(stride):
         err = grad_check(lambda: (conv2d(x, w, b, stride=stride)
                                   * conv2d(x, w, b, stride=stride)).sum(), theta)
         assert err < 1e-6
+
+
+def _per_tap_conv_grads(x, w, g, stride, dilation, padding):
+    """The per-tap conv2d backward the GEMM form replaced: the weight
+    gradient as tensordot(g, patches), the input gradient as one strided
+    add per kernel tap into a zero-padded buffer, cropped to the input."""
+    c, h, wd = x.shape
+    m = w.shape[2]
+    h_out, w_out = g.shape[1:]
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    gw = np.empty_like(w)
+    gxp = np.zeros_like(xp)
+    for a in range(m):
+        ra = a * dilation
+        for b in range(m):
+            rb = b * dilation
+            taps = (slice(None), slice(ra, ra + (h_out - 1) * stride + 1, stride),
+                    slice(rb, rb + (w_out - 1) * stride + 1, stride))
+            gw[:, :, a, b] = np.tensordot(g, xp[taps], axes=([1, 2], [1, 2]))
+            gxp[taps] += np.tensordot(w[:, :, a, b], g, axes=([0], [0]))
+    return gxp[:, padding:padding + h, padding:padding + wd], gw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("same", [False, True])
+def test_conv_gradients_match_per_tap_backward(m, stride, dilation, same, dtype, tol):
+    eff = dilation * (m - 1) + 1
+    padding = (eff - 1) // 2 if same else 0
+    h, wd = 9, 8  # at stride 2 one of h, w + 2p - eff is odd: the stride leaves a remainder
+    assert stride == 1 or (h - eff) % 2 != (wd - eff) % 2
+    rng = np.random.default_rng([m, stride, dilation, padding])
+    x = Tensor(rng.normal(size=(3, h, wd)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, m, m)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+    g = rng.normal(size=out.shape).astype(dtype)
+    backward((out * Tensor(g)).sum())
+    want = _per_tap_conv_grads(x.data, w.data, g, stride, dilation, padding)
+    for got, ref in zip((x.grad, w.grad, b.grad), want):
+        assert got.dtype == dtype and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
+def test_conv_gradients_with_padding_beyond_the_kernel_extent():
+    # padding 2 > eff - 1 = 0: the input gradient window starts inside g's zero border
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    out = conv2d(x, w, b, stride=2, padding=2)
+    g = rng.normal(size=out.shape)
+    backward((out * Tensor(g)).sum())
+    want = _per_tap_conv_grads(x.data, w.data, g, 2, 1, 2)
+    for got, ref in zip((x.grad, w.grad, b.grad), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
