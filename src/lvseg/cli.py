@@ -81,10 +81,9 @@ def _keep_freed_memory() -> None:
     # returns the freed heap top to the OS, so the next sample faults the
     # same pages in again. MFP-Unet ``train_fold`` at n=64, base width 8,
     # batch 8 (2-core Xeon, one BLAS thread; median over three processes of
-    # three folds of 32 sample-steps), per step: 35.9 ms, 1,352 minor page
-    # faults, 87.0 MB peak RSS with glibc's defaults; 29.2 ms, <1 fault,
-    # 86.9 MB with this setting. With conv2d's two-GEMM backward: 33.8 ms
-    # and 2,176 faults without it, 26.7 ms and <1 fault with it (88.3 MB).
+    # three folds of 32 sample-steps after a warm-up fold), per step:
+    # 12.0 ms, 1,390 minor page faults, 79.7 MB peak RSS with glibc's
+    # defaults; 9.9 ms, no fault, 79.6 MB with this setting.
     # Setting either threshold turns off glibc's dynamic thresholds, so
     # both are set: never trim the heap top, and serve blocks up to 32 MiB
     # (the largest mmap threshold glibc accepts) from the heap.

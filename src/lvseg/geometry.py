@@ -85,8 +85,8 @@ def extract_contour(mask: np.ndarray) -> np.ndarray:
         warnings.warn(f"mask has {count} components; tracing the largest", stacklevel=2)
         sizes = ndimage.sum_labels(binary, labels, index=range(1, count + 1))
         binary = labels == (int(np.argmax(sizes)) + 1)
-    rows, cols = np.nonzero(binary)
-    start = (int(rows[0]), int(cols[0]))  # topmost, then leftmost
+    # the first foreground pixel in row-major order: topmost, then leftmost
+    start = divmod(int(np.argmax(binary)), binary.shape[1])
 
     trace = _moore_trace(binary, start)
     poly = np.array([(c, r) for r, c in trace], dtype=np.float64)

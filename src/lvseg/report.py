@@ -27,6 +27,8 @@ from .stats import (AnovaTable, BlandAltman, BoxSummary, LinearFit, PairedSeries
                     anova_oneway, bland_altman, box_summary, paired_t_pvalue, pearson_fit)
 
 PARAMETERS = ("volume", "area", "length", "EF")
+METRICS_HEADER = ["id", "phase", "dice", "jaccard", "hd_mm", "mad_mm"]
+MEASUREMENT_HEADER = ["id", "phase", "D_cm", "S_cm2", "V_ml", "EF_pct", "flag"]
 
 
 @dataclass
@@ -54,55 +56,65 @@ def _fmt(x: float) -> str:
     return "" if math.isnan(x) else repr(float(x))
 
 
-def _parse(s: str) -> float:
-    return math.nan if s == "" else float(s)
+def _csv_rows(path: str | Path, kind: str, header: list[str]):
+    """(line, row) for each data row of a CSV with exactly this header; a
+    row shorter or longer than the header raises FormatError naming the
+    file and the line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != header:
+            raise FormatError(f"{path}: {kind} header must be {header}, got {reader.fieldnames}")
+        for row in reader:
+            line = reader.line_num
+            missing = [name for name in header if row[name] is None]
+            if missing:
+                raise FormatError(f"{path}: line {line}: row ends before field {missing[0]}")
+            if None in row:  # csv's key for the cells past the header's last field
+                raise FormatError(f"{path}: line {line}: {len(row[None])} field(s) past "
+                                  f"the header's last, {header[-1]}")
+            yield line, row
+
+
+def _numbers(path: str | Path, line: int, row: dict, names: list[str]) -> list[float]:
+    """The named fields as floats, an empty cell as NaN; a non-numeric cell
+    raises FormatError naming the file, the line and the field."""
+    values = []
+    for name in names:
+        try:
+            values.append(math.nan if row[name] == "" else float(row[name]))
+        except ValueError:
+            raise FormatError(f"{path}: line {line}: field {name}: "
+                              f"not a number: {row[name]!r}") from None
+    return values
 
 
 def write_metrics_csv(rows: list[MetricsRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "phase", "dice", "jaccard", "hd_mm", "mad_mm"])
+        w.writerow(METRICS_HEADER)
         for r in rows:
             w.writerow([r.sample_id, r.phase, _fmt(r.dice), _fmt(r.jaccard),
                         _fmt(r.hd_mm), _fmt(r.mad_mm)])
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expect = ["id", "phase", "dice", "jaccard", "hd_mm", "mad_mm"]
-        if reader.fieldnames != expect:
-            raise FormatError(f"{path}: metrics header must be {expect}, got {reader.fieldnames}")
-        for row in reader:
-            rows.append(MetricsRow(row["id"], row["phase"], _parse(row["dice"]),
-                                   _parse(row["jaccard"]), _parse(row["hd_mm"]),
-                                   _parse(row["mad_mm"])))
-    return rows
+    return [MetricsRow(row["id"], row["phase"], *_numbers(path, line, row, METRICS_HEADER[2:]))
+            for line, row in _csv_rows(path, "metrics", METRICS_HEADER)]
 
 
 def write_measurements_csv(rows: list[MeasurementRow], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "phase", "D_cm", "S_cm2", "V_ml", "EF_pct", "flag"])
+        w.writerow(MEASUREMENT_HEADER)
         for r in rows:
             w.writerow([r.sample_id, r.phase, _fmt(r.d_cm), _fmt(r.s_cm2),
                         _fmt(r.v_ml), _fmt(r.ef_pct), r.flag])
 
 
 def read_measurements_csv(path: str | Path) -> list[MeasurementRow]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        expect = ["id", "phase", "D_cm", "S_cm2", "V_ml", "EF_pct", "flag"]
-        if reader.fieldnames != expect:
-            raise FormatError(
-                f"{path}: measurement header must be {expect}, got {reader.fieldnames}")
-        for row in reader:
-            rows.append(MeasurementRow(row["id"], row["phase"], _parse(row["D_cm"]),
-                                       _parse(row["S_cm2"]), _parse(row["V_ml"]),
-                                       _parse(row["EF_pct"]), row["flag"]))
-    return rows
+    return [MeasurementRow(row["id"], row["phase"],
+                           *_numbers(path, line, row, MEASUREMENT_HEADER[2:6]), row["flag"])
+            for line, row in _csv_rows(path, "measurement", MEASUREMENT_HEADER)]
 
 
 # -- agreement analysis --------------------------------------------------

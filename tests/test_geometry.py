@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage, optimize
 
+from lvseg import geometry
 from lvseg.errors import MeasurementError
 from lvseg.geometry import (convex_hull, extract_contour, min_enclosing_triangle,
                             signed_area)
@@ -91,6 +92,34 @@ def test_trace_covers_edge_boundary_on_blobs():
         traced = {(int(y), int(x)) for x, y in poly}
         four, eight = _boundary_sets(mask)
         assert four <= traced <= eight
+
+
+def _nonzero_start_contour(mask):
+    """extract_contour as it was with the start pixel taken from np.nonzero."""
+    binary = mask > 0
+    labels, count = ndimage.label(binary, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    if count > 1:
+        sizes = ndimage.sum_labels(binary, labels, index=range(1, count + 1))
+        binary = labels == (int(np.argmax(sizes)) + 1)
+    rows, cols = np.nonzero(binary)
+    trace = geometry._moore_trace(binary, (int(rows[0]), int(cols[0])))
+    poly = np.array([(c, r) for r, c in trace], dtype=np.float64)
+    if len(poly) >= 3 and signed_area(poly) < 0:
+        poly = poly[::-1].copy()
+    return poly
+
+
+def test_contour_equals_the_nonzero_start_trace():
+    rng = np.random.default_rng(11)
+    masks = [generate_phantom(n, seed)[0].mask for n in (64, 128, 256) for seed in range(3)]
+    for seed in range(12):  # smoothed noise: several components, some touching the frame
+        noise = ndimage.gaussian_filter(rng.normal(size=(48, 40)), 2.0)
+        masks.append((noise > 0.1).astype(np.uint8))
+    masks.append((rng.random((30, 50)) < 0.3).astype(np.uint8))  # scattered pixels
+    for mask in masks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.array_equal(extract_contour(mask), _nonzero_start_contour(mask))
 
 
 # -- convex hull --------------------------------------------------------------

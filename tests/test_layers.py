@@ -489,3 +489,59 @@ def test_conv_gradients_with_padding_beyond_the_kernel_extent():
     want = _per_tap_conv_grads(x.data, w.data, g, 2, 1, 2)
     for got, ref in zip((x.grad, w.grad, b.grad), want):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def _im2col_conv_forward(x, w, b, stride, dilation, padding):
+    """The im2col conv2d forward the column-tap kernel replaced: the m*m-tap
+    patch matrix of the zero-padded input contracted with the weight."""
+    c, h, wd = x.shape
+    m = w.shape[2]
+    eff = dilation * (m - 1) + 1
+    h_out = (h + 2 * padding - eff) // stride + 1
+    w_out = (wd + 2 * padding - eff) // stride + 1
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    patches = np.empty((c, m, m, h_out, w_out), dtype=x.dtype)
+    for a in range(m):
+        ra = a * dilation
+        for bb in range(m):
+            rb = bb * dilation
+            patches[:, a, bb] = xp[:, ra:ra + (h_out - 1) * stride + 1:stride,
+                                   rb:rb + (w_out - 1) * stride + 1:stride]
+    return np.tensordot(w, patches, axes=([1, 2, 3], [0, 1, 2])) + b[:, None, None]
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("pad", ["zero", "same", "beyond"])
+def test_conv_forward_matches_im2col(m, stride, dilation, pad, dtype, tol):
+    eff = dilation * (m - 1) + 1
+    padding = {"zero": 0, "same": (eff - 1) // 2, "beyond": eff}[pad]  # beyond: p > eff - 1
+    rng = np.random.default_rng([m, stride, dilation, padding])
+    x = rng.normal(size=(3, 9, 7)).astype(dtype)
+    w = rng.normal(size=(4, 3, m, m)).astype(dtype)
+    b = rng.normal(size=4).astype(dtype)
+    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation,
+                 padding=padding).data
+    ref = _im2col_conv_forward(x, w, b, stride, dilation, padding)
+    assert got.dtype == dtype and got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_conv_gradients_with_padding_beyond_every_kernel_extent(m, stride, dilation):
+    # p = eff > eff - 1: the input gradient's kernel starts off g's extent (a crop)
+    eff = dilation * (m - 1) + 1
+    rng = np.random.default_rng([m, stride, dilation])
+    x = Tensor(rng.normal(size=(3, 9, 7)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, m, m)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, dilation=dilation, padding=eff)
+    g = rng.normal(size=out.shape)
+    backward((out * Tensor(g)).sum())
+    want = _per_tap_conv_grads(x.data, w.data, g, stride, dilation, eff)
+    for got, ref in zip((x.grad, w.grad, b.grad), want):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
