@@ -74,9 +74,9 @@ def _cmd_synth(args) -> None:
 
 
 def _keep_freed_memory() -> None:
-    """Have glibc keep the memory each training sample frees in the
-    process, so the next sample's tape reuses its pages. Does nothing where
-    the C library has no ``mallopt``."""
+    """Have glibc keep the memory a verb frees in the process, so the next
+    training sample's tape, or the next image's forward, reuses its pages.
+    Does nothing where the C library has no ``mallopt``."""
     # Backward frees each sample's tape as it goes, and glibc by default
     # returns the freed heap top to the OS, so the next sample faults the
     # same pages in again. MFP-Unet ``train_fold`` at n=64, base width 8,
@@ -110,7 +110,6 @@ def _cmd_train(args) -> None:
     if overrides:
         import dataclasses
         cfg = dataclasses.replace(cfg, **overrides)
-    _keep_freed_memory()
     t0 = time.perf_counter()
     results = train(cfg)
     elapsed = time.perf_counter() - t0
@@ -166,6 +165,7 @@ def _cmd_report(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_freed_memory()
     handlers = {"synth": _cmd_synth, "train": _cmd_train, "eval": _cmd_eval,
                 "measure": _cmd_measure, "report": _cmd_report}
     try:

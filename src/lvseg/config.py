@@ -44,8 +44,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        # unet ignores the dilation field: train_fold builds it at dilation 1
-        check_spec(self.arch, self.n, self.base_width, 1 if self.arch == "unet" else self.dilation)
+        check_spec(self.arch, self.n, self.base_width, self.model_dilation)
         positive = ("learning_rate", "momentum", "batch_size", "augment_factor",
                     "elastic_sigma", "folds")
         for name in positive:
@@ -55,6 +54,10 @@ class RunConfig:
         for name in non_negative:
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
+
+    @property
+    def model_dilation(self) -> int:
+        return 1 if self.arch == "unet" else self.dilation
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

@@ -1,5 +1,6 @@
-"""Planar geometry for mask measurement: boundary tracing, convex hulls,
-and minimum-area enclosing triangles.
+"""Planar geometry for mask measurement: boundary tracing, convex hulls
+from Qhull (Barber, Dobkin & Huhdanpaa, ACM TOMS 22, 1996, through
+``scipy.spatial.ConvexHull``), and minimum-area enclosing triangles.
 
 The enclosing triangle is exact. By O'Rourke, Aggarwal, Maddila &
 Baldwin (J. Algorithms 7, 1986) a minimal triangle has a side flush with
@@ -19,8 +20,9 @@ import warnings
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import ConvexHull, QhullError
 
-from .errors import MeasurementError
+from .errors import ContractViolation, MeasurementError
 
 # Moore neighborhood in clockwise order starting north, as (row, col) offsets.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
@@ -96,37 +98,26 @@ def extract_contour(mask: np.ndarray) -> np.ndarray:
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Counterclockwise convex hull with collinear triples dropped
-    (monotone chain)."""
+    """Convex hull from Qhull: vertices counterclockwise from the least
+    (x, then y), points on hull edges dropped. ``MeasurementError`` for
+    NaN or inf, fewer than 3 distinct points, or collinear points."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise MeasurementError(f"points must be (n, 2), got {pts.shape}")
-    uniq = sorted(set(map(tuple, pts.tolist())))
-    if len(uniq) < 3:
-        raise MeasurementError(f"convex hull needs >= 3 distinct points, have {len(uniq)}")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[tuple[float, float]] = []
-    for p in uniq:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(uniq):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
+    if not np.isfinite(pts).all():
+        raise MeasurementError("convex hull needs finite points, got NaN or inf")
+    try:
+        hull = pts[ConvexHull(pts).vertices]  # counterclockwise in 2-D
+    except (QhullError, ValueError):  # ValueError: no points at all
+        distinct = len(np.unique(pts, axis=0))
+        if distinct < 3:
+            raise MeasurementError(f"convex hull needs >= 3 distinct points, have {distinct}")
         raise MeasurementError("points are collinear; hull is degenerate")
-    return np.array(hull, dtype=np.float64)
+    return np.roll(hull, -int(np.lexsort((hull[:, 1], hull[:, 0]))[0]), axis=0)
 
 
 def _contains(tri: np.ndarray, pts: np.ndarray, tol: float) -> bool:
-    if signed_area(tri) < 0:
-        tri = tri[::-1]
+    """Whether every point is on or left of each side of a counterclockwise triangle."""
     for k in range(3):
         a, b = tri[k], tri[(k + 1) % 3]
         e = b - a
@@ -141,8 +132,10 @@ _PASS_ELEMENTS = 1 << 20
 
 
 def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
-    """Minimum-area triangle containing a convex polygon, vertices
-    counterclockwise; exact up to floating-point rounding.
+    """Minimum-area triangle, vertices counterclockwise, containing a
+    convex polygon given counterclockwise as ``convex_hull`` returns it
+    (it is not hulled again; anything else raises ``ContractViolation``);
+    exact up to floating-point rounding.
 
     A locally minimal enclosing triangle has at least one side flush with
     a hull edge, and the midpoint of every side touches the hull
@@ -169,7 +162,9 @@ def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
     triangles with three flush sides. All edge pairs are searched in one
     vectorised pass, O(n^3) for n hull vertices.
     """
-    hull = convex_hull(np.asarray(hull, dtype=np.float64))
+    hull = np.asarray(hull, dtype=np.float64)
+    if hull.ndim != 2 or hull.shape[1] != 2 or len(hull) < 3 or not np.isfinite(hull).all():
+        raise ContractViolation(f"hull must be finite and (n, 2) with n >= 3, got {hull.shape}")
     n = len(hull)
     edges = np.roll(hull, -1, axis=0) - hull
     # cross[i, k] = e_i x e_k is also the change of H_i along edge k;
@@ -178,6 +173,9 @@ def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
     rel = hull[None, :, :] - hull[:, None, :]
     height = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
     lengths = np.hypot(edges[:, 0], edges[:, 1])
+    tol = 1e-9 * max(float(np.max(np.ptp(hull, axis=0))), 1.0)
+    if not signed_area(hull) > 0 or (height < -tol * lengths[:, None]).any():
+        raise ContractViolation("hull must be a counterclockwise convex polygon")
 
     first, second = np.triu_indices(n, 1)
     best_area, best = np.inf, None
@@ -209,7 +207,6 @@ def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
     tri = np.array([apex, on_i, 2.0 * touch - on_i])
     if signed_area(tri) < 0:
         tri = tri[::-1].copy()
-    scale = float(np.max(np.ptp(hull, axis=0)))
-    if not _contains(tri, hull, 1e-9 * max(scale, 1.0)):
+    if not _contains(tri, hull, tol):
         raise MeasurementError("enclosing triangle misses the hull (degenerate hull?)")
     return tri

@@ -148,8 +148,7 @@ def backprop_batch(model: Model, inputs: list[np.ndarray],
 
 def train_fold(config: RunConfig, train_samples: list[ImageSample],
                val_samples: list[ImageSample], fold: int) -> FoldResult:
-    dilation = 1 if config.arch == "unet" else config.dilation
-    model = Model(config.arch, config.n, config.base_width, dilation,
+    model = Model(config.arch, config.n, config.base_width, config.model_dilation,
                   dtype=np.float32, seed=_derived_seed(config.seed, fold, 0))
     augmented = augment_samples(train_samples, config.augment_factor,
                                 config.elastic_alpha, config.elastic_sigma,

@@ -5,7 +5,7 @@ import pytest
 from scipy import ndimage, optimize
 
 from lvseg import geometry
-from lvseg.errors import MeasurementError
+from lvseg.errors import ContractViolation, MeasurementError
 from lvseg.geometry import (convex_hull, extract_contour, min_enclosing_triangle,
                             signed_area)
 from lvseg.phantom import ellipse_mask, generate_phantom
@@ -169,6 +169,81 @@ def test_hull_degenerate_rejected():
         convex_hull(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
     with pytest.raises(MeasurementError):
         convex_hull(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hull_rejects_non_finite_points(bad):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
+    with pytest.raises(MeasurementError, match="finite"):
+        convex_hull(pts)
+
+
+def test_hull_of_only_duplicates_rejected():
+    for pts in ([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [[2.0, 3.0]] * 5,
+                [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]):
+        with pytest.raises(MeasurementError, match="distinct"):
+            convex_hull(np.array(pts))
+
+
+def _monotone_chain_hull(points):
+    """convex_hull as it was before Qhull: Andrew's monotone chain."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise MeasurementError(f"points must be (n, 2), got {pts.shape}")
+    uniq = sorted(set(map(tuple, pts.tolist())))
+    if len(uniq) < 3:
+        raise MeasurementError(f"convex hull needs >= 3 distinct points, have {len(uniq)}")
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    lower: list[tuple[float, float]] = []
+    for p in uniq:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[float, float]] = []
+    for p in reversed(uniq):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        raise MeasurementError("points are collinear; hull is degenerate")
+    return np.array(hull, dtype=np.float64)
+
+
+def test_hull_equals_monotone_chain():
+    point_sets = [_bullet_contour(seed, n) for n in (64, 128, 256) for seed in range(40)]
+    point_sets += [_bullet_contour(seed, n, frame)
+                   for n in (64, 128, 256) for frame in ((n, n * 3 // 4), (n * 3 // 4, n))
+                   for seed in range(4)]
+    point_sets += [extract_contour(generate_phantom(n, seed)[0].mask)
+                   for n in (64, 128, 256) for seed in range(3)]
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        k = int(rng.integers(3, 200))
+        point_sets.append(rng.normal(size=(k, 2)) * rng.uniform(0.01, 100.0))
+        # integer grids: duplicates, collinear runs, some all on one line
+        point_sets.append(rng.integers(0, 8, size=(k, 2)).astype(np.float64))
+        point_sets.append(rng.integers(0, 3, size=(int(rng.integers(3, 6)), 2)).astype(np.float64))
+
+    def hull_or_error(hull_fn, pts):
+        try:
+            return hull_fn(pts)
+        except MeasurementError as exc:
+            return str(exc)
+
+    errors = 0
+    for pts in point_sets:
+        expected = hull_or_error(_monotone_chain_hull, pts)
+        got = hull_or_error(convex_hull, pts)
+        if isinstance(expected, str):
+            errors += 1
+            assert got == expected
+        else:
+            assert np.array_equal(got, expected)
+    assert errors  # the two error messages are compared too
 
 
 # -- minimum enclosing triangle -------------------------------------------------
@@ -425,14 +500,21 @@ def test_triangle_on_rasterized_ellipse_hull():
     assert _poly_area(hull) <= _tri_area(tri) <= 2 * _poly_area(hull)
 
 
-def _bullet_hull(seed, n=64):
-    """Pixel hull of a seeded bullet in the benchmark's shape ranges."""
+def _bullet_contour(seed, n=64, frame=None):
+    """Pixel contour of a seeded bullet in the benchmark's shape ranges,
+    centred in an (n, n) frame or in ``frame`` = (h, w)."""
+    h, w = frame or (n, n)
     rng = np.random.default_rng(seed)
     a = n * rng.uniform(0.26, 0.33)
-    mask = ellipse_mask((n, n), (n / 2 + rng.uniform(-3, 3), n / 2 + rng.uniform(-3, 3)),
+    mask = ellipse_mask((h, w), (w / 2 + rng.uniform(-3, 3), h / 2 + rng.uniform(-3, 3)),
                         (a, a * rng.uniform(0.45, 0.56)), angle=rng.uniform(-0.12, 0.12),
                         base_cut=rng.uniform(0.1, 0.3))
-    return convex_hull(extract_contour(mask))
+    return extract_contour(mask)
+
+
+def _bullet_hull(seed, n=64):
+    """Pixel hull of a seeded bullet in the benchmark's shape ranges."""
+    return convex_hull(_bullet_contour(seed, n))
 
 
 def _random_hull(seed):
@@ -461,3 +543,15 @@ def test_matches_enumeration_oracle(name):
     assert abs(_tri_area(tri) - expected) <= 1e-12 * expected
     assert signed_area(tri) > 0
     assert _contains(tri, convex_hull(hull), tol=1e-9)
+
+
+@pytest.mark.parametrize("polygon", [
+    [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]],  # clockwise square
+    [[0.0, 0.0], [4.0, 0.0], [1.0, 1.0], [0.0, 4.0]],  # non-convex quadrilateral
+    [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]],              # collinear
+    [[0.0, 0.0], [1.0, 0.0]],                          # too few vertices
+    [[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0], [0.0, 1.0]],
+], ids=["clockwise", "non-convex", "collinear", "two-vertices", "non-finite"])
+def test_triangle_requires_a_counterclockwise_convex_polygon(polygon):
+    with pytest.raises(ContractViolation, match="counterclockwise|finite"):
+        min_enclosing_triangle(np.array(polygon))
