@@ -2,9 +2,13 @@
 
 A ``Tensor`` wraps a flat row-major numpy array (channels-first for image
 data) plus an optional gradient slot. Every differentiable operation
-records its inputs and a backward closure on the result, forming the tape;
-``backward`` replays the tape once in reverse topological order and sums
-gradient contributions into every reachable tensor that asked for them.
+computes its data, defines ``backward(g)`` from its output's gradient g
+to its inputs' and returns ``_result(data, parents, backward, op)``, which
+records the inputs and the closure when the result needs a gradient,
+forming the tape. No closure captures its own output, so the tape is
+acyclic. ``backward`` replays the tape once in reverse topological order,
+calls each closure on its node's gradient and sums gradient contributions
+into every reachable tensor that asked for them.
 It consumes the tape as it goes: each interior node drops its closure,
 parents and gradient as soon as its closure has run, so the graph is
 freed node by node while backward runs, and only leaves keep gradients.
@@ -59,7 +63,7 @@ class Tensor:
         data,
         requires_grad: bool = False,
         parents: tuple["Tensor", ...] = (),
-        backward_fn: Callable[[], None] | None = None,
+        backward_fn: Callable[[np.ndarray], None] | None = None,
         op: str = "leaf",
     ):
         arr = np.asarray(data)
@@ -126,29 +130,29 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _result(data, parents: Iterable[Tensor], backward_fn, op: str) -> Tensor:
+def _result(data, parents: Iterable[Tensor], backward_fn: Callable[[np.ndarray], None],
+            op: str) -> Tensor:
     # A result that needs no gradient keeps no parents and no closure, so
     # inference under ``no_grad`` records nothing and frees each
     # intermediate as soon as its last consumer has run. 48 MFP-Unet
     # ``forward_segment`` calls at n=128 (2-core Xeon, one BLAS thread):
     # taped and with the earlier relu, pool and 1x1 conv kernels, a median
-    # 36-40 ms, 117k-120k minor page faults and 659 MB peak RSS, with 747
-    # objects left in cycles per call; tape-free with the current kernels,
-    # 18-20 ms, 390 faults, 75 MB and none. Dropping only the closure is
-    # not enough: ``parents`` keeps the graph alive until the logits die,
-    # then frees it all at once (31-34 ms, 133k-182k faults, 84 MB).
-    # A taped result and its closure form a cycle (the closure reads
-    # ``out.grad``); ``backward`` breaks it node by node as it consumes the
-    # tape, and ``train_fold`` backpropagates each sample as soon as its
-    # forward ends, so no tape waits for the cyclic GC. 24 MFP-Unet steps
-    # at n=64, width 8, batch 8 (same machine and settings): one
-    # summed-batch backward with the tapes left to the GC took 202-266 ms
-    # a step, 336k minor page faults (``ru_minflt``) and 1,355 MB peak RSS;
+    # 36-40 ms, 117k-120k minor page faults and 659 MB peak RSS; tape-free
+    # with the current kernels, 18-20 ms, 390 faults and 75 MB. Dropping
+    # only the closure is not enough: ``parents`` keeps the graph alive
+    # until the logits die, then frees it all at once (31-34 ms, 133k-182k
+    # faults, 84 MB).
+    # A closure takes its output's gradient as an argument instead of
+    # capturing the output, so reference counting frees a taped graph, also
+    # one dropped without a backward. ``backward`` consumes the tape node by
+    # node, and ``train_fold`` backpropagates each sample as soon as its
+    # forward ends. 24 MFP-Unet steps at n=64, width 8, batch 8 (same
+    # machine and settings): one summed-batch backward took 202-266 ms a
+    # step, 336k minor page faults (``ru_minflt``) and 1,355 MB peak RSS;
     # per-sample backward consuming the tape, 178-245 ms, 305k faults and
     # 85 MB, with the same final weights.
     parents = tuple(parents)
-    needs = _recording and any(p.requires_grad for p in parents)
-    if not needs:
+    if not (_recording and any(p.requires_grad for p in parents)):
         return Tensor(data, op=op)
     return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn, op=op)
 
@@ -157,46 +161,36 @@ def add(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     if b.shape not in ((), a.shape):
         raise ContractViolation(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.data + b.data, (a, b), None, "add")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g)
         if b.requires_grad:
             b.accumulate_grad(g if b.shape == a.shape else g.sum())
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(a.data + b.data, (a, b), backward, "add")
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b, a.dtype)
     if b.shape not in ((), a.shape):
         raise ContractViolation(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = _result(a.data * b.data, (a, b), None, "mul")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if a.requires_grad:
             a.accumulate_grad(g * b.data)
         if b.requires_grad:
             gb = g * a.data
             b.accumulate_grad(gb if b.shape == a.shape else gb.sum())
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(a.data * b.data, (a, b), backward, "mul")
 
 
 def tensor_sum(a: Tensor) -> Tensor:
-    out = _result(a.data.sum(), (a,), None, "sum")
+    def backward(g):
+        a.accumulate_grad(np.broadcast_to(g, a.shape))
 
-    def backward():
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(out.grad, a.shape))
-
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(a.data.sum(), (a,), backward, "sum")
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -226,10 +220,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 def backward(loss: Tensor) -> None:
     """Add d loss / d leaf into the grad slot of every leaf reachable from a
-    scalar loss, consuming the tape: each interior node drops its closure,
-    parents and gradient when its turn comes, which breaks the node <->
-    closure cycle and frees its buffers. Backward again through a consumed
-    node raises ``ContractViolation``."""
+    scalar loss. Each interior node's closure is called on the node's
+    gradient, once every consumer has contributed to it, and the tape is
+    consumed: the node drops its closure, parents and gradient when its
+    turn comes, which frees its saved buffers. Backward again through a
+    consumed node raises ``ContractViolation``."""
     if loss.data.shape != () and loss.data.size != 1:
         raise ContractViolation(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
@@ -239,7 +234,7 @@ def backward(loss: Tensor) -> None:
         if node.backward_fn is None:
             continue
         if node.grad is not None:
-            node.backward_fn()
+            node.backward_fn(node.grad)
         node.backward_fn = None
         node.parents = ()
         node.grad = None

@@ -8,7 +8,7 @@ Layout (all integers little-endian unsigned 32-bit):
 
 Write -> read -> write is byte-identical; reads validate the magic,
 version, architecture tag, and every parameter name/shape against a
-freshly built model.
+freshly built model, and refuse NaN or infinite values.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         raw = r.take(4 * size, f"values of {name!r}")
         tensor.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        bad = np.count_nonzero(~np.isfinite(tensor.data))
+        if bad:
+            raise FormatError(f"{path}: parameter {name!r} holds {bad} non-finite value(s)")
     if r.pos != len(buf):
         raise FormatError(f"{path}: {len(buf) - r.pos} trailing bytes after parameters")
     return model

@@ -142,9 +142,12 @@ def load_dataset(directory: str | Path) -> list[ImageSample]:
             image = pgm_read(directory / "images" / f"{sid}.pgm")
             mask_img = pgm_read(directory / "masks" / f"{sid}.pgm")
             mask = (mask_img > 127).astype(np.uint8)
-            samples.append(ImageSample(
-                image=image, mask=mask, calibration=calibration,
-                phase=row["phase"], subject=row["subject"], sample_id=sid))
+            try:
+                samples.append(ImageSample(
+                    image=image, mask=mask, calibration=calibration,
+                    phase=row["phase"], subject=row["subject"], sample_id=sid))
+            except ContractViolation as exc:
+                raise ContractViolation(f"{meta}: line {line}: sample {sid!r}: {exc}") from None
     if not samples:
         raise FormatError(f"{meta}: line 1: no sample rows follow the header")
     return samples

@@ -135,10 +135,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     out_data, q, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
                                    ph, pw, h_out, w_out)
 
-    out = _result(out_data, (x, weight, bias), None, "conv2d")
-
-    def backward():
-        g = out.grad
+    def backward(g):
         if weight.requires_grad:
             taps = q.reshape(m * c_in, h, w_out)
             gwt = np.empty((m, m * c_in, o_ch), dtype=g.dtype)
@@ -160,21 +157,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             x.accumulate_grad(_correlate(gs, flipped.reshape(m * c_in, m * o_ch), 0, 1, dilation,
                                          eff - 1 - ph, eff - 1 - pw, h, w)[0])
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(out_data, (x, weight, bias), backward, "conv2d")
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); gradient passes where x > 0. A NaN input
     stays NaN (and gets no gradient)."""
-    out = _result(np.maximum(x.data, 0), (x,), None, "relu")
+    data = np.maximum(x.data, 0)
 
-    def backward():
-        if x.requires_grad:
-            x.accumulate_grad(out.grad * (out.data > 0))
+    def backward(g):
+        x.accumulate_grad(g * (data > 0))
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(data, (x,), backward, "relu")
 
 
 def max_pool2d(x: Tensor) -> Tensor:
@@ -184,54 +178,44 @@ def max_pool2d(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ContractViolation(f"max_pool2d needs even extents, got {h}x{w}")
     row_max = np.maximum(x.data[:, 0::2], x.data[:, 1::2])
-    out = _result(np.maximum(row_max[:, :, 0::2], row_max[:, :, 1::2]), (x,), None, "max_pool2d")
+    pooled = np.maximum(row_max[:, :, 0::2], row_max[:, :, 1::2])
 
-    def backward():
-        if x.requires_grad:
-            # the first position in row-major order that holds the block's
-            # maximum, or its first NaN (the NaN is the maximum), as argmax picks
-            gx = np.zeros_like(x.data)
-            free = np.ones(out.shape, dtype=bool)
-            for r in (0, 1):
-                for s in (0, 1):
-                    xs = x.data[:, r::2, s::2]
-                    hit = (xs == out.data) | (xs != xs)
-                    hit &= free
-                    free ^= hit
-                    np.copyto(gx[:, r::2, s::2], out.grad, where=hit)
-            x.accumulate_grad(gx)
+    def backward(g):
+        # the first position in row-major order that holds the block's
+        # maximum, or its first NaN (the NaN is the maximum), as argmax picks
+        gx = np.zeros_like(x.data)
+        free = np.ones(pooled.shape, dtype=bool)
+        for r in (0, 1):
+            for s in (0, 1):
+                xs = x.data[:, r::2, s::2]
+                hit = (xs == pooled) | (xs != xs)
+                hit &= free
+                free ^= hit
+                np.copyto(gx[:, r::2, s::2], g, where=hit)
+        x.accumulate_grad(gx)
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(pooled, (x,), backward, "max_pool2d")
 
 
 def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) -> Tensor:
-    """Transposed convolution: each input element scatters weight*value
-    into its m x m output window; overlaps sum."""
+    """Transposed convolution with an m x m kernel at stride m: each input
+    element scatters weight*value into its own m x m output block, so the
+    blocks never overlap and the output is one GEMM laid out by a reshape,
+    out[o, i*m + a, j*m + b] = bias[o] + sum_c w[o,c,a,b] * x[c,i,j]."""
     c_in, h, w = x.shape
     o_ch, c_w, m, _ = weight.shape
     if c_in != c_w:
         raise ContractViolation(f"transposed_conv2d channel mismatch: {c_in} vs {c_w}")
-    h_out = (h - 1) * stride + m
-    w_out = (w - 1) * stride + m
+    if stride != m:
+        raise ContractViolation(
+            f"transposed_conv2d needs stride equal to the kernel size {m}, got {stride}")
 
     prod = np.tensordot(weight.data, x.data, axes=([1], [0]))  # (O, m, m, H, W)
-    out_data = np.zeros((o_ch, h_out, w_out), dtype=x.dtype)
-    for a in range(m):
-        for b in range(m):
-            out_data[:, a:a + (h - 1) * stride + 1:stride,
-                     b:b + (w - 1) * stride + 1:stride] += prod[:, a, b]
-    out_data += bias.data[:, None, None]
+    out_data = (prod.transpose(0, 3, 1, 4, 2) + bias.data[:, None, None, None, None]
+                ).reshape(o_ch, h * m, w * m)
 
-    out = _result(out_data, (x, weight, bias), None, "transposed_conv2d")
-
-    def backward():
-        g = out.grad
-        gsub = np.empty((o_ch, m, m, h, w), dtype=g.dtype)
-        for a in range(m):
-            for b in range(m):
-                gsub[:, a, b] = g[:, a:a + (h - 1) * stride + 1:stride,
-                                  b:b + (w - 1) * stride + 1:stride]
+    def backward(g):
+        gsub = g.reshape(o_ch, h, m, w, m).transpose(0, 2, 4, 1, 3)  # (O, m, m, H, W)
         if weight.requires_grad:
             gw = np.tensordot(gsub, x.data, axes=([3, 4], [1, 2]))  # (O, m, m, C)
             weight.accumulate_grad(gw.transpose(0, 3, 1, 2))
@@ -240,8 +224,7 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
         if x.requires_grad:
             x.accumulate_grad(np.tensordot(weight.data, gsub, axes=([0, 2, 3], [0, 1, 2])))
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(out_data, (x, weight, bias), backward, "transposed_conv2d")
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -253,29 +236,24 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
     else:
         data = np.repeat(np.repeat(x.data, factor, axis=1), factor, axis=2)
 
-    out = _result(data, (x,), None, "upsample_nearest")
+    def backward(g):
+        c, h, w = x.shape
+        if 1 < factor < 8 and w > 1:
+            # strided adds in the order numpy's block sum takes below: the
+            # column offsets of each row offset, then the row sums. From 8
+            # terms on numpy sums pairwise, and at w == 1 it merges both
+            # block axes into one run, so those stay on the reshape sum.
+            gx = None
+            for a in range(factor):
+                row = g[:, a::factor, 0::factor]
+                for b in range(1, factor):
+                    row = row + g[:, a::factor, b::factor]
+                gx = row if gx is None else gx + row
+        else:
+            gx = g.reshape(c, h, factor, w, factor).sum(axis=(2, 4))
+        x.accumulate_grad(gx)
 
-    def backward():
-        if x.requires_grad:
-            c, h, w = x.shape
-            g = out.grad
-            if 1 < factor < 8 and w > 1:
-                # strided adds in the order numpy's block sum takes below: the
-                # column offsets of each row offset, then the row sums. From 8
-                # terms on numpy sums pairwise, and at w == 1 it merges both
-                # block axes into one run, so those stay on the reshape sum.
-                gx = None
-                for a in range(factor):
-                    row = g[:, a::factor, 0::factor]
-                    for b in range(1, factor):
-                        row = row + g[:, a::factor, b::factor]
-                    gx = row if gx is None else gx + row
-            else:
-                gx = g.reshape(c, h, factor, w, factor).sum(axis=(2, 4))
-            x.accumulate_grad(gx)
-
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(data, (x,), backward, "upsample_nearest")
 
 
 def concat_channels(xs: list[Tensor]) -> Tensor:
@@ -288,10 +266,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
             raise ContractViolation(f"concat spatial mismatch: {t.shape[1:]} vs {hw}")
     data = np.concatenate([t.data for t in xs], axis=0)
 
-    out = _result(data, tuple(xs), None, "concat_channels")
-
-    def backward():
-        g = out.grad
+    def backward(g):
         offset = 0
         for t in xs:
             c = t.shape[0]
@@ -299,8 +274,7 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
                 t.accumulate_grad(g[offset:offset + c])
             offset += c
 
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(data, tuple(xs), backward, "concat_channels")
 
 
 def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
@@ -326,17 +300,13 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
     n = h * w
     loss_val = np.asarray((lse - picked).sum() / n, dtype=z.dtype)
 
-    out = _result(loss_val, (logits,), None, "softmax_cross_entropy")
+    def backward(g):
+        p = ez / sez
+        onehot = np.zeros_like(p)
+        np.put_along_axis(onehot, tgt[None], 1.0, axis=0)
+        logits.accumulate_grad(g * (p - onehot) / n)
 
-    def backward():
-        if logits.requires_grad:
-            p = ez / sez
-            onehot = np.zeros_like(p)
-            np.put_along_axis(onehot, tgt[None], 1.0, axis=0)
-            logits.accumulate_grad(out.grad * (p - onehot) / n)
-
-    out.backward_fn = backward if out.requires_grad else None
-    return out
+    return _result(loss_val, (logits,), backward, "softmax_cross_entropy")
 
 
 class Conv2d:

@@ -133,27 +133,36 @@ class AgreementReport:
     t_p: float
 
 
-def _series_by_parameter(rows: list[MeasurementRow]) -> dict[str, dict[str, float]]:
+def _series_by_parameter(rows: list[MeasurementRow],
+                         side: str) -> dict[str, dict[str, float]]:
     """parameter -> {key: value}; geometry keyed by sample id, EF by the
-    subject id carried in the EF row's id column."""
+    subject id carried in the EF row's id column. A blank EF is skipped;
+    any other value that is not finite raises ContractViolation naming
+    ``side``, the id and the field."""
     out: dict[str, dict[str, float]] = {p: {} for p in PARAMETERS}
     for r in rows:
         if r.phase == "EF":
-            if not math.isnan(r.ef_pct):
-                out["EF"][r.sample_id] = r.ef_pct
+            cells = [] if math.isnan(r.ef_pct) else [("EF", "EF_pct", r.ef_pct)]
         elif r.flag == "ok":
-            out["volume"][r.sample_id] = r.v_ml
-            out["area"][r.sample_id] = r.s_cm2
-            out["length"][r.sample_id] = r.d_cm
+            cells = [("volume", "V_ml", r.v_ml), ("area", "S_cm2", r.s_cm2),
+                     ("length", "D_cm", r.d_cm)]
+        else:
+            continue
+        for param, field, value in cells:
+            if not math.isfinite(value):
+                raise ContractViolation(
+                    f"{side} row {r.sample_id!r}: field {field}: not a finite number: {value}")
+            out[param][r.sample_id] = value
     return out
 
 
 def agreement_reports(auto_rows: list[MeasurementRow],
                       manual_rows: list[MeasurementRow]) -> list[AgreementReport]:
-    """One report per clinical parameter; ids must match between the two
-    row sets (offenders are listed otherwise)."""
-    auto = _series_by_parameter(auto_rows)
-    manual = _series_by_parameter(manual_rows)
+    """One report per clinical parameter with at least two ids, and at
+    least one report; ids must match between the two row sets (offenders
+    are listed otherwise)."""
+    auto = _series_by_parameter(auto_rows, "auto")
+    manual = _series_by_parameter(manual_rows, "manual")
     reports = []
     for param in PARAMETERS:
         a, m = auto[param], manual[param]
@@ -171,6 +180,9 @@ def agreement_reports(auto_rows: list[MeasurementRow],
             fit=pearson_fit(series), ba=bland_altman(series),
             abs_error_box=box_summary(np.abs(series.auto - series.man)),
             t_p=paired_t_pvalue(series)))
+    if not reports:
+        raise ContractViolation(
+            f"no parameter of {list(PARAMETERS)} has two ids paired on both sides")
     return reports
 
 
@@ -180,12 +192,13 @@ def method_anova(per_method_rows: dict[str, list[MeasurementRow]],
     against the shared manual reference."""
     if len(per_method_rows) < 2:
         raise ContractViolation("method ANOVA needs >= 2 methods")
-    manual = _series_by_parameter(manual_rows)
+    manual = _series_by_parameter(manual_rows, "manual")
+    methods = [_series_by_parameter(per_method_rows[m], m) for m in sorted(per_method_rows)]
     tables = {}
     for param in PARAMETERS:
         groups = []
-        for method in sorted(per_method_rows):
-            vals = _series_by_parameter(per_method_rows[method])[param]
+        for series in methods:
+            vals = series[param]
             keys = sorted(set(vals) & set(manual[param]))
             if keys:
                 groups.append(np.array([abs(vals[k] - manual[param][k]) for k in keys]))

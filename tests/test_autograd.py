@@ -159,3 +159,21 @@ def test_second_backward_on_a_consumed_graph_raises():
     with pytest.raises(ContractViolation, match="consumed"):
         backward((inner * 2.0).sum())  # a new root over a consumed node
     assert np.array_equal(w.grad, kept + kept)  # the refused calls added nothing
+
+
+def test_a_dropped_taped_forward_leaves_no_reference_cycle():
+    import gc
+
+    from lvseg.models import Model
+
+    model = Model("mfp-unet", 32, 4, 2, dtype=np.float32, seed=1)
+    x = Tensor(np.random.default_rng(2).normal(size=(2, 32, 32)).astype(np.float32))
+    gc.collect()
+    gc.disable()
+    try:
+        logits = model.forward(x)
+        assert logits.backward_fn is not None  # the forward recorded a tape
+        del logits  # no backward: reference counting alone must free the tape
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

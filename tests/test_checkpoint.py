@@ -97,5 +97,20 @@ def test_header_the_model_rejects_is_a_format_error(tmp_path, capsys):
     assert "n60.bin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_is_a_format_error(tmp_path, capsys, value):
+    model = build_unet(32, 2)
+    name, tensor = list(model.parameters().items())[3]
+    tensor.data[(0,) * tensor.data.ndim] = value
+    path = tmp_path / "bad_weight.bin"
+    checkpoint_write(model, path)
+    with pytest.raises(FormatError, match=f"bad_weight.bin: parameter '{name}'.*non-finite"):
+        checkpoint_read(path)
+    assert main(["eval", "--checkpoint", str(path), "--data", "synthetic:2",
+                 "--out", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "bad_weight.bin" in err and name in err
+
+
 def test_magic_constant():
     assert MAGIC == b"MFPU"

@@ -110,6 +110,54 @@ def test_report_rejects_a_malformed_measurement_csv(tmp_path, capsys, edit, mess
     assert not (tmp_path / "rep").exists()
 
 
+def _report_on_edited_rows(tmp_path, edit, manual_too=False):
+    """Exit code of ``report`` on a 2-subject measurement CSV whose lines pass
+    through ``edit`` as the automatic file, and also as the manual reference
+    when ``manual_too``."""
+    data = tmp_path / "data"
+    main(["synth", "--count", "2", "--n", "64", "--seed", "1", "--out", str(data)])
+    main(["measure", "--data", str(data), "--out", str(tmp_path / "man")])
+    manual = tmp_path / "man" / "measurements.csv"
+    auto = tmp_path / "auto.csv"
+    edited = "\n".join(edit(manual.read_text().splitlines())) + "\n"
+    auto.write_text(edited)
+    if manual_too:
+        manual.write_text(edited)
+    return main(["report", "--auto", str(auto), "--manual", str(manual),
+                 "--out", str(tmp_path / "rep")])
+
+
+@pytest.mark.parametrize("line,sample_id,column,value", [
+    (2, "subj000_ED", "D_cm", "nan"), (3, "subj000_ES", "S_cm2", "inf"),
+    (4, "subj001_ED", "V_ml", "-inf"), (5, "subj001_ES", "D_cm", ""),
+    (6, "subj000", "EF_pct", "inf"), (7, "subj001", "EF_pct", "-inf")])
+def test_report_rejects_a_non_finite_number(tmp_path, capsys, line, sample_id, column, value):
+    capsys.readouterr()
+    assert _report_on_edited_rows(
+        tmp_path, lambda lines: _set_cell(lines, line, column, value)) == 2
+    err = capsys.readouterr().err
+    assert f"auto row {sample_id!r}: field {column}: not a finite number" in err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_allows_a_blank_ef_on_an_unmatched_row(tmp_path):
+    def edit(lines):
+        return _set_cell(_set_cell(lines, 6, "EF_pct", ""), 6, "flag", "unmatched")
+
+    assert _report_on_edited_rows(tmp_path, edit, manual_too=True) == 0
+    params = [row.split(",")[0] for row in
+              (tmp_path / "rep" / "agreement.csv").read_text().splitlines()[1:]]
+    assert params == ["volume", "area", "length"]
+
+
+def test_report_with_no_paired_parameter_writes_nothing(tmp_path, capsys):
+    capsys.readouterr()
+    assert _report_on_edited_rows(tmp_path, lambda lines: lines[:2] + lines[5:6],
+                                  manual_too=True) == 2
+    assert "has two ids paired on both sides" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_eval_command_and_arch_mismatch(tmp_path):
     cfg = dict(arch="unet", n=32, base_width=2, dilation=1, learning_rate=0.05,
                momentum=0.9, weight_decay=0.0005, lr_decay=1e-4, batch_size=1,
@@ -218,6 +266,18 @@ def test_measure_rejects_a_malformed_meta_csv(tmp_path, capsys, edit, message):
     assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 3
     err = capsys.readouterr().err
     assert "meta.csv" in err and message in err
+    assert not (tmp_path / "m" / "measurements.csv").exists()
+
+
+def test_load_dataset_names_the_sample_whose_image_and_mask_differ(tmp_path, capsys):
+    from lvseg.pgm import pgm_write
+
+    data = _synth_with_meta(tmp_path, lambda lines: lines)
+    pgm_write(data / "images" / "subj000_ES.pgm", np.zeros((4, 4), dtype=np.uint8))
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 2
+    err = capsys.readouterr().err
+    assert "meta.csv: line 3: sample 'subj000_ES': image (4, 4) and mask (64, 64)" in err
     assert not (tmp_path / "m" / "measurements.csv").exists()
 
 

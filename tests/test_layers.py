@@ -224,6 +224,12 @@ def test_tconv_channel_mismatch():
         transposed_conv2d(t(np.ones((2, 3, 3))), t(np.ones((1, 3, 2, 2))), t([0.0]))
 
 
+def test_tconv_rejects_a_stride_other_than_the_kernel_size():
+    for stride in (1, 3):
+        with pytest.raises(ContractViolation, match=f"kernel size 2, got {stride}"):
+            transposed_conv2d(t(np.ones((1, 3, 3))), t(np.ones((1, 1, 2, 2))), t([0.0]), stride)
+
+
 # -- upsample_nearest -----------------------------------------------------
 
 def test_upsample_factor_one_identity():
