@@ -26,7 +26,11 @@ from .errors import ContractViolation, MeasurementError
 
 # Moore neighborhood in clockwise order starting north, as (row, col) offsets.
 _RING = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
-_RING_INDEX = {off: i for i, off in enumerate(_RING)}
+# A step to ring neighbour i follows a background probe at ring i - 1 of the
+# old pixel; seen from the new pixel that probe sits at ring _BACK[i], and
+# the next search starts just after it.
+_BACK = tuple(_RING.index((_RING[i - 1][0] - _RING[i][0], _RING[i - 1][1] - _RING[i][1]))
+              for i in range(8))
 
 
 def signed_area(poly: np.ndarray) -> float:
@@ -34,40 +38,49 @@ def signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> list[tuple[int, int]]:
+def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
     """Boundary walk with Jacob's stopping criterion: terminate when the
-    start pixel is about to repeat its first move."""
-    h, w = mask.shape
+    start pixel is about to repeat its first move. Returns the (row, col)
+    pixels of the walk, one per row of an (n, 2) integer array.
 
-    def fg(r: int, c: int) -> bool:
-        return 0 <= r < h and 0 <= c < w and bool(mask[r, c])
+    The walk runs on the mask's bounding box, padded by one background
+    pixel and held as bytes, stepping by flat offsets: the padding stands
+    in for every bounds check."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    box = np.zeros((bottom - top + 2, right - left + 2), dtype=np.uint8)
+    box[1:-1, 1:-1] = mask[top:bottom, left:right] != 0
+    r0, c0 = top - 1, left - 1  # the box's origin in the mask
+    width = box.shape[1]
+    buf = box.tobytes()
+    offsets = [dr * width + dc for dr, dc in _RING]
+    # for each back index, the (ring index, flat offset) probes in order
+    probes = [[((back + step) % 8, offsets[(back + step) % 8]) for step in range(1, 9)]
+              for back in range(8)]
 
-    contour = [start]
-    cur = start
-    back_idx = 6  # entered the start pixel from the west during the scan
-    first_move = None
-    for _ in range(8 * mask.size + 8):
-        found = None
-        for step in range(1, 9):
-            idx = (back_idx + step) % 8
-            nxt = (cur[0] + _RING[idx][0], cur[1] + _RING[idx][1])
-            if fg(*nxt):
-                found = (nxt, idx, step)
+    first = cur = (start[0] - r0) * width + start[1] - c0
+    walk = [first]
+    back = 6  # entered the start pixel from the west during the scan
+    first_idx = None
+    for _ in range(8 * len(buf) + 8):
+        for idx, off in probes[back]:
+            if buf[cur + off]:
                 break
-        if found is None:
-            return contour  # isolated pixel
-        nxt, idx, step = found
-        if cur == start and first_move == (nxt, idx):
-            contour.pop()  # drop the closing revisit of the start pixel
-            return contour
-        if first_move is None:
-            first_move = (nxt, idx)
-        contour.append(nxt)
-        prev_off = _RING[(back_idx + step - 1) % 8]
-        back_pos = (cur[0] + prev_off[0], cur[1] + prev_off[1])
-        back_idx = _RING_INDEX[(back_pos[0] - nxt[0], back_pos[1] - nxt[1])]
-        cur = nxt
-    raise MeasurementError("boundary trace failed to close")  # pragma: no cover
+        else:
+            break  # isolated pixel
+        if cur == first and idx == first_idx:
+            walk.pop()  # drop the closing revisit of the start pixel
+            break
+        if first_idx is None:
+            first_idx = idx
+        cur += off
+        walk.append(cur)
+        back = _BACK[idx]
+    else:
+        raise MeasurementError("boundary trace failed to close")  # pragma: no cover
+    r, c = np.divmod(np.array(walk), width)
+    return np.stack([r + r0, c + c0], axis=1)
 
 
 def extract_contour(mask: np.ndarray) -> np.ndarray:
@@ -90,8 +103,7 @@ def extract_contour(mask: np.ndarray) -> np.ndarray:
     # the first foreground pixel in row-major order: topmost, then leftmost
     start = divmod(int(np.argmax(binary)), binary.shape[1])
 
-    trace = _moore_trace(binary, start)
-    poly = np.array([(c, r) for r, c in trace], dtype=np.float64)
+    poly = _moore_trace(binary, start)[:, ::-1].astype(np.float64)
     if len(poly) >= 3 and signed_area(poly) < 0:
         poly = poly[::-1].copy()
     return poly

@@ -1,6 +1,7 @@
 """Network layer vocabulary: (dilated) convolution, ReLU, max pooling,
-transposed convolution, nearest upsampling, channel concatenation,
-pixelwise softmax cross-entropy, and SGD with momentum.
+transposed convolution, nearest upsampling, channel concatenation, the
+MFP classifier head, pixelwise softmax cross-entropy, and SGD with
+momentum.
 
 All image tensors are channels-first ``(C, H, W)``. Convolution weights
 are ``(out, in, m, m)`` with square kernels; dilated kernels space their
@@ -14,6 +15,13 @@ Y = Ws @ Q, Q holds the m column-shifted copies of the input
 weight gradient is gw[:, :, a] = (Q_a @ g_a^T)^T for each row tap a, and
 the input gradient is the same kernel on g, zero-stuffed by the stride,
 with the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
+
+Two ops only lay data out around their GEMMs. The transposed conv
+(kernel m, stride m) writes each of its m*m kernel taps' GEMM blocks into
+a strided view of the output. ``mfp_head`` is the 1x1 classifier of
+nearest-upsampled, concatenated taps, applied at each tap's own
+resolution and broadcast into the output, so no upsampled channel and no
+concatenation is built.
 """
 
 from __future__ import annotations
@@ -200,8 +208,15 @@ def max_pool2d(x: Tensor) -> Tensor:
 def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) -> Tensor:
     """Transposed convolution with an m x m kernel at stride m: each input
     element scatters weight*value into its own m x m output block, so the
-    blocks never overlap and the output is one GEMM laid out by a reshape,
-    out[o, i*m + a, j*m + b] = bias[o] + sum_c w[o,c,a,b] * x[c,i,j]."""
+    blocks never overlap,
+    out[o, i*m + a, j*m + b] = bias[o] + sum_c w[o,c,a,b] * x[c,i,j].
+
+    One GEMM Y = Wm @ x with rows (a, b, o), Wm[(a,b,o), c] = w[o,c,a,b];
+    each (a, b) block of Y plus the bias is written straight into the
+    strided view out5[:, :, a, :, b] of out5 = out.reshape(O, H, m, W, m).
+    Backward gathers g once into G[o,a,b,i,j] = g[o, i*m + a, j*m + b],
+    read as the (O*m*m, H*W) matrix: gw is G @ x^T and gx is w^T @ G.
+    """
     c_in, h, w = x.shape
     o_ch, c_w, m, _ = weight.shape
     if c_in != c_w:
@@ -210,21 +225,28 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
         raise ContractViolation(
             f"transposed_conv2d needs stride equal to the kernel size {m}, got {stride}")
 
-    prod = np.tensordot(weight.data, x.data, axes=([1], [0]))  # (O, m, m, H, W)
-    out_data = (prod.transpose(0, 3, 1, 4, 2) + bias.data[:, None, None, None, None]
-                ).reshape(o_ch, h * m, w * m)
+    wm = weight.data.transpose(2, 3, 0, 1).reshape(m * m * o_ch, c_in)
+    y = np.dot(wm, x.data.reshape(c_in, h * w)).reshape(m, m, o_ch, h, w)
+    out5 = np.empty((o_ch, h, m, w, m), dtype=y.dtype)
+    b_col = bias.data[:, None, None]
+    for a in range(m):
+        for b in range(m):
+            np.add(y[a, b], b_col, out=out5[:, :, a, :, b])
 
     def backward(g):
-        gsub = g.reshape(o_ch, h, m, w, m).transpose(0, 2, 4, 1, 3)  # (O, m, m, H, W)
+        gm = np.ascontiguousarray(g.reshape(o_ch, h, m, w, m).transpose(0, 2, 4, 1, 3)
+                                  ).reshape(o_ch * m * m, h * w)
         if weight.requires_grad:
-            gw = np.tensordot(gsub, x.data, axes=([3, 4], [1, 2]))  # (O, m, m, C)
-            weight.accumulate_grad(gw.transpose(0, 3, 1, 2))
+            gw = np.dot(gm, x.data.reshape(c_in, h * w).T)  # (O*m*m, C)
+            weight.accumulate_grad(gw.reshape(o_ch, m, m, c_in).transpose(0, 3, 1, 2))
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)))
         if x.requires_grad:
-            x.accumulate_grad(np.tensordot(weight.data, gsub, axes=([0, 2, 3], [0, 1, 2])))
+            wt = weight.data.transpose(1, 0, 2, 3).reshape(c_in, o_ch * m * m)
+            x.accumulate_grad(np.dot(wt, gm).reshape(c_in, h, w))
 
-    return _result(out_data, (x, weight, bias), backward, "transposed_conv2d")
+    return _result(out5.reshape(o_ch, h * m, w * m), (x, weight, bias), backward,
+                   "transposed_conv2d")
 
 
 def upsample_nearest(x: Tensor, factor: int) -> Tensor:
@@ -275,6 +297,64 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
             offset += c
 
     return _result(data, tuple(xs), backward, "concat_channels")
+
+
+def mfp_head(taps: list[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
+    """The 1x1 classifier of the nearest-upsampled tap concatenation,
+    conv2d(concat_channels([upsample_nearest(t_k, f_k), ...]), weight, bias),
+    computed at each tap's own resolution. A 1x1 conv commutes with nearest
+    upsampling, so with W_k tap k's block of the weight's columns (in tap
+    order) and f_k its upsampling factor to the first tap's extent,
+
+        out = bias + sum_k up_{f_k}(W_k @ tap_k),
+
+    each term broadcast-added through an (O, h, f, w, f) view of the output;
+    nothing is upsampled. Backward block-sums g to each tap's resolution,
+    gz_k, and gives gW_k = gz_k @ tap_k^T, g_tap_k = W_k^T @ gz_k and
+    g_bias = sum(g). Equal to the conv form up to summation order.
+    """
+    o_ch, c_w, m, m2 = weight.shape
+    if m != 1 or m2 != 1:
+        raise ContractViolation(f"mfp_head needs a 1x1 kernel, got {m}x{m2}")
+    _, n_h, n_w = taps[0].shape
+    blocks = []  # (first column, last column + 1, factor) of each tap
+    col = 0
+    for t in taps:
+        c, h, w = t.shape
+        f = n_h // h
+        if h * f != n_h or w * f != n_w:
+            raise ContractViolation(f"tap extent {(h, w)} does not divide {(n_h, n_w)} evenly")
+        blocks.append((col, col + c, f))
+        col += c
+    if col != c_w:
+        raise ContractViolation(f"mfp_head taps have {col} channels, weight expects {c_w}")
+    wmat = weight.data.reshape(o_ch, c_w)
+
+    out = np.empty((o_ch, n_h, n_w), dtype=np.result_type(wmat, taps[0].data))
+    out[...] = bias.data[:, None, None]
+    for t, (lo, hi, f) in zip(taps, blocks):
+        c, h, w = t.shape
+        z = np.dot(wmat[:, lo:hi], t.data.reshape(c, h * w))
+        out.reshape(o_ch, h, f, w, f)[...] += z.reshape(o_ch, h, 1, w, 1)
+
+    def backward(g):
+        if bias.requires_grad:
+            bias.accumulate_grad(g.sum(axis=(1, 2)))
+        gw = np.empty((o_ch, c_w), dtype=g.dtype)
+        for t, (lo, hi, f) in zip(taps, blocks):
+            c, h, w = t.shape
+            if f == 1:
+                gz = g.reshape(o_ch, h * w)
+            else:  # rows of each block first (adjacent runs), then its columns
+                gz = g.reshape(o_ch, h, f, n_w).sum(axis=2).reshape(o_ch, h * w, f).sum(axis=2)
+            if weight.requires_grad:
+                gw[:, lo:hi] = np.dot(gz, t.data.reshape(c, h * w).T)
+            if t.requires_grad:
+                t.accumulate_grad(np.dot(wmat[:, lo:hi].T, gz).reshape(c, h, w))
+        if weight.requires_grad:
+            weight.accumulate_grad(gw.reshape(weight.shape))
+
+    return _result(out, (*taps, weight, bias), backward, "mfp_head")
 
 
 def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:

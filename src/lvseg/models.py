@@ -10,8 +10,11 @@ boundary localization intact (a stack dilated end to end samples a sparse
 lattice at the finest level and visibly quantizes the predicted border).
 The multi-feature-pyramid variant additionally taps every decoder level
 through a 3x3 conv to 16 channels, upsamples each tap to full resolution,
-concatenates the four taps into a 64-channel map, and classifies that
-with a 1x1 convolution.
+concatenates the four taps into a 64-channel map (``features``), and
+classifies that with a 1x1 convolution. ``forward`` gets the same logits
+without the map: a 1x1 conv commutes with nearest upsampling, so
+``layers.mfp_head`` classifies each tap at its own resolution and
+upsamples only the 2-channel sums.
 
 The input is a 2-channel square image (raw intensity plus the thresholded
 contrast channel); the output is a 2-channel logit map (background,
@@ -25,7 +28,8 @@ import numpy as np
 
 from .autograd import Tensor, no_grad
 from .errors import ContractViolation
-from .layers import Conv2d, TransposedConv2d, concat_channels, max_pool2d, relu, upsample_nearest
+from .layers import (Conv2d, TransposedConv2d, concat_channels, max_pool2d, mfp_head, relu,
+                     upsample_nearest)
 
 ARCH_TAGS = ("unet", "dilated-unet", "mfp-unet")
 IN_CHANNELS = 2
@@ -106,9 +110,11 @@ class Model:
 
     # -- forward -------------------------------------------------------
 
-    def features(self, x: Tensor) -> Tensor:
-        """Pre-classifier feature map: the topmost decoder output for the
-        plain variants, the 64-channel pyramid concatenation otherwise."""
+    def _taps(self, x: Tensor) -> list[Tensor]:
+        """What the classifier reads, before any upsampling: the topmost
+        decoder output for the plain variants; for MFP-Unet the four
+        pyramid taps, each at its own level's resolution, full-resolution
+        tap first and deepest last (the concatenation order)."""
         if x.shape != (IN_CHANNELS, self.n, self.n):
             raise ContractViolation(
                 f"input shape {x.shape} does not match model spec {(IN_CHANNELS, self.n, self.n)}")
@@ -130,16 +136,28 @@ class Model:
             ups.append(h)
 
         if self.pyramid is None:
-            return ups[-1]
-        taps = []
-        for stage, conv in zip(range(1, LEVELS + 1), self.pyramid):
-            taps.append(upsample_nearest(relu(conv(ups[stage - 1])), 2 ** (LEVELS - stage)))
-        # concatenation order: full-resolution tap first, deepest last
-        return concat_channels(taps[::-1])
+            return [ups[-1]]
+        return [relu(conv(up)) for conv, up in zip(self.pyramid[::-1], ups[::-1])]
+
+    def features(self, x: Tensor) -> Tensor:
+        """Pre-classifier feature map: the topmost decoder output for the
+        plain variants; for MFP-Unet the 64-channel concatenation of the
+        four pyramid taps, each upsampled (nearest) to full resolution.
+        ``forward`` computes the same logits without building it."""
+        taps = self._taps(x)
+        if self.pyramid is None:
+            return taps[0]
+        return concat_channels([upsample_nearest(t, self.n // t.shape[1]) for t in taps])
 
     def forward(self, x: Tensor) -> Tensor:
-        """2-channel logit map of shape (2, N, N)."""
-        return self.classifier(self.features(x))
+        """2-channel logit map of shape (2, N, N), classifier(features(x)).
+        MFP-Unet classifies each tap at its own resolution (``mfp_head``)
+        and upsamples only the 2-channel sums, which equals the 1x1
+        classifier on the 64-channel map up to summation order."""
+        taps = self._taps(x)
+        if self.pyramid is None:
+            return self.classifier(taps[0])
+        return mfp_head(taps, self.classifier.weight, self.classifier.bias)
 
     # -- parameters ----------------------------------------------------
 

@@ -72,8 +72,12 @@ class LinearFit:
 
 
 def pearson_fit(series: PairedSeries) -> LinearFit:
-    """Least-squares line auto = slope*man + intercept, plus Pearson R."""
+    """Least-squares line auto = slope*man + intercept, plus Pearson R.
+    ``ContractViolation`` for NaN or inf values, naming the side."""
     x, y = series.man, series.auto
+    for side, values in (("auto", y), ("manual", x)):
+        if not np.isfinite(values).all():
+            raise ContractViolation(f"{series.name or 'series'}: {side} values must be finite")
     sxx = float(((x - x.mean()) ** 2).sum())
     if sxx < 1e-300:
         raise ContractViolation("manual values are constant; fit undefined")

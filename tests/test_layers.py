@@ -5,7 +5,7 @@ import pytest
 
 from lvseg.autograd import Tensor, backward, grad_check
 from lvseg.errors import ContractViolation
-from lvseg.layers import (SGD, concat_channels, conv2d, max_pool2d, relu,
+from lvseg.layers import (SGD, concat_channels, conv2d, max_pool2d, mfp_head, relu,
                           softmax_cross_entropy, transposed_conv2d, upsample_nearest)
 
 RNG = np.random.default_rng(20240917)
@@ -228,6 +228,102 @@ def test_tconv_rejects_a_stride_other_than_the_kernel_size():
     for stride in (1, 3):
         with pytest.raises(ContractViolation, match=f"kernel size 2, got {stride}"):
             transposed_conv2d(t(np.ones((1, 3, 3))), t(np.ones((1, 1, 2, 2))), t([0.0]), stride)
+
+
+def _tensordot_tconv(x, w, b):
+    """The transposed conv as one tensordot laid out by a transpose, and its
+    three gradients for an output gradient g."""
+    o, _, m, _ = w.shape
+    _, h, wd = x.shape
+    out = (np.tensordot(w, x, axes=([1], [0])).transpose(0, 3, 1, 4, 2)
+           + b[:, None, None, None, None]).reshape(o, h * m, wd * m)
+
+    def grads(g):
+        gsub = g.reshape(o, h, m, wd, m).transpose(0, 2, 4, 1, 3)
+        return (np.tensordot(w, gsub, axes=([0, 2, 3], [0, 1, 2])),
+                np.tensordot(gsub, x, axes=([3, 4], [1, 2])).transpose(0, 3, 1, 2),
+                g.sum(axis=(1, 2)))
+    return out, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cin,cout,hw", [(128, 64, 8), (64, 32, 16), (32, 16, 32), (16, 8, 64),
+                                         (4, 2, 4)])
+def test_tconv_is_bit_identical_to_the_tensordot_form(cin, cout, hw, dtype):
+    rng = np.random.default_rng(cin + hw)
+    x, w, b = (rng.normal(size=s).astype(dtype) for s in ((cin, hw, hw), (cout, cin, 2, 2), cout))
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = transposed_conv2d(xt, wt, bt)
+    ref, ref_grads = _tensordot_tconv(x, w, b)
+    assert out.data.dtype == dtype and np.array_equal(out.data, ref)
+    g = rng.normal(size=ref.shape).astype(dtype)
+    backward((out * Tensor(g)).sum())
+    for got, want in zip((xt.grad, wt.grad, bt.grad), ref_grads(g)):
+        assert np.array_equal(got, want)
+
+
+# -- mfp_head -------------------------------------------------------------
+
+def _pyramid_taps(rng, n=8, channels=(3, 2, 2, 1)):
+    """Four taps at n, n/2, n/4 and n/8, full resolution first."""
+    return [Tensor(rng.normal(size=(c, n >> k, n >> k)), requires_grad=True)
+            for k, c in enumerate(channels)]
+
+
+def _conv_of_upsampled_concat(taps, w, b):
+    n = taps[0].shape[1]
+    return conv2d(concat_channels([upsample_nearest(t, n // t.shape[1]) for t in taps]), w, b)
+
+
+def test_mfp_head_equals_the_conv_of_the_upsampled_concatenation():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        taps = _pyramid_taps(rng, n=16)
+        w = t(rng.normal(size=(2, 8, 1, 1)))
+        b = t(rng.normal(size=2))
+        ref = _conv_of_upsampled_concat(taps, w, b).data
+        assert np.abs(mfp_head(taps, w, b).data - ref).max() < 1e-12
+
+
+def test_mfp_head_gradients_against_finite_differences():
+    rng = np.random.default_rng(7)
+    taps = _pyramid_taps(rng)
+    w = t(rng.normal(size=(2, 8, 1, 1)), grad=True)
+    b = t(rng.normal(size=2), grad=True)
+    g = rng.normal(size=(2, 8, 8))
+
+    def loss():
+        out = mfp_head(taps, w, b)
+        return (out * out + out * Tensor(g)).sum()
+    for theta in (*taps, w, b):
+        assert grad_check(loss, theta) < 1e-7
+
+
+def test_mfp_head_gradients_match_the_conv_form():
+    rng = np.random.default_rng(3)
+    taps = _pyramid_taps(rng, n=16, channels=(4, 4, 4, 4))
+    w = t(rng.normal(size=(2, 16, 1, 1)), grad=True)
+    b = t(rng.normal(size=2), grad=True)
+    g = Tensor(rng.normal(size=(2, 16, 16)))
+    grads = []
+    for head in (mfp_head, _conv_of_upsampled_concat):
+        for p in (*taps, w, b):
+            p.zero_grad()
+        backward((head(taps, w, b) * g).sum())
+        grads.append([p.grad for p in (*taps, w, b)])
+    for got, want in zip(*grads):
+        assert np.abs(got - want).max() < 1e-12
+
+
+def test_mfp_head_rejects_bad_shapes():
+    rng = np.random.default_rng(0)
+    taps = _pyramid_taps(rng)
+    with pytest.raises(ContractViolation, match="1x1 kernel"):
+        mfp_head(taps, t(np.ones((2, 8, 3, 3))), t(np.zeros(2)))
+    with pytest.raises(ContractViolation, match="weight expects 9"):
+        mfp_head(taps, t(np.ones((2, 9, 1, 1))), t(np.zeros(2)))
+    with pytest.raises(ContractViolation, match="does not divide"):
+        mfp_head([taps[0], t(np.ones((1, 3, 3)))], t(np.ones((2, 4, 1, 1))), t(np.zeros(2)))
 
 
 # -- upsample_nearest -----------------------------------------------------

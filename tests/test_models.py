@@ -3,11 +3,13 @@ import gc
 import numpy as np
 import pytest
 
-from lvseg.autograd import Tensor, backward
+from lvseg.autograd import Tensor, backward, no_grad
 from lvseg.errors import ContractViolation
 from lvseg.layers import max_pool2d, relu, softmax_cross_entropy
 from lvseg.models import (Model, build_dilated_unet, build_mfp_unet, build_unet,
                           forward_segment)
+from lvseg.phantom import generate_phantom
+from lvseg.preprocess import compose_input
 
 
 def _rand_input(n, seed=0, dtype=np.float64):
@@ -136,6 +138,28 @@ def test_forward_segment_equals_argmax_of_taped_logits(arch, dtype):
     assert logits.requires_grad  # Model.forward itself stays taped
     assert np.array_equal(forward_segment(model, x),
                           np.argmax(logits.data, axis=0).astype(np.uint8))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_mfp_forward_equals_the_classifier_of_the_features_float64(n):
+    model = build_mfp_unet(n, 4, seed=n, dtype=np.float64)
+    x = _rand_input(n, seed=n + 1)
+    with no_grad():
+        split = model.forward(x).data
+        full = model.classifier(model.features(x)).data
+    assert np.abs(split - full).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_mfp_forward_argmax_equals_the_classifier_of_the_features_on_phantoms(n):
+    model = build_mfp_unet(n, 8, seed=5, dtype=np.float32)
+    for seed in range(3):
+        x = Tensor(compose_input(generate_phantom(n, seed)[0]))
+        with no_grad():
+            split = model.forward(x).data
+            full = model.classifier(model.features(x)).data
+        assert np.abs(split - full).max() < 1e-5
+        assert np.array_equal(np.argmax(split, axis=0), np.argmax(full, axis=0))
 
 
 def test_forward_segment_leaves_no_reference_cycles():

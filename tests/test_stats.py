@@ -101,6 +101,15 @@ def test_fit_constant_manual_rejected():
         pearson_fit(_series([1.0, 2.0], [3.0, 3.0]))
 
 
+@pytest.mark.parametrize("side", ["auto", "manual"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_rejects_non_finite_values_naming_the_side(side, bad):
+    with_bad, clean = [1.0, bad, 3.0], [1.0, 2.0, 3.0]
+    auto, man = (with_bad, clean) if side == "auto" else (clean, with_bad)
+    with pytest.raises(ContractViolation, match=f"{side} values must be finite"):
+        pearson_fit(_series(auto, man))
+
+
 # -- ANOVA ---------------------------------------------------------------------------
 
 def test_published_anova_sums_reproduce():
