@@ -38,17 +38,24 @@ def signed_area(poly: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _moore_trace(mask: np.ndarray, start: tuple[int, int]) -> np.ndarray:
+def _foreground_box(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) of the nonzero pixels, ends exclusive."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _moore_trace(mask: np.ndarray, start: tuple[int, int],
+                 box: tuple[int, int, int, int] | None = None) -> np.ndarray:
     """Boundary walk with Jacob's stopping criterion: terminate when the
     start pixel is about to repeat its first move. Returns the (row, col)
     pixels of the walk, one per row of an (n, 2) integer array.
 
-    The walk runs on the mask's bounding box, padded by one background
-    pixel and held as bytes, stepping by flat offsets: the padding stands
-    in for every bounds check."""
-    rows = np.flatnonzero(mask.any(axis=1))
-    cols = np.flatnonzero(mask.any(axis=0))
-    top, bottom, left, right = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    The walk runs on ``box`` (top, bottom, left, right), which must hold
+    all of the mask's foreground (by default its bounding box), padded by
+    one background pixel and held as bytes, stepping by flat offsets: the
+    padding stands in for every bounds check."""
+    top, bottom, left, right = _foreground_box(mask) if box is None else box
     box = np.zeros((bottom - top + 2, right - left + 2), dtype=np.uint8)
     box[1:-1, 1:-1] = mask[top:bottom, left:right] != 0
     r0, c0 = top - 1, left - 1  # the box's origin in the mask
@@ -95,6 +102,9 @@ def extract_contour(mask: np.ndarray) -> np.ndarray:
     binary = m > 0
     if not binary.any():
         raise MeasurementError("cannot trace the contour of an empty mask")
+    # components are labelled, picked and traced inside the foreground's box
+    top, bottom, left, right = _foreground_box(binary)
+    binary = binary[top:bottom, left:right]
     labels, count = ndimage.label(binary, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     if count > 1:
         warnings.warn(f"mask has {count} components; tracing the largest", stacklevel=2)
@@ -103,7 +113,8 @@ def extract_contour(mask: np.ndarray) -> np.ndarray:
     # the first foreground pixel in row-major order: topmost, then leftmost
     start = divmod(int(np.argmax(binary)), binary.shape[1])
 
-    poly = _moore_trace(binary, start)[:, ::-1].astype(np.float64)
+    trace = _moore_trace(binary, start, (0, bottom - top, 0, right - left))
+    poly = (trace + (top, left))[:, ::-1].astype(np.float64)
     if len(poly) >= 3 and signed_area(poly) < 0:
         poly = poly[::-1].copy()
     return poly

@@ -16,6 +16,18 @@ weight gradient is gw[:, :, a] = (Q_a @ g_a^T)^T for each row tap a, and
 the input gradient is the same kernel on g, zero-stuffed by the stride,
 with the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
 
+Per call, a conv lays its weight out as Ws (and, in backward, as the
+flipped kernel) and the transposed conv as its two GEMM matrices. Inside
+``with fixed_weights():`` each layout is made once per weight array and
+reused by every later call in the block, with bit-identical results; the
+caller promises that no weight array changes there. Training opens it
+around a batch's forwards and backwards (the optimizer steps after it
+closes) and evaluation around its forwards. Outside it nothing is kept,
+so a weight changed in place (a finite-difference check) is always read
+afresh. A conv's tape entry holds its input and weight, not Q: backward
+rebuilds Q from the input, which keeps one sample's tape no larger than
+its activations.
+
 Two ops only lay data out around their GEMMs. The transposed conv
 (kernel m, stride m) writes each of its m*m kernel taps' GEMM blocks into
 a strided view of the output. ``mfp_head`` is the 1x1 classifier of
@@ -26,10 +38,44 @@ concatenation is built.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .autograd import Tensor, _result
 from .errors import ContractViolation
+
+
+# (id of a weight array, layout) -> (that array, its kernel matrix) while a
+# ``fixed_weights`` block is open, else None
+_kernels: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] | None = None
+
+
+@contextmanager
+def fixed_weights():
+    """Promise that no weight array changes inside the block, so each conv
+    and transposed conv lays out its kernel matrices once per weight array
+    and reuses them. An entry holds its array, so its id stays that array's
+    until the block ends; the previous state comes back on exit. A weight
+    array changed in place inside the block (an optimizer step, a finite
+    difference) would leave its stale matrices in use."""
+    global _kernels
+    previous, _kernels = _kernels, {}
+    try:
+        yield
+    finally:
+        _kernels = previous
+
+
+def _kernel(data: np.ndarray, layout: str, make) -> np.ndarray:
+    """``make(data)``, made once per array inside ``fixed_weights``."""
+    if _kernels is None:
+        return make(data)
+    key = (id(data), layout)
+    entry = _kernels.get(key)
+    if entry is None:
+        entry = _kernels[key] = (data, make(data))
+    return entry[1]
 
 
 def _pad_pair(padding) -> tuple[int, int]:
@@ -57,6 +103,39 @@ def _span(shift: int, stride: int, n_in: int, n_out: int) -> tuple[slice, slice]
     return slice(lo, hi), slice(lo * stride + shift, (hi - 1) * stride + shift + 1, stride)
 
 
+def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, left: int,
+                 w_out: int) -> np.ndarray:
+    """The (m*C, H*w_out) column-tap matrix Q[b*C + c, r*w_out + j] =
+    x[c, r, j*stride + b*d - left], x zero off its extent.
+
+    At stride 1 with w_out == W (a 'same' width), tap b is the flattened
+    input shifted by s = b*d - left: one contiguous copy, after which the
+    |s| columns of each row that the shift wrapped around are zeroed (all of
+    them when |s| >= W). Other strides copy each tap's column span."""
+    c, h, w = x.shape
+    if m == 1 and stride == 1 and left == 0 and w_out == w:
+        return x.reshape(c, h * w)  # a 1x1 kernel's one tap is the input itself
+    q = np.empty((m, c, h, w_out), dtype=x.dtype)
+    if stride == 1 and w_out == w:
+        flat, xf = q.reshape(m, c, h * w), x.reshape(c, h * w)
+        for b in range(m):
+            s = b * dilation - left
+            k = max(h * w - abs(s), 0)
+            if s >= 0:
+                flat[b, :, :k] = xf[:, s:s + k]
+                q[b, :, :, max(w - s, 0):] = 0
+            else:
+                flat[b, :, -s:k - s] = xf[:, :k]
+                q[b, :, :, :min(-s, w)] = 0
+    else:
+        for b in range(m):
+            dst, src = _span(b * dilation - left, stride, w, w_out)
+            q[b, :, :, :dst.start] = 0
+            q[b, :, :, dst.stop:] = 0
+            q[b, :, :, dst] = x[:, :, src]
+    return q.reshape(m * c, h * w_out)
+
+
 def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
                top: int, left: int, h_out: int, w_out: int):
     """The column-tap kernel: ``base`` plus the (h_out, w_out) correlation
@@ -64,23 +143,12 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
         out[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x[c, i*stride + a*d - top, j*stride + b*d - left]
 
     with x zero off its extent and the kernel given as the (m*O, m*C) matrix
-    ws[a*O + o, b*C + c] = w[o,c,a,b]. Returns out, the column-tap matrix
-    Q[b*C + c, r*w_out + j] = x[c, r, j*stride + b*d - left] and, for each
-    row tap a, the slices (output rows, input rows) it pairs."""
-    c, h, w = x.shape
+    ws[a*O + o, b*C + c] = w[o,c,a,b]. Returns out and, for each row tap a,
+    the slices (output rows, input rows) it pairs."""
+    c, h, _ = x.shape
     m = ws.shape[1] // c
     o = ws.shape[0] // m
-    if m == 1 and stride == 1 and left == 0 and w_out == w:
-        q = x.reshape(c, h * w)  # a 1x1 kernel's one tap is the input itself
-    else:
-        q = np.empty((m, c, h, w_out), dtype=x.dtype)
-        for b in range(m):
-            dst, src = _span(b * dilation - left, stride, w, w_out)
-            q[b, :, :, :dst.start] = 0
-            q[b, :, :, dst.stop:] = 0
-            q[b, :, :, dst] = x[:, :, src]
-        q = q.reshape(m * c, h * w_out)
-    y = (ws @ q).reshape(m, o, h, w_out)
+    y = (ws @ _column_taps(x, m, stride, dilation, left, w_out)).reshape(m, o, h, w_out)
     rows = [_span(a * dilation - top, stride, h, h_out) for a in range(m)]
     # a row tap that covers every output row starts the sum, which spares a pass over out
     order = sorted(range(m), key=lambda a: rows[a][0] != slice(0, h_out))
@@ -94,7 +162,7 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
     for a in order:
         dst, src = rows[a]
         out[:, dst] += y[a, :, src]
-    return out, q, rows
+    return out, rows
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
@@ -115,7 +183,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     Backward is two more GEMM steps. The weight gradient is m GEMMs, one per
     row tap: its block gw[:, :, a] is (Q_a @ g_a^T)^T, g_a the output
     gradient's rows that tap a reads inside the input and Q_a those input
-    rows of Q (at stride 1 a range of Q's columns, so no copy). The input
+    rows of Q, rebuilt from x (at stride 1 a range of Q's columns). The input
     gradient is the same kernel at stride 1 and the same dilation on g with
     the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3):
     g is zero-stuffed (stride - 1 zeros between its entries) and offset by
@@ -139,13 +207,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
     # Q's rows run (b, c), not (c, b): this copy then moves runs of C values,
     # where runs of the m taps made it ~5x slower at 128x128 channels
-    ws = weight.data.transpose(2, 0, 3, 1).reshape(m * o_ch, m * c_in)
-    out_data, q, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
-                                   ph, pw, h_out, w_out)
+    ws = _kernel(weight.data, "ws",
+                 lambda wd: wd.transpose(2, 0, 3, 1).reshape(m * o_ch, m * c_in))
+    out_data, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
+                                ph, pw, h_out, w_out)
 
     def backward(g):
         if weight.requires_grad:
-            taps = q.reshape(m * c_in, h, w_out)
+            taps = _column_taps(x.data, m, stride, dilation, pw, w_out).reshape(m * c_in, h, w_out)
             gwt = np.empty((m, m * c_in, o_ch), dtype=g.dtype)
             for a, (dst, src) in enumerate(rows):
                 k = (dst.stop - dst.start) * w_out
@@ -161,8 +230,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 gs[:, ::stride, ::stride] = g
             else:
                 gs = g
-            flipped = weight.data[:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
-            x.accumulate_grad(_correlate(gs, flipped.reshape(m * c_in, m * o_ch), 0, 1, dilation,
+            flipped = _kernel(weight.data, "flipped", lambda wd: wd[:, :, ::-1, ::-1].transpose(
+                2, 1, 3, 0).reshape(m * c_in, m * o_ch))
+            x.accumulate_grad(_correlate(gs, flipped, 0, 1, dilation,
                                          eff - 1 - ph, eff - 1 - pw, h, w)[0])
 
     return _result(out_data, (x, weight, bias), backward, "conv2d")
@@ -189,18 +259,32 @@ def max_pool2d(x: Tensor) -> Tensor:
     pooled = np.maximum(row_max[:, :, 0::2], row_max[:, :, 1::2])
 
     def backward(g):
-        # the first position in row-major order that holds the block's
-        # maximum, or its first NaN (the NaN is the maximum), as argmax picks
-        gx = np.zeros_like(x.data)
-        free = np.ones(pooled.shape, dtype=bool)
-        for r in (0, 1):
-            for s in (0, 1):
-                xs = x.data[:, r::2, s::2]
-                hit = (xs == pooled) | (xs != xs)
+        # each block's gradient goes to the first position in row-major
+        # order that holds its maximum, or its first NaN (the NaN is the
+        # maximum), as argmax picks. np.maximum returns one of its inputs,
+        # so every block has such a position: the last is hit when the
+        # first three are not. Each position's gradient is written in one
+        # pass, as g's bits ANDed with an all-ones or all-zeros mask.
+        c, hp, wp = pooled.shape
+        x5 = x.data.reshape(c, hp, 2, wp, 2)
+        nan = np.isnan(pooled).any()
+        bits = np.dtype(f"u{x.data.itemsize}")
+        gx = np.empty(x5.shape, dtype=x.data.dtype)
+        gb, gxb = g.astype(gx.dtype, copy=False).view(bits), gx.view(bits)
+        free = None
+        for r, s in ((0, 0), (0, 1), (1, 0)):
+            xs = x5[:, :, r, :, s]
+            hit = xs == pooled
+            if nan:
+                hit |= xs != xs
+            if free is None:
+                free = ~hit
+            else:
                 hit &= free
                 free ^= hit
-                np.copyto(gx[:, r::2, s::2], g, where=hit)
-        x.accumulate_grad(gx)
+            np.bitwise_and(gb, np.subtract(0, hit, dtype=bits), out=gxb[:, :, r, :, s])
+        np.bitwise_and(gb, np.subtract(0, free, dtype=bits), out=gxb[:, :, 1, :, 1])
+        x.accumulate_grad(gx.reshape(x.shape))
 
     return _result(pooled, (x,), backward, "max_pool2d")
 
@@ -225,7 +309,8 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
         raise ContractViolation(
             f"transposed_conv2d needs stride equal to the kernel size {m}, got {stride}")
 
-    wm = weight.data.transpose(2, 3, 0, 1).reshape(m * m * o_ch, c_in)
+    wm = _kernel(weight.data, "wm",
+                 lambda wd: wd.transpose(2, 3, 0, 1).reshape(m * m * o_ch, c_in))
     y = np.dot(wm, x.data.reshape(c_in, h * w)).reshape(m, m, o_ch, h, w)
     out5 = np.empty((o_ch, h, m, w, m), dtype=y.dtype)
     b_col = bias.data[:, None, None]
@@ -242,7 +327,8 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)))
         if x.requires_grad:
-            wt = weight.data.transpose(1, 0, 2, 3).reshape(c_in, o_ch * m * m)
+            wt = _kernel(weight.data, "wt",
+                         lambda wd: wd.transpose(1, 0, 2, 3).reshape(c_in, o_ch * m * m))
             x.accumulate_grad(np.dot(wt, gm).reshape(c_in, h, w))
 
     return _result(out5.reshape(o_ch, h * m, w * m), (x, weight, bias), backward,

@@ -16,6 +16,12 @@ gradients are bit-identical to those of one summed-batch loss. The
 (``cli._keep_freed_memory``), so each sample's tape reuses the pages of
 the one before instead of faulting in fresh ones; the functions here set
 nothing process-wide.
+
+The weights stay fixed from one ``opt.step()`` to the next, so
+``backprop_batch``, ``mean_val_dice`` and ``evaluate_model`` each run
+inside ``layers.fixed_weights()``: every conv lays out its kernel
+matrices once per batch or pass, not once per sample, with bit-identical
+results. The step itself runs outside that scope.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .config import RunConfig
 from .dataset import FoldAssignment, ImageSample, load_dataset, make_folds, save_dataset
 from .errors import ContractViolation, MeasurementError, TrainingDiverged
 from .geometry import extract_contour
-from .layers import SGD, softmax_cross_entropy
+from .layers import SGD, fixed_weights, softmax_cross_entropy
 from .measure import ejection_fraction, measure_mask
 from .metrics import dice, hausdorff, jaccard, mad
 from .models import Model, forward_segment
@@ -119,8 +125,9 @@ def augment_samples(samples: list[ImageSample], factor: int, alpha: float,
 def mean_val_dice(model: Model, samples: list[ImageSample]) -> float:
     if not samples:
         return math.nan
-    scores = [dice(forward_segment(model, compose_input(s, dtype=model.dtype)), s.mask)
-              for s in samples]
+    with fixed_weights():
+        scores = [dice(forward_segment(model, compose_input(s, dtype=model.dtype)), s.mask)
+                  for s in samples]
     return float(np.mean(scores))
 
 
@@ -137,12 +144,13 @@ def backprop_batch(model: Model, inputs: list[np.ndarray],
     """
     scale = 1.0 / len(inputs)
     total = None
-    for x, target in zip(inputs, targets):
-        sample_loss = softmax_cross_entropy(model.forward(Tensor(x)), target)
-        total = sample_loss.data if total is None else total + sample_loss.data
-        if not np.isfinite(total):
-            break
-        backward(sample_loss * scale)
+    with fixed_weights():
+        for x, target in zip(inputs, targets):
+            sample_loss = softmax_cross_entropy(model.forward(Tensor(x)), target)
+            total = sample_loss.data if total is None else total + sample_loss.data
+            if not np.isfinite(total):
+                break
+            backward(sample_loss * scale)
     return float(total * total.dtype.type(scale))
 
 
@@ -265,10 +273,11 @@ def metrics_for_masks(pred: np.ndarray, truth: np.ndarray,
 def evaluate_model(model: Model, samples: list[ImageSample]) -> list[MetricsRow]:
     """Per-image rows followed by nan-aware mean and sample-SD summary rows."""
     rows = []
-    for s in samples:
-        pred = forward_segment(model, compose_input(s, dtype=model.dtype))
-        dm, jc, hd, md = metrics_for_masks(pred, s.mask, s.calibration)
-        rows.append(MetricsRow(s.sample_id, s.phase, dm, jc, hd, md))
+    with fixed_weights():
+        for s in samples:
+            pred = forward_segment(model, compose_input(s, dtype=model.dtype))
+            dm, jc, hd, md = metrics_for_masks(pred, s.mask, s.calibration)
+            rows.append(MetricsRow(s.sample_id, s.phase, dm, jc, hd, md))
     return rows + summary_rows(rows)
 
 

@@ -555,3 +555,41 @@ def test_matches_enumeration_oracle(name):
 def test_triangle_requires_a_counterclockwise_convex_polygon(polygon):
     with pytest.raises(ContractViolation, match="counterclockwise|finite"):
         min_enclosing_triangle(np.array(polygon))
+
+
+def _full_frame_contour(mask):
+    """extract_contour as it was with every component labelled over the
+    whole frame and the largest traced from the frame's own box."""
+    binary = np.asarray(mask) > 0
+    labels, count = ndimage.label(binary, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    if count > 1:
+        sizes = ndimage.sum_labels(binary, labels, index=range(1, count + 1))
+        binary = labels == (int(np.argmax(sizes)) + 1)
+    start = divmod(int(np.argmax(binary)), binary.shape[1])
+    poly = geometry._moore_trace(binary, start)[:, ::-1].astype(np.float64)
+    if len(poly) >= 3 and signed_area(poly) < 0:
+        poly = poly[::-1].copy()
+    return poly
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_contour_in_the_foreground_box_equals_the_full_frame_trace(n):
+    rng = np.random.default_rng(n)
+    masks = []
+    for k in range(6):
+        centre = tuple(rng.uniform(0.3 * n, 0.7 * n, size=2))
+        ring = (ellipse_mask((n, n), centre, (0.25 * n, 0.2 * n))
+                & ~ellipse_mask((n, n), centre, (0.1 * n, 0.08 * n)))  # a hole
+        blob = ellipse_mask((n, n), tuple(rng.uniform(0, n, size=2)), (0.1 * n, 0.15 * n))
+        masks.append((ring | blob).astype(np.uint8))
+        corners = np.zeros((n, n), dtype=np.uint8)  # components in opposite corners
+        corners[:3 + k, :5] = 1
+        corners[n - 4 - k:, n - 2:] = 1
+        corners[n // 2, n // 3] = 1
+        masks.append(corners)
+        noise = ndimage.gaussian_filter(rng.normal(size=(n, n)), 1.5)
+        masks.append((noise > 0.12).astype(np.uint8))  # many components and holes
+    for mask in masks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.array_equal(extract_contour(mask), _full_frame_contour(mask))

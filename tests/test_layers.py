@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from lvseg import layers
 from lvseg.autograd import Tensor, backward, grad_check
 from lvseg.errors import ContractViolation
-from lvseg.layers import (SGD, concat_channels, conv2d, max_pool2d, mfp_head, relu,
-                          softmax_cross_entropy, transposed_conv2d, upsample_nearest)
+from lvseg.layers import (SGD, _column_taps, _correlate, _span, concat_channels, conv2d,
+                          fixed_weights, max_pool2d, mfp_head, relu, softmax_cross_entropy,
+                          transposed_conv2d, upsample_nearest)
+from lvseg.models import Model
 
 RNG = np.random.default_rng(20240917)
 
@@ -647,3 +650,179 @@ def test_conv_gradients_with_padding_beyond_every_kernel_extent(m, stride, dilat
     want = _per_tap_conv_grads(x.data, w.data, g, stride, dilation, eff)
     for got, ref in zip((x.grad, w.grad, b.grad), want):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+# -- fixed costs: kernel layouts, column taps, pool routing ------------------
+
+def _span_copy_taps(x, m, stride, dilation, left, w_out):
+    """The column-tap matrix as one clipped column span per tap, the way
+    every stride built it before the shift copy."""
+    c, h, w = x.shape
+    q = np.zeros((m, c, h, w_out), dtype=x.dtype)
+    for b in range(m):
+        dst, src = _span(b * dilation - left, stride, w, w_out)
+        q[b, :, :, dst] = x[:, :, src]
+    return q.reshape(m * c, h * w_out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("hw", [(1, 1), (2, 2), (3, 5), (6, 4)])
+def test_column_taps_equal_the_span_copy(m, dilation, stride, hw):
+    h, w = hw
+    eff = dilation * (m - 1) + 1
+    x = np.random.default_rng([m, dilation, h, w]).normal(size=(3, h, w))
+    x[0, 0, 0] = np.nan  # garbage in the shifted-out columns must not survive either
+    for left in range(0, eff + 1):
+        w_out = (w + 2 * left - eff) // stride + 1
+        if w_out <= 0:
+            continue
+        got = _column_taps(x, m, stride, dilation, left, w_out)
+        ref = _span_copy_taps(x, m, stride, dilation, left, w_out)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes(), (left, w_out)
+
+
+def test_column_taps_zero_a_tap_shifted_by_the_whole_width():
+    # n=16 at dilation 3 reaches a 2x2 level padded by 3: taps 0 and 2 shift by 3 >= w
+    x = np.arange(1.0, 9.0).reshape(2, 2, 2)
+    q = _column_taps(x, 3, 1, 3, 3, 2).reshape(3, 2, 2, 2)
+    assert not q[0].any() and not q[2].any()
+    assert np.array_equal(q[1], x)
+
+
+def _kept_q_conv_grads(x, w, g, stride, dilation, padding):
+    """conv2d's backward as it ran when the tape kept the forward's Q: the
+    weight gradient from that Q, the input gradient from the flipped kernel."""
+    c, h, wd = x.shape
+    o, _, m, _ = w.shape
+    eff = dilation * (m - 1) + 1
+    h_out, w_out = g.shape[1:]
+    q = _span_copy_taps(x, m, stride, dilation, padding, w_out).reshape(m * c, h, w_out)
+    gwt = np.empty((m, m * c, o), dtype=g.dtype)
+    for a in range(m):
+        dst, src = _span(a * dilation - padding, stride, h, h_out)
+        k = (dst.stop - dst.start) * w_out
+        np.matmul(q[:, src].reshape(m * c, k), g[:, dst].reshape(o, k).T, out=gwt[a])
+    gw = gwt.reshape(m, m, c, o).transpose(3, 2, 0, 1)
+    gs = g
+    if stride > 1:
+        gs = np.zeros((o, (h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dtype=g.dtype)
+        gs[:, ::stride, ::stride] = g
+    flipped = w[:, :, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(m * c, m * o)
+    gx = _correlate(gs, flipped, 0, 1, dilation, eff - 1 - padding, eff - 1 - padding, h, wd)[0]
+    return gx, gw, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m,stride,dilation,padding", [
+    (3, 1, 1, 1), (3, 1, 2, 2), (3, 1, 3, 3), (3, 2, 1, 1), (2, 1, 1, 0), (1, 1, 1, 0),
+    (1, 2, 1, 1)])
+def test_conv_gradients_with_q_rebuilt_in_the_backward(m, stride, dilation, padding, dtype):
+    rng = np.random.default_rng([m, stride, dilation, padding])
+    x = Tensor(rng.normal(size=(3, 8, 8)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3, m, m)).astype(dtype), requires_grad=True)
+    b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
+    out = conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+    # the tape holds x and the weight, and no column-tap matrix
+    h_out, w_out = out.shape[1:]
+    held = [cell.cell_contents for cell in out.backward_fn.__closure__]
+    assert not any(isinstance(v, np.ndarray) and v.shape == (m * 3, 8 * w_out) for v in held)
+    g = rng.normal(size=out.shape).astype(dtype)
+    backward((out * Tensor(g)).sum())
+    for got, ref in zip((x.grad, w.grad, b.grad),
+                        _kept_q_conv_grads(x.data, w.data, g, stride, dilation, padding)):
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def _logits_and_grads(model, x, target):
+    out = model.forward(Tensor(x))
+    backward(softmax_cross_entropy(out, target))
+    grads = {name: t.grad for name, t in model.parameters().items()}
+    model.zero_grad()
+    return out.data, grads
+
+
+@pytest.mark.parametrize("arch", ["unet", "dilated-unet", "mfp-unet"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fixed_weights_scope_is_bit_identical(arch, dtype):
+    model = Model(arch, 16, 2, 1 if arch == "unet" else 2, dtype=dtype, seed=3)
+    rng = np.random.default_rng(8)
+    xs = [rng.uniform(size=(2, 16, 16)).astype(dtype) for _ in range(2)]
+    target = (rng.uniform(size=(16, 16)) > 0.5).astype(np.int64)
+    plain = [_logits_and_grads(model, x, target) for x in xs]
+    with fixed_weights():  # the second sample reuses the first one's kernel layouts
+        scoped = [_logits_and_grads(model, x, target) for x in xs]
+    for (lp, gp), (ls, gs) in zip(plain, scoped):
+        assert lp.tobytes() == ls.tobytes()
+        for name in gp:
+            assert gp[name].tobytes() == gs[name].tobytes(), name
+
+
+def test_weights_changed_after_the_scope_are_used():
+    model = Model("unet", 16, 2, 1, dtype=np.float64, seed=4)
+    x = Tensor(np.random.default_rng(9).uniform(size=(2, 16, 16)))
+    with fixed_weights():
+        before = model.forward(x).data
+    for t in model.parameters().values():
+        t.data *= 0.5  # in place: the arrays keep their ids
+    fresh = Model("unet", 16, 2, 1, dtype=np.float64, seed=4)
+    for t in fresh.parameters().values():
+        t.data *= 0.5
+    want = fresh.forward(x).data
+    assert not np.array_equal(before, want)
+    assert np.array_equal(model.forward(x).data, want)
+    with fixed_weights():
+        assert np.array_equal(model.forward(x).data, want)
+
+
+def test_fixed_weights_scope_ends_on_an_exception():
+    with pytest.raises(RuntimeError):
+        with fixed_weights():
+            with fixed_weights():
+                assert layers._kernels == {}
+            assert layers._kernels is not None
+            raise RuntimeError
+    assert layers._kernels is None
+
+
+def _four_pass_pool_grad(x, pooled, g):
+    """The pool backward's former routing: one strided pass per block
+    position in row-major order, each testing for the maximum or a NaN,
+    masking out blocks already routed and copying g where it hits."""
+    gx = np.zeros_like(x)
+    free = np.ones(pooled.shape, dtype=bool)
+    for r in (0, 1):
+        for s in (0, 1):
+            xs = x[:, r::2, s::2]
+            hit = (xs == pooled) | (xs != xs)
+            hit &= free
+            free ^= hit
+            np.copyto(gx[:, r::2, s::2], g, where=hit)
+    return gx
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_backward_equals_the_four_pass_routing(dtype):
+    rng = np.random.default_rng(12)
+    cases = [rng.normal(size=(4, 8, 12)),                       # random
+             rng.integers(-1, 2, size=(4, 8, 12)).astype(float),  # ties
+             np.zeros((2, 4, 4)), -np.zeros((2, 4, 4))]
+    signed_zeros = rng.integers(-1, 2, size=(4, 8, 12)).astype(float)
+    signed_zeros[rng.random(signed_zeros.shape) < 0.5] = -0.0
+    cases.append(signed_zeros)
+    nans = rng.integers(-2, 3, size=(4, 8, 12)).astype(float)
+    nans[rng.random(nans.shape) < 0.15] = np.nan
+    nans[0, :2, :2] = np.nan
+    cases.append(nans)
+    for x in cases:
+        x = x.astype(dtype)
+        xt = Tensor(x, requires_grad=True)
+        out = max_pool2d(xt)
+        g = rng.normal(size=out.shape).astype(dtype)
+        g.flat[:3] = [np.nan, -np.inf, -0.0]
+        out.backward_fn(g)
+        ref = _four_pass_pool_grad(x, out.data, g)
+        assert xt.grad.dtype == dtype
+        assert xt.grad.tobytes() == ref.tobytes()

@@ -211,3 +211,33 @@ def test_input_shape_mismatch_rejected():
         model.forward(Tensor(np.zeros((2, 64, 64), dtype=np.float32)))
     with pytest.raises(ContractViolation):
         model.forward(Tensor(np.zeros((1, 32, 32), dtype=np.float32)))
+
+
+class _FixedLogits:
+    """A stand-in model whose forward returns the logits it was given."""
+
+    dtype = np.float64
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def forward(self, x):
+        return Tensor(self.logits)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_segment_mask_equals_argmax_on_ties_and_nan(dtype):
+    rng = np.random.default_rng(6)
+    random = rng.normal(size=(2, 16, 16))
+    tied = rng.integers(-1, 2, size=(2, 16, 16)).astype(float)
+    tied[:, :4] = 0.0
+    tied[0, 4:6] = -0.0
+    nans = rng.integers(-1, 2, size=(2, 16, 16)).astype(float)
+    nans[rng.random(nans.shape) < 0.3] = np.nan
+    nans[:, 0, 0] = np.nan
+    infs = rng.choice([-np.inf, np.inf, np.nan, 0.0], size=(2, 16, 16))
+    for logits in (random, tied, nans, infs):
+        logits = logits.astype(dtype)
+        mask = forward_segment(_FixedLogits(logits), Tensor(np.zeros((2, 16, 16), dtype)))
+        assert mask.dtype == np.uint8
+        assert np.array_equal(mask, np.argmax(logits, axis=0))
