@@ -3,9 +3,10 @@
 Training runs subject-level cross-validation: for each fold the training
 images are augmented by the configured factor (one original plus
 factor - 1 elastic deformations), composed into 2-channel inputs,
-shuffled by the run seed, and optimized with momentum SGD; the epoch with
-the best validation Dice supplies the saved checkpoint, or the last epoch
-when there are no validation samples. Everything is deterministic given
+shuffled by the run seed, and optimized with momentum SGD; the trained
+epoch with the best validation Dice (the first on a tie) supplies the
+saved checkpoint, or the last epoch when there are no validation samples.
+The untrained initial weights are saved only when no epoch runs. Everything is deterministic given
 (seed, config, data).
 
 Each sample is backpropagated as soon as its forward ends
@@ -169,8 +170,7 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
               weight_decay=config.weight_decay, lr_decay=config.lr_decay)
     shuffle_rng = np.random.default_rng(_derived_seed(config.seed, fold, 2))
 
-    best = {name: t.data.copy() for name, t in params.items()}
-    best_dice = mean_val_dice(model, val_samples)
+    best, best_dice = None, math.nan
     log: list[EpochRecord] = []
 
     for epoch in range(config.epochs):
@@ -190,11 +190,11 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
         val = mean_val_dice(model, val_samples)
         log.append(EpochRecord(epoch=epoch, loss=running / len(inputs), val_dice=val,
                                learning_rate=opt.learning_rate))
-        if not math.isnan(val) and (math.isnan(best_dice) or val > best_dice):
+        if val_samples and (math.isnan(best_dice) or val > best_dice):
             best_dice = val
             best = {name: t.data.copy() for name, t in params.items()}
 
-    if val_samples:  # with nothing to validate on, the last epoch's weights stand
+    if best is not None:  # with nothing to validate on, the last epoch's weights stand
         for name, t in params.items():
             t.data = best[name]
     return FoldResult(fold=fold, model=model, log=log, best_val_dice=best_dice,

@@ -318,3 +318,17 @@ def test_measurements_csv_round_trip(tmp_path):
         for col in ("d_cm", "s_cm2", "v_ml", "ef_pct"):
             x, y = getattr(r, col), getattr(b, col)
             assert (math.isnan(x) and math.isnan(y)) or x == y
+
+
+def test_every_fold_checkpoint_comes_from_a_trained_epoch(tmp_path):
+    # with these settings no epoch's validation Dice beats the untrained
+    # model's, which once made every fold save its initial weights
+    cfg = _tiny_cfg(tmp_path, base_width=4, batch_size=3, epochs=2)
+    results = train(cfg)
+    for r in results:
+        fresh = Model(cfg.arch, cfg.n, cfg.base_width, cfg.model_dilation,
+                      dtype=np.float32, seed=_derived_seed(cfg.seed, r.fold, 0))
+        saved = checkpoint_read(tmp_path / "run" / f"fold{r.fold}" / "checkpoint.bin")
+        assert not all(np.array_equal(t.data, f.data) for t, f in
+                       zip(saved.parameters().values(), fresh.parameters().values()))
+        assert r.best_val_dice == max(rec.val_dice for rec in r.log)
