@@ -25,8 +25,8 @@ around a batch's forwards and backwards (the optimizer steps after it
 closes) and evaluation around its forwards. Outside it nothing is kept,
 so a weight changed in place (a finite-difference check) is always read
 afresh. A conv's tape entry holds its input and weight, not Q: backward
-rebuilds Q from the input, which keeps one sample's tape no larger than
-its activations.
+rebuilds Q from the input, so the tape keeps no m-fold copy of each conv
+input alive until backward.
 
 Two ops only lay data out around their GEMMs. The transposed conv
 (kernel m, stride m) writes each of its m*m kernel taps' GEMM blocks into

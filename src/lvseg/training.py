@@ -6,8 +6,8 @@ factor - 1 elastic deformations), composed into 2-channel inputs,
 shuffled by the run seed, and optimized with momentum SGD; the trained
 epoch with the best validation Dice (the first on a tie) supplies the
 saved checkpoint, or the last epoch when there are no validation samples.
-The untrained initial weights are saved only when no epoch runs. Everything is deterministic given
-(seed, config, data).
+The untrained initial weights are saved only when no epoch runs.
+Everything is deterministic given (seed, config, data).
 
 Each sample is backpropagated as soon as its forward ends
 (``backprop_batch``), and backward frees the tape as it consumes it, so
