@@ -84,10 +84,17 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add a contribution; a tensor consumed by k nodes receives the sum of k of these."""
+    def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
+        """Add a contribution; a tensor consumed by k nodes receives the sum of k of these.
+
+        The first contribution is copied, unless ``owned`` says the caller
+        made g and hands it nowhere else: then g itself becomes the grad
+        when its dtype is the tensor's, and later contributions add into it."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
+            if owned and g.dtype == self.data.dtype:
+                self.grad = g
+            else:
+                self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
 
@@ -178,10 +185,10 @@ def mul(a: Tensor, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(g * b.data)
+            a.accumulate_grad(g * b.data, owned=True)
         if b.requires_grad:
             gb = g * a.data
-            b.accumulate_grad(gb if b.shape == a.shape else gb.sum())
+            b.accumulate_grad(gb if b.shape == a.shape else gb.sum(), owned=b.shape == a.shape)
 
     return _result(a.data * b.data, (a, b), backward, "mul")
 

@@ -6,20 +6,26 @@ Layout (all integers little-endian unsigned 32-bit):
   per parameter: name_len | name utf-8 | rank | extents... | raw float32
   little-endian values
 
-Write -> read -> write is byte-identical; reads validate the magic,
-version, architecture tag, and every parameter name/shape against a
-freshly built model, and refuse NaN or infinite values.
+Write -> read -> write is byte-identical. A read validates the magic,
+version and architecture tag, and checks the header's spec, parameter
+count and file size against the parameter shapes the spec implies
+(``models.parameter_shapes``) before it allocates any parameter, so an
+absurd header is a ``FormatError``, not a failed allocation. It then
+checks every parameter's name and shape in turn, refuses NaN or infinite
+values and trailing bytes, and loads the values into a model built
+without drawing an initialisation (``Model(..., seed=None)``).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractViolation, FormatError
-from .models import Model
+from .models import Model, parameter_shapes
 
 MAGIC = b"MFPU"
 VERSION = 1
@@ -64,7 +70,12 @@ class _Reader:
 
 
 def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
-    """Rebuild the model recorded in ``path`` and load its parameters."""
+    """Rebuild the model recorded in ``path`` and load its parameters.
+
+    Raises ``FormatError`` naming ``path`` for any file that is not a
+    checkpoint of a valid model, before allocating the model when the
+    header alone gives it away. The model is built undrawn
+    (``seed=None``) and every parameter is then replaced by the file's."""
     with open(path, "rb") as fh:
         buf = fh.read()
     r = _Reader(buf, str(path))
@@ -83,14 +94,22 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
     count = r.u32("parameter count")
 
     try:
-        model = Model(tag, n, base_width, dilation, dtype=np.float32, seed=0)
+        shapes = parameter_shapes(tag, n, base_width, dilation)
     except ContractViolation as exc:
         raise FormatError(f"{path}: header describes no valid model: {exc}") from exc
-    params = model.parameters()
-    if count != len(params):
+    if count != len(shapes):
         raise FormatError(
-            f"{path}: parameter count {count} does not match architecture ({len(params)})")
-    for expected_name, tensor in params.items():
+            f"{path}: parameter count {count} does not match architecture ({len(shapes)})")
+    # name length, name, rank, extents and values of each parameter
+    need = sum(8 + len(name.encode("utf-8")) + 4 * len(shape) + 4 * math.prod(shape)
+               for name, shape in shapes.items())
+    if r.pos + need > len(buf):
+        raise FormatError(
+            f"{path}: truncated: the header's {count} parameters take {need} bytes: expected "
+            f"{r.pos + need} bytes, file has {len(buf)}")
+
+    model = Model(tag, n, base_width, dilation, dtype=np.float32, seed=None)
+    for expected_name, tensor in model.parameters().items():
         name = r.take(r.u32("name length"), "parameter name").decode("utf-8")
         if name != expected_name:
             raise FormatError(
@@ -101,8 +120,7 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
             raise FormatError(
                 f"{path}: shape mismatch for {name!r}: file has {shape}, model has "
                 f"{tensor.data.shape}")
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = r.take(4 * size, f"values of {name!r}")
+        raw = r.take(4 * math.prod(shape), f"values of {name!r}")
         tensor.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
         bad = np.count_nonzero(~np.isfinite(tensor.data))
         if bad:

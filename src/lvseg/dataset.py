@@ -23,7 +23,13 @@ PHASES = ("ED", "ES", "other")
 
 @dataclass
 class ImageSample:
-    """Grayscale image, binary ground-truth mask, and pixel calibration."""
+    """Grayscale image, binary ground-truth mask, and pixel calibration.
+
+    A mask is binary when every element equals 0 or 1: one elementwise
+    pass, which accepts and rejects the masks that
+    ``np.isin(np.unique(mask), (0, 1))`` does (-0.0 and True count as 0
+    and 1, NaN as neither). ``np.unique`` sorts the whole mask, so it runs
+    only to list the offending values in the error."""
 
     image: np.ndarray           # (H, W) uint8
     mask: np.ndarray            # (H, W) {0, 1}
@@ -38,8 +44,8 @@ class ImageSample:
         if self.image.shape != self.mask.shape:
             raise ContractViolation(
                 f"image {self.image.shape} and mask {self.mask.shape} shapes differ")
-        vals = np.unique(self.mask)
-        if not np.all(np.isin(vals, (0, 1))):
+        if not ((self.mask == 0) | (self.mask == 1)).all():
+            vals = np.unique(self.mask)
             raise ContractViolation(f"mask must be binary, found values {vals[:8]}")
         if not 0 < self.calibration < math.inf:
             raise ContractViolation(

@@ -220,9 +220,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 k = (dst.stop - dst.start) * w_out
                 np.matmul(taps[:, src].reshape(m * c_in, k), g[:, dst].reshape(o_ch, k).T,
                           out=gwt[a])
-            weight.accumulate_grad(gwt.reshape(m, m, c_in, o_ch).transpose(3, 2, 0, 1))
+            weight.accumulate_grad(gwt.reshape(m, m, c_in, o_ch).transpose(3, 2, 0, 1),
+                                   owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(1, 2)))
+            bias.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
         if x.requires_grad:
             if stride > 1:
                 gs = np.zeros((o_ch, (h_out - 1) * stride + 1, (w_out - 1) * stride + 1),
@@ -233,7 +234,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             flipped = _kernel(weight.data, "flipped", lambda wd: wd[:, :, ::-1, ::-1].transpose(
                 2, 1, 3, 0).reshape(m * c_in, m * o_ch))
             x.accumulate_grad(_correlate(gs, flipped, 0, 1, dilation,
-                                         eff - 1 - ph, eff - 1 - pw, h, w)[0])
+                                         eff - 1 - ph, eff - 1 - pw, h, w)[0], owned=True)
 
     return _result(out_data, (x, weight, bias), backward, "conv2d")
 
@@ -244,7 +245,7 @@ def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
 
     def backward(g):
-        x.accumulate_grad(g * (data > 0))
+        x.accumulate_grad(g * (data > 0), owned=True)
 
     return _result(data, (x,), backward, "relu")
 
@@ -284,7 +285,7 @@ def max_pool2d(x: Tensor) -> Tensor:
                 free ^= hit
             np.bitwise_and(gb, np.subtract(0, hit, dtype=bits), out=gxb[:, :, r, :, s])
         np.bitwise_and(gb, np.subtract(0, free, dtype=bits), out=gxb[:, :, 1, :, 1])
-        x.accumulate_grad(gx.reshape(x.shape))
+        x.accumulate_grad(gx.reshape(x.shape), owned=True)
 
     return _result(pooled, (x,), backward, "max_pool2d")
 
@@ -323,13 +324,13 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
                                   ).reshape(o_ch * m * m, h * w)
         if weight.requires_grad:
             gw = np.dot(gm, x.data.reshape(c_in, h * w).T)  # (O*m*m, C)
-            weight.accumulate_grad(gw.reshape(o_ch, m, m, c_in).transpose(0, 3, 1, 2))
+            weight.accumulate_grad(gw.reshape(o_ch, m, m, c_in).transpose(0, 3, 1, 2), owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(1, 2)))
+            bias.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
         if x.requires_grad:
             wt = _kernel(weight.data, "wt",
                          lambda wd: wd.transpose(1, 0, 2, 3).reshape(c_in, o_ch * m * m))
-            x.accumulate_grad(np.dot(wt, gm).reshape(c_in, h, w))
+            x.accumulate_grad(np.dot(wt, gm).reshape(c_in, h, w), owned=True)
 
     return _result(out5.reshape(o_ch, h * m, w * m), (x, weight, bias), backward,
                    "transposed_conv2d")
@@ -359,7 +360,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
                 gx = row if gx is None else gx + row
         else:
             gx = g.reshape(c, h, factor, w, factor).sum(axis=(2, 4))
-        x.accumulate_grad(gx)
+        x.accumulate_grad(gx, owned=True)
 
     return _result(data, (x,), backward, "upsample_nearest")
 
@@ -425,7 +426,7 @@ def mfp_head(taps: list[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g):
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=(1, 2)))
+            bias.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
         gw = np.empty((o_ch, c_w), dtype=g.dtype)
         for t, (lo, hi, f) in zip(taps, blocks):
             c, h, w = t.shape
@@ -436,9 +437,9 @@ def mfp_head(taps: list[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
             if weight.requires_grad:
                 gw[:, lo:hi] = np.dot(gz, t.data.reshape(c, h * w).T)
             if t.requires_grad:
-                t.accumulate_grad(np.dot(wmat[:, lo:hi].T, gz).reshape(c, h, w))
+                t.accumulate_grad(np.dot(wmat[:, lo:hi].T, gz).reshape(c, h, w), owned=True)
         if weight.requires_grad:
-            weight.accumulate_grad(gw.reshape(weight.shape))
+            weight.accumulate_grad(gw.reshape(weight.shape), owned=True)
 
     return _result(out, (*taps, weight, bias), backward, "mfp_head")
 
@@ -470,13 +471,15 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
         p = ez / sez
         onehot = np.zeros_like(p)
         np.put_along_axis(onehot, tgt[None], 1.0, axis=0)
-        logits.accumulate_grad(g * (p - onehot) / n)
+        logits.accumulate_grad(g * (p - onehot) / n, owned=True)
 
     return _result(loss_val, (logits,), backward, "softmax_cross_entropy")
 
 
 class Conv2d:
-    """Convolution layer owning its weight (out,in,m,m) and bias (out,)."""
+    """Convolution layer owning its weight (out,in,m,m) and bias (out,).
+    ``rng`` draws the He-uniform weight; without one the weight is
+    zero-filled, for a caller that sets it (a checkpoint read)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, dilation: int = 1, padding=0,
@@ -485,11 +488,12 @@ class Conv2d:
         self.stride = stride
         self.dilation = dilation
         self.padding = padding
-        rng = rng or np.random.default_rng(0)
-        fan_in = in_channels * kernel_size * kernel_size
-        self.weight = Tensor(he_uniform(
-            (out_channels, in_channels, kernel_size, kernel_size), fan_in, rng, dtype),
-            requires_grad=True)
+        shape = (out_channels, in_channels, kernel_size, kernel_size)
+        if rng is None:
+            weight = np.zeros(shape, dtype=dtype)
+        else:
+            weight = he_uniform(shape, in_channels * kernel_size * kernel_size, rng, dtype)
+        self.weight = Tensor(weight, requires_grad=True)
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:

@@ -53,60 +53,81 @@ def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
         raise ContractViolation("unet uses dilation 1")
 
 
+def layer_specs(arch: str, base_width: int, dilation: int) -> list[tuple[str, int, int, int, int]]:
+    """(name, in channels, out channels, kernel, dilation) of every layer,
+    in construction order, which is also the parameter order. A 2x2 kernel
+    is a stride-2 transposed conv; the others are convs whose "same"
+    padding keeps extents constant within a level."""
+    B = base_width
+    specs = []
+    cin = IN_CHANNELS
+    for lvl in range(1, LEVELS + 1):
+        cout = B * (2 ** (lvl - 1))
+        specs += [(f"enc{lvl}.conv1", cin, cout, 3, dilation),
+                  (f"enc{lvl}.conv2", cout, cout, 3, dilation)]
+        cin = cout
+    specs += [("bottleneck.conv1", 8 * B, 16 * B, 3, dilation),
+              ("bottleneck.conv2", 16 * B, 16 * B, 3, dilation)]
+    for stage in range(1, LEVELS + 1):  # up1 deepest .. up4 full resolution
+        cup = B * (2 ** (LEVELS - stage))        # channels after upsampling
+        specs += [(f"up{stage}.tconv", 2 * cup, cup, 2, 1),
+                  (f"up{stage}.conv1", 2 * cup, cup, 3, 1),  # skip concat doubles the input
+                  (f"up{stage}.conv2", cup, cup, 3, 1)]
+    if arch == "mfp-unet":
+        specs += [(f"pyramid{stage}.conv", B * (2 ** (LEVELS - stage)), PYRAMID_CHANNELS, 3, 1)
+                  for stage in range(1, LEVELS + 1)]
+        cls_in = LEVELS * PYRAMID_CHANNELS
+    else:
+        cls_in = B
+    specs.append(("classifier", cls_in, OUT_CHANNELS, 1, 1))
+    return specs
+
+
+def parameter_shapes(arch: str, n: int, base_width: int,
+                     dilation: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in ``Model.parameters()`` order,
+    without building the model; ``check_spec`` vets the spec first."""
+    check_spec(arch, n, base_width, dilation)
+    shapes = {}
+    for name, cin, cout, m, _ in layer_specs(arch, base_width, dilation):
+        shapes[f"{name}.weight"] = (cout, cin, m, m)
+        shapes[f"{name}.bias"] = (cout,)
+    return shapes
+
+
 class Model:
     """Ordered layer graph; ``layers`` maps each layer's name to the layer,
-    in construction order, which is also the parameter order."""
+    in construction order, which is also the parameter order.
+
+    ``seed`` draws the He-uniform initial weights. ``seed=None`` draws
+    nothing: every parameter is zero-filled (lazily paged for large ones),
+    for a caller that overwrites them all, as ``checkpoint_read`` does."""
 
     def __init__(self, arch: str, n: int, base_width: int, dilation: int,
-                 dtype=np.float32, seed: int = 0):
+                 dtype=np.float32, seed: int | None = 0):
         check_spec(arch, n, base_width, dilation)
         self.arch = arch
         self.n = n
         self.base_width = base_width
         self.dilation = dilation
         self.dtype = dtype
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.layers: dict[str, Conv2d] = {}
+        for name, cin, cout, m, d in layer_specs(arch, base_width, dilation):
+            if m == 2:
+                self.layers[name] = TransposedConv2d(cin, cout, rng=rng, dtype=dtype)
+            else:
+                self.layers[name] = Conv2d(cin, cout, m, dilation=d, padding=d * (m - 1) // 2,
+                                           rng=rng, dtype=dtype)
 
-        def add(name, layer):
-            self.layers[name] = layer
-            return layer
-
-        def conv3(name, cin, cout, d):
-            # "same" padding keeps extents constant within a level
-            return add(name, Conv2d(cin, cout, 3, dilation=d, padding=d, rng=rng, dtype=dtype))
-
-        B = base_width
-        self.encoders = []
-        cin = IN_CHANNELS
-        for lvl in range(1, LEVELS + 1):
-            cout = B * (2 ** (lvl - 1))
-            self.encoders.append((conv3(f"enc{lvl}.conv1", cin, cout, dilation),
-                                  conv3(f"enc{lvl}.conv2", cout, cout, dilation)))
-            cin = cout
-        self.bottleneck = (conv3("bottleneck.conv1", 8 * B, 16 * B, dilation),
-                           conv3("bottleneck.conv2", 16 * B, 16 * B, dilation))
-
-        self.decoders = []
-        for stage in range(1, LEVELS + 1):  # up1 deepest .. up4 full resolution
-            cup = B * (2 ** (LEVELS - stage))        # channels after upsampling
-            self.decoders.append((
-                add(f"up{stage}.tconv", TransposedConv2d(2 * cup, cup, rng=rng, dtype=dtype)),
-                conv3(f"up{stage}.conv1", 2 * cup, cup, 1),  # skip concat doubles the input
-                conv3(f"up{stage}.conv2", cup, cup, 1),
-            ))
-
-        if arch == "mfp-unet":
-            self.pyramid = [
-                add(f"pyramid{stage}.conv", Conv2d(B * (2 ** (LEVELS - stage)), PYRAMID_CHANNELS,
-                                                   3, padding=1, rng=rng, dtype=dtype))
-                for stage in range(1, LEVELS + 1)
-            ]
-            cls_in = LEVELS * PYRAMID_CHANNELS
-        else:
-            self.pyramid = None
-            cls_in = B
-        self.classifier = add("classifier", Conv2d(cls_in, OUT_CHANNELS, 1, rng=rng, dtype=dtype))
+        L = self.layers
+        levels = range(1, LEVELS + 1)
+        self.encoders = [(L[f"enc{lvl}.conv1"], L[f"enc{lvl}.conv2"]) for lvl in levels]
+        self.bottleneck = (L["bottleneck.conv1"], L["bottleneck.conv2"])
+        self.decoders = [(L[f"up{s}.tconv"], L[f"up{s}.conv1"], L[f"up{s}.conv2"])
+                         for s in levels]
+        self.pyramid = [L[f"pyramid{s}.conv"] for s in levels] if arch == "mfp-unet" else None
+        self.classifier = L["classifier"]
 
     # -- forward -------------------------------------------------------
 

@@ -177,3 +177,61 @@ def test_a_dropped_taped_forward_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _copying_accumulate_grad(self, g, owned=False):
+    """``Tensor.accumulate_grad`` as it was before ``owned``: every first
+    contribution copied."""
+    if self.grad is None:
+        self.grad = np.array(g, dtype=self.data.dtype)
+    else:
+        self.grad += g
+
+
+def test_owned_gradients_equal_copied_ones_bit_for_bit(monkeypatch):
+    from lvseg.models import build_mfp_unet
+    from lvseg.training import backprop_batch
+
+    rng = np.random.default_rng(4)
+    inputs = [rng.uniform(0, 1, (2, 32, 32)).astype(np.float32) for _ in range(2)]
+    targets = [(rng.uniform(size=(32, 32)) > 0.6).astype(np.int64) for _ in range(2)]
+
+    def sample_step_grads():
+        model = build_mfp_unet(32, 2, seed=5)
+        loss = backprop_batch(model, inputs, targets)
+        return loss, {name: t.grad for name, t in model.parameters().items()}
+
+    loss, owned = sample_step_grads()
+    monkeypatch.setattr(Tensor, "accumulate_grad", _copying_accumulate_grad)
+    loss_copied, copied = sample_step_grads()
+    assert loss == loss_copied
+    assert owned.keys() == copied.keys()
+    for name in owned:
+        assert owned[name].dtype == copied[name].dtype == np.float32, name
+        assert owned[name].tobytes() == copied[name].tobytes(), name
+
+
+def test_add_parents_never_share_a_grad_array():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    c = Tensor(np.array([0.5, 4.0]), requires_grad=True)
+    # mul hands add an owned gradient, which add then passes to both parents
+    backward(((a + b) * c).sum())
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, c.data) and np.array_equal(b.grad, c.data)
+    a.grad[0] = 99.0
+    assert b.grad[0] == 0.5
+
+
+def test_owned_gradient_is_stored_unless_its_dtype_differs():
+    t = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g = np.ones(3, dtype=np.float32)
+    t.accumulate_grad(g, owned=True)
+    assert t.grad is g
+    u = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    g64 = np.ones(3)
+    u.accumulate_grad(g64, owned=True)
+    assert u.grad is not g64 and u.grad.dtype == np.float32
+    v = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    v.accumulate_grad(g)
+    assert v.grad is not g and not np.shares_memory(v.grad, g)

@@ -114,3 +114,56 @@ def test_non_finite_weight_is_a_format_error(tmp_path, capsys, value):
 
 def test_magic_constant():
     assert MAGIC == b"MFPU"
+
+
+def test_read_draws_no_initialisation(tmp_path, monkeypatch):
+    import lvseg.layers
+
+    model = build_mfp_unet(32, 2, seed=11)
+    path = tmp_path / "ck.bin"
+    checkpoint_write(model, path)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("checkpoint_read drew an initialisation")
+    monkeypatch.setattr(lvseg.layers, "he_uniform", no_draw)
+    loaded = checkpoint_read(path)
+    written = model.parameters()
+    for name, tensor in loaded.parameters().items():
+        assert tensor.data.dtype == np.float32
+        assert tensor.data.tobytes() == written[name].data.tobytes(), name
+
+
+def _absurd_header(width):
+    tag = b"unet"
+    return (MAGIC + struct.pack("<II", 1, len(tag)) + tag
+            + struct.pack("<IIII", 32, width, 1, 46) + bytes(12))
+
+
+def test_header_too_large_for_the_file_is_a_format_error(tmp_path, capsys):
+    import tracemalloc
+
+    path = tmp_path / "huge.bin"
+    path.write_bytes(_absurd_header(65536))
+    assert path.stat().st_size == 44
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=r"huge.bin: truncated.*file has 44"):
+            checkpoint_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert main(["eval", "--checkpoint", str(path), "--data", "synthetic:2",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert "huge.bin" in capsys.readouterr().err
+
+
+def test_header_check_counts_every_byte_a_parameter_takes(tmp_path):
+    model = build_unet(32, 2)
+    path = tmp_path / "ck.bin"
+    checkpoint_write(model, path)
+    raw = path.read_bytes()
+    short = tmp_path / "short.bin"
+    short.write_bytes(raw[:-1])
+    with pytest.raises(FormatError, match=f"expected {len(raw)} bytes, file has {len(raw) - 1}"):
+        checkpoint_read(short)

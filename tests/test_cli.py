@@ -321,8 +321,8 @@ from lvseg.phantom import generate_phantom_set
 from lvseg.training import train_fold
 if KEEP:
     _keep_freed_memory()
-samples = generate_phantom_set(4, 64, 1)
-cfg = RunConfig(n=64, base_width=8, batch_size=4, epochs=2, augment_factor=2, seed=3)
+samples = generate_phantom_set(4, 96, 1)
+cfg = RunConfig(n=96, base_width=8, batch_size=4, epochs=2, augment_factor=2, seed=3)
 train_fold(cfg, samples[:6], samples[6:], 0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 result = train_fold(cfg, samples[:6], samples[6:], 1)
@@ -333,9 +333,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / result.sam
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
 def test_train_keeps_freed_tape_memory_in_the_process():
     # in a child process, since the setting holds for the whole process; at
-    # n=64, since at n=32 glibc's dynamic thresholds already keep the tape
-    # (2-core Xeon, one BLAS thread: without the helper ~21 faults per
-    # sample-step at n=32, ~1,470 at n=64)
+    # n=96, since below it glibc's dynamic thresholds can already keep the
+    # tape (2-core Xeon, one BLAS thread: without the helper ~21 faults per
+    # sample-step at n=32; at n=64 ~1,470 while first gradients were
+    # copied, 0-216 since they are stored as made; ~630 at n=96)
     faults = {}
     for keep in (False, True):
         out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP.replace("KEEP", str(keep))],

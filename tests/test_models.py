@@ -241,3 +241,18 @@ def test_forward_segment_mask_equals_argmax_on_ties_and_nan(dtype):
         mask = forward_segment(_FixedLogits(logits), Tensor(np.zeros((2, 16, 16), dtype)))
         assert mask.dtype == np.uint8
         assert np.array_equal(mask, np.argmax(logits, axis=0))
+
+
+@pytest.mark.parametrize("arch,dilation", [("unet", 1), ("dilated-unet", 2), ("mfp-unet", 2)])
+def test_undrawn_model_matches_seeded_layout(arch, dilation):
+    from lvseg.models import parameter_shapes
+
+    seeded = Model(arch, 32, 4, dilation, seed=3).parameters()
+    undrawn = Model(arch, 32, 4, dilation, seed=None).parameters()
+    assert list(undrawn) == list(seeded)
+    for name, tensor in undrawn.items():
+        assert tensor.data.shape == seeded[name].data.shape, name
+        assert tensor.data.dtype == seeded[name].data.dtype == np.float32, name
+        assert not tensor.data.any() and tensor.requires_grad, name
+    assert parameter_shapes(arch, 32, 4, dilation) == {
+        name: t.data.shape for name, t in seeded.items()}
