@@ -68,6 +68,14 @@ class _Reader:
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def text(self, what: str) -> str:
+        """A length-prefixed UTF-8 string."""
+        raw = self.take(self.u32(f"{what} length"), what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: {what} is not UTF-8: {raw[:32]!r}") from None
+
 
 def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
     """Rebuild the model recorded in ``path`` and load its parameters.
@@ -84,7 +92,7 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
     version = r.u32("version")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version} (want {VERSION})")
-    tag = r.take(r.u32("tag length"), "architecture tag").decode("utf-8")
+    tag = r.text("architecture tag")
     if expect_arch is not None and tag != expect_arch:
         raise FormatError(
             f"{path}: architecture tag mismatch: checkpoint holds {tag!r}, expected {expect_arch!r}")
@@ -110,7 +118,7 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
 
     model = Model(tag, n, base_width, dilation, dtype=np.float32, seed=None)
     for expected_name, tensor in model.parameters().items():
-        name = r.take(r.u32("name length"), "parameter name").decode("utf-8")
+        name = r.text("parameter name")
         if name != expected_name:
             raise FormatError(
                 f"{path}: parameter order mismatch: found {name!r}, expected {expected_name!r}")

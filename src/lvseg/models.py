@@ -100,8 +100,8 @@ class Model:
     in construction order, which is also the parameter order.
 
     ``seed`` draws the He-uniform initial weights. ``seed=None`` draws
-    nothing: every parameter is zero-filled (lazily paged for large ones),
-    for a caller that overwrites them all, as ``checkpoint_read`` does."""
+    nothing: every parameter is zero-filled, for a caller that overwrites
+    them all, as ``checkpoint_read`` does."""
 
     def __init__(self, arch: str, n: int, base_width: int, dilation: int,
                  dtype=np.float32, seed: int | None = 0):

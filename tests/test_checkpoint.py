@@ -133,17 +133,13 @@ def test_read_draws_no_initialisation(tmp_path, monkeypatch):
         assert tensor.data.tobytes() == written[name].data.tobytes(), name
 
 
-def _absurd_header(width):
-    tag = b"unet"
-    return (MAGIC + struct.pack("<II", 1, len(tag)) + tag
-            + struct.pack("<IIII", 32, width, 1, 46) + bytes(12))
-
-
 def test_header_too_large_for_the_file_is_a_format_error(tmp_path, capsys):
     import tracemalloc
 
+    # unet, n 32, base width 65536, dilation 1, 46 parameters: 118 TiB of float32 weights
     path = tmp_path / "huge.bin"
-    path.write_bytes(_absurd_header(65536))
+    path.write_bytes(MAGIC + struct.pack("<II", 1, 4) + b"unet"
+                     + struct.pack("<IIII", 32, 65536, 1, 46) + bytes(12))
     assert path.stat().st_size == 44
     tracemalloc.start()
     try:
@@ -167,3 +163,21 @@ def test_header_check_counts_every_byte_a_parameter_takes(tmp_path):
     short.write_bytes(raw[:-1])
     with pytest.raises(FormatError, match=f"expected {len(raw)} bytes, file has {len(raw) - 1}"):
         checkpoint_read(short)
+
+
+@pytest.mark.parametrize("field", ["tag", "name"])
+def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, field):
+    model = build_unet(32, 2)
+    path = tmp_path / "ck.bin"
+    checkpoint_write(model, path)
+    raw = bytearray(path.read_bytes())
+    at = 12 if field == "tag" else raw.index(b"enc1.conv1.weight")
+    raw[at] = 0xFF
+    bad = tmp_path / f"bad_{field}.bin"
+    bad.write_bytes(bytes(raw))
+    what = "architecture tag" if field == "tag" else "parameter name"
+    with pytest.raises(FormatError, match=f"bad_{field}.bin: {what} is not UTF-8"):
+        checkpoint_read(bad)
+    assert main(["eval", "--checkpoint", str(bad), "--data", "synthetic:2",
+                 "--out", str(tmp_path / "x")]) == 3
+    assert f"bad_{field}.bin" in capsys.readouterr().err
