@@ -56,7 +56,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_measure = sub.add_parser("measure", help="geometric measurements from masks")
     p_measure.add_argument("--data", required=True)
-    p_measure.add_argument("--n", type=int, default=64)
+    p_measure.add_argument("--n", type=int, default=64,
+                           help="square extent that masks of another size are resampled "
+                                "to (nearest neighbour; calibration scaled to match)")
     p_measure.add_argument("--seed", type=int, default=0)
     p_measure.add_argument("--out", required=True, help="output directory")
 
@@ -139,7 +141,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_measure(args) -> None:
-    samples = resolve_data(args.data, args.n, args.seed)
+    samples = resolve_data(args.data, args.n, args.seed, images=False)
     rows = measure_samples(samples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

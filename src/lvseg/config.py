@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,6 +46,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_spec(self.arch, self.n, self.base_width, self.model_dilation)
+        # json reads NaN and Infinity, which pass the sign checks below
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ContractViolation(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = ("learning_rate", "momentum", "batch_size", "augment_factor",
                     "elastic_sigma", "folds")
         for name in positive:

@@ -29,9 +29,13 @@ class ImageSample:
     pass, which accepts and rejects the masks that
     ``np.isin(np.unique(mask), (0, 1))`` does (-0.0 and True count as 0
     and 1, NaN as neither). ``np.unique`` sorts the whole mask, so it runs
-    only to list the offending values in the error."""
+    only to list the offending values in the error.
 
-    image: np.ndarray           # (H, W) uint8
+    ``image`` is ``None`` only for a sample read to be measured, which
+    ``training.resize_sample(..., images=False)`` resampled without it;
+    every sample read from disk or synthesized has its image."""
+
+    image: np.ndarray | None    # (H, W) uint8
     mask: np.ndarray            # (H, W) {0, 1}
     calibration: float          # mm per pixel
     phase: str = "other"
@@ -39,11 +43,12 @@ class ImageSample:
     sample_id: str = ""
 
     def __post_init__(self):
-        self.image = np.asarray(self.image)
         self.mask = np.asarray(self.mask)
-        if self.image.shape != self.mask.shape:
-            raise ContractViolation(
-                f"image {self.image.shape} and mask {self.mask.shape} shapes differ")
+        if self.image is not None:
+            self.image = np.asarray(self.image)
+            if self.image.shape != self.mask.shape:
+                raise ContractViolation(
+                    f"image {self.image.shape} and mask {self.mask.shape} shapes differ")
         if not ((self.mask == 0) | (self.mask == 1)).all():
             vals = np.unique(self.mask)
             raise ContractViolation(f"mask must be binary, found values {vals[:8]}")

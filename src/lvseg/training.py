@@ -54,9 +54,14 @@ from .report import MeasurementRow, MetricsRow
 SYNTH_PREFIX = "synthetic:"
 
 
-def resolve_data(data_dir: str, n: int, seed: int) -> list[ImageSample]:
+def resolve_data(data_dir: str, n: int, seed: int, images: bool = True) -> list[ImageSample]:
     """Load a dataset directory, or synthesize one for the sentinel
-    ``synthetic:<count>``. Samples are resized to n x n if needed."""
+    ``synthetic:<count>``. Samples are resized to n x n if needed.
+
+    With ``images=False`` a loaded sample that needs resizing keeps only
+    its mask (``image`` is ``None``): ``measure`` reads nothing else, and
+    the bilinear image zoom costs several times the mask's. Every image is
+    still read and checked against its mask by ``load_dataset``."""
     if n < 1:
         raise ContractViolation(f"image extent n must be >= 1, got {n}")
     if data_dir.startswith(SYNTH_PREFIX):
@@ -69,18 +74,28 @@ def resolve_data(data_dir: str, n: int, seed: int) -> list[ImageSample]:
         if count < 1:
             raise ContractViolation(f"synthetic sample count must be >= 1, got {count}")
         return generate_phantom_set(count, n, seed)
-    return [resize_sample(s, n) for s in load_dataset(data_dir)]
+    return [resize_sample(s, n, images) for s in load_dataset(data_dir)]
 
 
-def resize_sample(sample: ImageSample, n: int) -> ImageSample:
-    """Resize to n x n: bilinear for the image, nearest for the mask."""
-    h, w = sample.image.shape
+def resize_sample(sample: ImageSample, n: int, images: bool = True) -> ImageSample:
+    """Resize to n x n: bilinear for the image, nearest for the mask, and
+    the calibration scaled by h / n. A sample already n x n is returned
+    as it is. ``images=False`` skips the image zoom and leaves ``image``
+    ``None``, for callers that read only the mask.
+
+    Both zooms extend the input by its edge values (``mode="nearest"``):
+    where rounding puts the last output coordinate just past the input's
+    edge (240 -> 160 among others), scipy's default ``mode="constant"``
+    returned 0 for the whole last row or column."""
+    h, w = sample.mask.shape
     if (h, w) == (n, n):
         return sample
     zoom = (n / h, n / w)
-    image = np.clip(np.rint(ndimage.zoom(sample.image.astype(np.float64), zoom, order=1)),
-                    0, 255).astype(np.uint8)
-    mask = ndimage.zoom(sample.mask, zoom, order=0)
+    image = None
+    if images:
+        image = np.clip(np.rint(ndimage.zoom(sample.image.astype(np.float64), zoom, order=1,
+                                             mode="nearest")), 0, 255).astype(np.uint8)
+    mask = ndimage.zoom(sample.mask, zoom, order=0, mode="nearest")
     # calibration scales inversely with the resampling factor
     calibration = sample.calibration * h / n
     return ImageSample(image=image, mask=mask, calibration=calibration,

@@ -298,6 +298,17 @@ def test_train_config_fields_must_have_their_type(tmp_path, capsys, field, value
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("field", ["learning_rate", "momentum", "weight_decay", "lr_decay",
+                                   "elastic_alpha", "elastic_sigma"])
+def test_train_config_floats_must_be_finite(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"{field}": {value}, "out_dir": {json.dumps(str(tmp_path / "run"))}}}')
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_prints_its_sample_steps_and_peak_rss(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"arch": "unet", "n": 32, "base_width": 2, "batch_size": 2,

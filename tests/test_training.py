@@ -4,15 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import lvseg.training as training
 from lvseg.autograd import Tensor, backward
 from lvseg.checkpoint import checkpoint_read
+from lvseg.cli import main
 from lvseg.config import RunConfig
-from lvseg.dataset import load_dataset
+from lvseg.dataset import ImageSample, load_dataset, save_dataset
 from lvseg.errors import ContractViolation, TrainingDiverged
 from lvseg.layers import SGD, softmax_cross_entropy
 from lvseg.models import Model
-from lvseg.phantom import generate_phantom_set
+from lvseg.phantom import ellipse_mask, generate_phantom_set
 from lvseg.preprocess import compose_input
 from lvseg.report import (MeasurementRow, MetricsRow, read_measurements_csv,
                           read_metrics_csv, write_measurements_csv, write_metrics_csv)
@@ -79,6 +82,84 @@ def test_resize_sample_halves_and_scales_calibration():
     assert small.image.shape == (32, 32)
     assert small.calibration == pytest.approx(s.calibration * 2)
     assert set(np.unique(small.mask)) <= {0, 1}
+
+
+def _mixed_size_dataset(directory):
+    """One subject with 256 x 256 frames and one with 240 x 320 frames,
+    each mask a bullet that keeps clear of the frame edge."""
+    rng = np.random.default_rng(7)
+    samples = []
+    for subject, (h, w) in (("square", (256, 256)), ("wide", (240, 320))):
+        for phase, scale in (("ED", 1.0), ("ES", 0.75)):
+            mask = ellipse_mask((h, w), (w / 2, h / 2), (0.3 * h * scale, 0.15 * h * scale),
+                                0.05, 0.2)
+            image = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+            samples.append(ImageSample(image, mask, 0.3, phase, subject))
+    save_dataset(samples, directory)
+    return str(directory)
+
+
+@pytest.mark.parametrize("data,n", [("mixed", 64), ("mixed", 160), ("mixed", 256),
+                                    ("synthetic:2", 64)])
+def test_resolve_data_without_images_resamples_the_same_masks(tmp_path, data, n):
+    if data == "mixed":
+        data = _mixed_size_dataset(tmp_path / "data")
+        off_size = [s.mask.shape != (n, n) for s in load_dataset(data)]
+    else:
+        off_size = [False] * 4
+    full = resolve_data(data, n, seed=3)
+    masks_only = resolve_data(data, n, seed=3, images=False)
+    assert ([(s.sample_id, s.phase, s.subject, s.calibration) for s in masks_only]
+            == [(s.sample_id, s.phase, s.subject, s.calibration) for s in full])
+    for a, b in zip(masks_only, full):
+        assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
+    assert [s.image is None for s in masks_only] == off_size
+
+
+def test_measure_zooms_no_image(tmp_path, monkeypatch):
+    data = _mixed_size_dataset(tmp_path / "data")
+    zoom, orders = ndimage.zoom, []
+
+    def counting_zoom(input, factors, *args, order=3, **kwargs):
+        orders.append(order)
+        return zoom(input, factors, *args, order=order, **kwargs)
+    monkeypatch.setattr(training.ndimage, "zoom", counting_zoom)
+    assert main(["measure", "--data", data, "--n", "160", "--out", str(tmp_path / "m")]) == 0
+    assert orders == [0, 0, 0, 0]
+    orders.clear()
+    resolve_data(data, 160, seed=0)   # control: training and eval still zoom every image
+    assert sorted(orders) == [0, 0, 0, 0, 1, 1, 1, 1]
+
+
+def _constant_mode_resize(image, mask, n):
+    """``resize_sample``'s zooms as they were, with scipy's default
+    ``mode="constant"``."""
+    zoom = (n / image.shape[0], n / image.shape[1])
+    image = np.clip(np.rint(ndimage.zoom(image.astype(np.float64), zoom, order=1)),
+                    0, 255).astype(np.uint8)
+    return image, ndimage.zoom(mask, zoom, order=0)
+
+
+@pytest.mark.parametrize("shape,n", [((240, 320), 160), ((64, 64), 160), ((16, 16), 160),
+                                     ((8, 15), 42), ((250, 200), 160)])
+def test_resize_sample_keeps_a_constant_frame_constant(shape, n):
+    image, mask = np.full(shape, 77, dtype=np.uint8), np.ones(shape, dtype=np.uint8)
+    old_image, old_mask = _constant_mode_resize(image, mask, n)
+    assert (old_image == 0).any() and (old_mask == 0).any()   # the zeroed last row or column
+    small = resize_sample(ImageSample(image, mask, 0.3), n)
+    assert small.image.shape == small.mask.shape == (n, n)
+    assert (small.image == 77).all() and small.mask.all()
+
+
+@pytest.mark.parametrize("shape,n", [((240, 320), 256), ((240, 320), 128), ((256, 256), 64),
+                                     ((64, 64), 32), ((100, 37), 96)])
+def test_resize_sample_equals_the_constant_mode_zoom_where_it_stays_inside(shape, n):
+    rng = np.random.default_rng(n)
+    image = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    mask = (rng.random(shape) < 0.5).astype(np.uint8)
+    old_image, old_mask = _constant_mode_resize(image, mask, n)
+    small = resize_sample(ImageSample(image, mask, 0.3), n)
+    assert np.array_equal(small.image, old_image) and np.array_equal(small.mask, old_mask)
 
 
 # -- training ---------------------------------------------------------------------
