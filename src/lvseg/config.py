@@ -48,8 +48,9 @@ class RunConfig:
         check_spec(self.arch, self.n, self.base_width, self.model_dilation)
         # json reads NaN and Infinity, which pass the sign checks below
         for f in dataclasses.fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ContractViolation(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ContractViolation(f"{f.name} must be finite, got {value}")
         positive = ("learning_rate", "momentum", "batch_size", "augment_factor",
                     "elastic_sigma", "folds")
         for name in positive:

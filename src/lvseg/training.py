@@ -86,7 +86,7 @@ def resize_sample(sample: ImageSample, n: int, images: bool = True) -> ImageSamp
     Both zooms extend the input by its edge values (``mode="nearest"``):
     where rounding puts the last output coordinate just past the input's
     edge (240 -> 160 among others), scipy's default ``mode="constant"``
-    returned 0 for the whole last row or column."""
+    gives 0 for the whole last row or column."""
     h, w = sample.mask.shape
     if (h, w) == (n, n):
         return sample
