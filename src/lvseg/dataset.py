@@ -8,7 +8,6 @@ works; masks use pixel values {0, 255}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,10 @@ import numpy as np
 
 from .errors import ContractViolation, FormatError
 from .pgm import pgm_read, pgm_write
+from .report import csv_rows, write_csv
 
 PHASES = ("ED", "ES", "other")
+META_HEADER = ["id", "subject", "phase", "calibration_mm_per_px"]
 
 
 @dataclass
@@ -110,14 +111,11 @@ def save_dataset(samples: list[ImageSample], directory: str | Path) -> None:
     directory = Path(directory)
     (directory / "images").mkdir(parents=True, exist_ok=True)
     (directory / "masks").mkdir(parents=True, exist_ok=True)
-    with open(directory / "meta.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "subject", "phase", "calibration_mm_per_px"])
-        for s in samples:
-            pgm_write(directory / "images" / f"{s.sample_id}.pgm", s.image)
-            pgm_write(directory / "masks" / f"{s.sample_id}.pgm",
-                      (s.mask * 255).astype(np.uint8))
-            writer.writerow([s.sample_id, s.subject, s.phase, repr(s.calibration)])
+    for s in samples:
+        pgm_write(directory / "images" / f"{s.sample_id}.pgm", s.image)
+        pgm_write(directory / "masks" / f"{s.sample_id}.pgm", (s.mask * 255).astype(np.uint8))
+    write_csv(directory / "meta.csv", META_HEADER,
+              ([s.sample_id, s.subject, s.phase, repr(s.calibration)] for s in samples))
 
 
 def load_dataset(directory: str | Path) -> list[ImageSample]:
@@ -127,38 +125,25 @@ def load_dataset(directory: str | Path) -> list[ImageSample]:
         raise FormatError(f"{meta}: dataset index not found")
     samples = []
     first_line: dict[str, int] = {}
-    with open(meta, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = ("id", "subject", "phase", "calibration_mm_per_px")
-        if reader.fieldnames is None or not set(required).issubset(reader.fieldnames):
-            raise FormatError(f"{meta}: header must contain {sorted(required)}")
-        for row in reader:
-            line = reader.line_num
-            missing = [name for name in required if row[name] is None]
-            if missing:
-                raise FormatError(f"{meta}: line {line}: row ends before field {missing[0]}")
-            if None in row:  # csv's key for the cells past the header's last field
-                raise FormatError(f"{meta}: line {line}: {len(row[None])} field(s) past "
-                                  f"the header's last, {reader.fieldnames[-1]}")
-            sid = row["id"]
-            if sid in first_line:
-                raise FormatError(f"{meta}: line {line}: field id: duplicate sample id "
-                                  f"{sid!r} (first on line {first_line[sid]})")
-            first_line[sid] = line
-            try:
-                calibration = float(row["calibration_mm_per_px"])
-            except ValueError:
-                raise FormatError(f"{meta}: line {line}: field calibration_mm_per_px: "
-                                  f"not a number: {row['calibration_mm_per_px']!r}") from None
-            image = pgm_read(directory / "images" / f"{sid}.pgm")
-            mask_img = pgm_read(directory / "masks" / f"{sid}.pgm")
-            mask = (mask_img > 127).astype(np.uint8)
-            try:
-                samples.append(ImageSample(
-                    image=image, mask=mask, calibration=calibration,
-                    phase=row["phase"], subject=row["subject"], sample_id=sid))
-            except ContractViolation as exc:
-                raise ContractViolation(f"{meta}: line {line}: sample {sid!r}: {exc}") from None
+    for line, row in csv_rows(meta, META_HEADER):
+        sid = row["id"]
+        if sid in first_line:
+            raise FormatError(f"{meta}: line {line}: field id: duplicate sample id "
+                              f"{sid!r} (first on line {first_line[sid]})")
+        first_line[sid] = line
+        try:
+            calibration = float(row["calibration_mm_per_px"])
+        except ValueError:
+            raise FormatError(f"{meta}: line {line}: field calibration_mm_per_px: "
+                              f"not a number: {row['calibration_mm_per_px']!r}") from None
+        image = pgm_read(directory / "images" / f"{sid}.pgm")
+        mask = (pgm_read(directory / "masks" / f"{sid}.pgm") > 127).astype(np.uint8)
+        try:
+            samples.append(ImageSample(
+                image=image, mask=mask, calibration=calibration,
+                phase=row["phase"], subject=row["subject"], sample_id=sid))
+        except ContractViolation as exc:
+            raise ContractViolation(f"{meta}: line {line}: sample {sid!r}: {exc}") from None
     if not samples:
         raise FormatError(f"{meta}: line 1: no sample rows follow the header")
     return samples

@@ -347,20 +347,7 @@ def upsample_nearest(x: Tensor, factor: int) -> Tensor:
 
     def backward(g):
         c, h, w = x.shape
-        if 1 < factor < 8 and w > 1:
-            # strided adds in the order numpy's block sum takes below: the
-            # column offsets of each row offset, then the row sums. From 8
-            # terms on numpy sums pairwise, and at w == 1 it merges both
-            # block axes into one run, so those stay on the reshape sum.
-            gx = None
-            for a in range(factor):
-                row = g[:, a::factor, 0::factor]
-                for b in range(1, factor):
-                    row = row + g[:, a::factor, b::factor]
-                gx = row if gx is None else gx + row
-        else:
-            gx = g.reshape(c, h, factor, w, factor).sum(axis=(2, 4))
-        x.accumulate_grad(gx, owned=True)
+        x.accumulate_grad(g.reshape(c, h, factor, w, factor).sum(axis=(2, 4)), owned=True)
 
     return _result(data, (x,), backward, "upsample_nearest")
 

@@ -1,7 +1,8 @@
 """Segmentation agreement metrics: overlap scores on masks (Dice,
 Jaccard) and contour distances (Hausdorff, mean absolute distance).
 
-Distances are in pixels unless a calibration (mm per pixel) is supplied.
+Distances are in pixels unless a calibration (mm per pixel) is supplied;
+nearest-point distances come from ``scipy.spatial.distance.cdist``.
 When both masks are empty the overlap scores are defined as 1: trivially
 perfect agreement, which keeps aggregation over background-only crops
 well defined.
@@ -10,6 +11,7 @@ well defined.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import ContractViolation
 
@@ -47,23 +49,14 @@ def _point_set(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _min_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each point of a, the squared distance to its nearest point of b."""
-    dx = a[:, 0][:, None] - b[:, 0][None, :]
-    dy = a[:, 1][:, None] - b[:, 1][None, :]
-    return (dx * dx + dy * dy).min(axis=1)
-
-
 def hausdorff(a: np.ndarray, b: np.ndarray, calibration: float | None = None) -> float:
     """Symmetric worst-case nearest-point distance between two contours."""
-    a, b = _point_set(a), _point_set(b)
-    d = np.sqrt(max(_min_sq_dists(a, b).max(), _min_sq_dists(b, a).max()))
-    return float(d) * (calibration if calibration else 1.0)
+    d = cdist(_point_set(a), _point_set(b))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max())) * (calibration or 1.0)
 
 
 def mad(a: np.ndarray, b: np.ndarray, calibration: float | None = None) -> float:
     """Mean distance from each point of the automatic contour ``a`` to the
     reference contour ``b`` (asymmetric by definition)."""
-    a, b = _point_set(a), _point_set(b)
-    d = float(np.mean(np.sqrt(_min_sq_dists(a, b))))
-    return d * (calibration if calibration else 1.0)
+    d = cdist(_point_set(a), _point_set(b))
+    return float(np.mean(d.min(axis=1))) * (calibration or 1.0)

@@ -213,15 +213,20 @@ def build_mfp_unet(n: int, base_width: int, dilation: int = 2,
 
 
 def forward_segment(model: Model, image_2ch: Tensor | np.ndarray) -> np.ndarray:
-    """Binary N x N mask: per-pixel argmax over the 2 logit channels,
-    channel 1 being foreground. The forward pass runs under ``no_grad``,
-    so it records no tape and each activation is freed once consumed.
-
-    The argmax of two channels is 1 where l1 > l0 or where l1 alone is NaN
-    (argmax picks the first NaN), which is where l0 >= l1 fails and l0 is
-    not NaN: one compare instead of a reduction over an axis of 2."""
+    """Binary N x N mask of the model's logits (``logits_mask``). The
+    forward pass runs under ``no_grad``, so it records no tape and each
+    activation is freed once consumed."""
     if not isinstance(image_2ch, Tensor):
         image_2ch = Tensor(np.asarray(image_2ch, dtype=model.dtype))
     with no_grad():
-        l0, l1 = model.forward(image_2ch).data
+        return logits_mask(model.forward(image_2ch).data)
+
+
+def logits_mask(logits: np.ndarray) -> np.ndarray:
+    """Per-pixel argmax over the 2 logit channels, channel 1 being
+    foreground. The argmax of two channels is 1 where l1 > l0 or where l1
+    alone is NaN (argmax picks the first NaN), which is where l0 >= l1
+    fails and l0 is not NaN: one compare instead of a reduction over an
+    axis of 2."""
+    l0, l1 = logits
     return (~(l0 >= l1) & ~np.isnan(l0)).astype(np.uint8)

@@ -10,14 +10,16 @@ Two row schemas flow through the harness:
 
 All CSVs are UTF-8, comma-separated, with a mandatory header row and '.'
 as the decimal separator; floats are written with full precision so that
-write -> read round-trips exactly.
+write -> read round-trips exactly. ``csv_rows`` and ``write_csv`` read and
+write every CSV of the toolkit, the dataset's meta.csv and the training
+log.csv included.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,23 +58,39 @@ def _fmt(x: float) -> str:
     return "" if math.isnan(x) else repr(float(x))
 
 
-def _csv_rows(path: str | Path, kind: str, header: list[str]):
-    """(line, row) for each data row of a CSV with exactly this header; a
-    row shorter or longer than the header raises FormatError naming the
-    file and the line."""
+def csv_rows(path: str | Path, header: list[str], kind: str | None = None):
+    """(line, row) for each data row of the CSV at ``path``. Its header must
+    be exactly ``header`` with a ``kind`` to name in the error, or hold at
+    least those fields without one. A row shorter than ``header`` or longer
+    than the file's own header raises FormatError naming the file and the
+    line; bytes that are not UTF-8 raise it naming the file."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != header:
-            raise FormatError(f"{path}: {kind} header must be {header}, got {reader.fieldnames}")
-        for row in reader:
-            line = reader.line_num
-            missing = [name for name in header if row[name] is None]
-            if missing:
-                raise FormatError(f"{path}: line {line}: row ends before field {missing[0]}")
-            if None in row:  # csv's key for the cells past the header's last field
-                raise FormatError(f"{path}: line {line}: {len(row[None])} field(s) past "
-                                  f"the header's last, {header[-1]}")
-            yield line, row
+        try:
+            found = reader.fieldnames
+            if kind is not None and found != header:
+                raise FormatError(f"{path}: {kind} header must be {header}, got {found}")
+            if kind is None and (found is None or not set(header).issubset(found)):
+                raise FormatError(f"{path}: header must contain {sorted(header)}")
+            for row in reader:
+                line = reader.line_num
+                missing = [name for name in header if row[name] is None]
+                if missing:
+                    raise FormatError(f"{path}: line {line}: row ends before field {missing[0]}")
+                if None in row:  # csv's key for the cells past the header's last field
+                    raise FormatError(f"{path}: line {line}: {len(row[None])} field(s) past "
+                                      f"the header's last, {found[-1]}")
+                yield line, row
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """The header, then each row (a sequence of cells), as a UTF-8 CSV."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _numbers(path: str | Path, line: int, row: dict, names: list[str]) -> list[float]:
@@ -89,32 +107,26 @@ def _numbers(path: str | Path, line: int, row: dict, names: list[str]) -> list[f
 
 
 def write_metrics_csv(rows: list[MetricsRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(METRICS_HEADER)
-        for r in rows:
-            w.writerow([r.sample_id, r.phase, _fmt(r.dice), _fmt(r.jaccard),
-                        _fmt(r.hd_mm), _fmt(r.mad_mm)])
+    write_csv(path, METRICS_HEADER,
+              ([r.sample_id, r.phase, _fmt(r.dice), _fmt(r.jaccard), _fmt(r.hd_mm),
+                _fmt(r.mad_mm)] for r in rows))
 
 
 def read_metrics_csv(path: str | Path) -> list[MetricsRow]:
     return [MetricsRow(row["id"], row["phase"], *_numbers(path, line, row, METRICS_HEADER[2:]))
-            for line, row in _csv_rows(path, "metrics", METRICS_HEADER)]
+            for line, row in csv_rows(path, METRICS_HEADER, "metrics")]
 
 
 def write_measurements_csv(rows: list[MeasurementRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(MEASUREMENT_HEADER)
-        for r in rows:
-            w.writerow([r.sample_id, r.phase, _fmt(r.d_cm), _fmt(r.s_cm2),
-                        _fmt(r.v_ml), _fmt(r.ef_pct), r.flag])
+    write_csv(path, MEASUREMENT_HEADER,
+              ([r.sample_id, r.phase, _fmt(r.d_cm), _fmt(r.s_cm2), _fmt(r.v_ml),
+                _fmt(r.ef_pct), r.flag] for r in rows))
 
 
 def read_measurements_csv(path: str | Path) -> list[MeasurementRow]:
     return [MeasurementRow(row["id"], row["phase"],
                            *_numbers(path, line, row, MEASUREMENT_HEADER[2:6]), row["flag"])
-            for line, row in _csv_rows(path, "measurement", MEASUREMENT_HEADER)]
+            for line, row in csv_rows(path, MEASUREMENT_HEADER, "measurement")]
 
 
 # -- agreement analysis --------------------------------------------------
@@ -223,22 +235,15 @@ def write_agreement_report(reports: list[AgreementReport], directory: str | Path
                            anova_tables: dict[str, AnovaTable] | None = None) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "agreement.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["parameter", "n", "slope", "intercept", "r", "bias",
-                    "loa_low", "loa_high", "rpc", "cv_pct", "paired_t_p_approx"])
-        for r in reports:
-            w.writerow([r.parameter, r.n, _fmt(r.fit.slope), _fmt(r.fit.intercept),
-                        _fmt(r.fit.r), _fmt(r.ba.bias), _fmt(r.ba.loa_low),
-                        _fmt(r.ba.loa_high), _fmt(r.ba.rpc), _fmt(r.ba.cv_pct),
-                        _fmt(r.t_p)])
-    with open(directory / "boxplot.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["parameter", "q1", "median", "q3", "whisker_low", "whisker_high"])
-        for r in reports:
-            b = r.abs_error_box
-            w.writerow([r.parameter, _fmt(b.q1), _fmt(b.median), _fmt(b.q3),
-                        _fmt(b.whisker_low), _fmt(b.whisker_high)])
+    write_csv(directory / "agreement.csv",
+              ["parameter", "n", "slope", "intercept", "r", "bias", "loa_low", "loa_high",
+               "rpc", "cv_pct", "paired_t_p_approx"],
+              ([r.parameter, r.n, _fmt(r.fit.slope), _fmt(r.fit.intercept), _fmt(r.fit.r),
+                _fmt(r.ba.bias), _fmt(r.ba.loa_low), _fmt(r.ba.loa_high), _fmt(r.ba.rpc),
+                _fmt(r.ba.cv_pct), _fmt(r.t_p)] for r in reports))
+    write_csv(directory / "boxplot.csv",
+              ["parameter", "q1", "median", "q3", "whisker_low", "whisker_high"],
+              ([r.parameter, *map(_fmt, astuple(r.abs_error_box))] for r in reports))
     if anova_tables:
         with open(directory / "anova.txt", "w", encoding="utf-8") as fh:
             for param, table in anova_tables.items():

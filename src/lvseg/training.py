@@ -27,7 +27,6 @@ results. The step itself runs outside that scope.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -37,7 +36,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
-from .autograd import Tensor, backward
+from .autograd import Tensor, backward, no_grad
 from .checkpoint import checkpoint_write
 from .config import RunConfig
 from .dataset import FoldAssignment, ImageSample, load_dataset, make_folds, save_dataset
@@ -46,10 +45,10 @@ from .geometry import extract_contour
 from .layers import SGD, fixed_weights, softmax_cross_entropy
 from .measure import ejection_fraction, measure_mask
 from .metrics import dice, hausdorff, jaccard, mad
-from .models import Model, forward_segment
+from .models import Model, forward_segment, logits_mask
 from .phantom import generate_phantom_set
 from .preprocess import compose_input, elastic_deform
-from .report import MeasurementRow, MetricsRow
+from .report import MeasurementRow, MetricsRow, write_csv
 
 SYNTH_PREFIX = "synthetic:"
 
@@ -139,11 +138,18 @@ def augment_samples(samples: list[ImageSample], factor: int, alpha: float,
 
 
 def mean_val_dice(model: Model, samples: list[ImageSample]) -> float:
+    """Mean Dice of the model's masks (``logits_mask``) against the samples'
+    masks, NaN with no samples. A non-finite logit raises TrainingDiverged
+    naming the sample, since a mask drawn from it predicts nothing."""
     if not samples:
         return math.nan
-    with fixed_weights():
-        scores = [dice(forward_segment(model, compose_input(s, dtype=model.dtype)), s.mask)
-                  for s in samples]
+    scores = []
+    with fixed_weights(), no_grad():
+        for s in samples:
+            logits = model.forward(Tensor(compose_input(s, dtype=model.dtype))).data
+            if not np.isfinite(logits).all():
+                raise TrainingDiverged(f"non-finite validation logits on sample {s.sample_id!r}")
+            scores.append(dice(logits_mask(logits), s.mask))
     return float(np.mean(scores))
 
 
@@ -202,7 +208,11 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
                     f"{start // config.batch_size}, lr {opt.learning_rate:.6g})")
             running += value * len(batch)
             opt.step()
-        val = mean_val_dice(model, val_samples)
+        try:
+            val = mean_val_dice(model, val_samples)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"{exc} (fold {fold}, epoch {epoch}, "
+                                   f"lr {opt.learning_rate:.6g})") from None
         log.append(EpochRecord(epoch=epoch, loss=running / len(inputs), val_dice=val,
                                learning_rate=opt.learning_rate))
         if val_samples and (math.isnan(best_dice) or val > best_dice):
@@ -238,12 +248,9 @@ def train(config: RunConfig) -> list[FoldResult]:
         fold_dir = out_dir / f"fold{fold}"
         fold_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_write(result.model, fold_dir / "checkpoint.bin")
-        with open(fold_dir / "log.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "loss", "val_dice", "learning_rate"])
-            for rec in result.log:
-                w.writerow([rec.epoch, repr(rec.loss), repr(rec.val_dice),
-                            repr(rec.learning_rate)])
+        write_csv(fold_dir / "log.csv", ["epoch", "loss", "val_dice", "learning_rate"],
+                  ([rec.epoch, repr(rec.loss), repr(rec.val_dice), repr(rec.learning_rate)]
+                   for rec in result.log))
         audit.append({"fold": fold, "train_subjects": result.train_subjects,
                       "val_subjects": result.val_subjects,
                       "best_val_dice": result.best_val_dice})

@@ -269,6 +269,43 @@ def test_measure_rejects_a_malformed_meta_csv(tmp_path, capsys, edit, message):
     assert not (tmp_path / "m" / "measurements.csv").exists()
 
 
+def test_meta_csv_may_hold_more_columns_but_not_fewer(tmp_path, capsys):
+    data = _synth_with_meta(tmp_path, lambda lines: [line + ",x" for line in lines])
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 0
+    data = _synth_with_meta(tmp_path, lambda lines: [line.rsplit(",", 1)[0] for line in lines])
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m2")]) == 3
+    assert ("meta.csv: header must contain ['calibration_mm_per_px', 'id', 'phase', "
+            "'subject']") in capsys.readouterr().err
+
+
+def test_measurement_csv_header_must_match_exactly(tmp_path, capsys):
+    data = _synth_with_meta(tmp_path, lambda lines: lines)
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 0
+    csv_path = tmp_path / "m" / "measurements.csv"
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join([lines[0] + ",note"] + [line + "," for line in lines[1:]]))
+    capsys.readouterr()
+    assert main(["report", "--auto", str(csv_path), "--manual", str(csv_path),
+                 "--out", str(tmp_path / "r")]) == 3
+    assert ("measurements.csv: measurement header must be ['id', 'phase', 'D_cm', 'S_cm2', "
+            "'V_ml', 'EF_pct', 'flag'], got ['id', 'phase', 'D_cm', 'S_cm2', 'V_ml', "
+            "'EF_pct', 'flag', 'note']") in capsys.readouterr().err
+
+
+def test_csv_bytes_that_are_not_utf8_are_a_format_error(tmp_path, capsys):
+    data = _synth_with_meta(tmp_path, lambda lines: lines)
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 0
+    for path in (data / "meta.csv", tmp_path / "m" / "measurements.csv"):
+        path.write_bytes(path.read_bytes().replace(b"subj001", b"subj\xe91"))
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m2")]) == 3
+    assert "meta.csv: not UTF-8 text" in capsys.readouterr().err
+    auto = str(tmp_path / "m" / "measurements.csv")
+    assert main(["report", "--auto", auto, "--manual", auto, "--out", str(tmp_path / "r")]) == 3
+    assert "measurements.csv: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_load_dataset_names_the_sample_whose_image_and_mask_differ(tmp_path, capsys):
     from lvseg.pgm import pgm_write
 
@@ -307,6 +344,19 @@ def test_train_config_floats_must_be_finite(tmp_path, capsys, field, value):
     assert main(["train", "--config", str(cfg)]) == 2
     assert f"{field} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_whose_weights_blow_up_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arch": "unet", "n": 32, "base_width": 2, "folds": 2,
+                               "epochs": 1, "batch_size": 4, "augment_factor": 2,
+                               "data_dir": "synthetic:2", "learning_rate": 1e30,
+                               "out_dir": str(tmp_path / "run")}))
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg)]) == 2
+    assert ("error: non-finite validation logits on sample 'subj000_ED' "
+            "(fold 0, epoch 0, lr 1e+30)") in capsys.readouterr().err
+    assert not (tmp_path / "run" / "folds.json").exists()
 
 
 def test_train_prints_its_sample_steps_and_peak_rss(tmp_path, capsys):

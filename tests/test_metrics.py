@@ -155,3 +155,17 @@ def test_metrics_match_brute_force_exactly():
         assert jaccard(a, b) == jc_o
         assert hausdorff(a_pts, b_pts) == hd_o
         assert mad(a_pts, b_pts) == md_o
+
+
+def test_sub_pixel_distances_match_brute_force_within_two_ulp():
+    # off the integer grid a squared distance rounds, so the oracle is the
+    # definition itself, each distance a correctly rounded hypot
+    rng = np.random.default_rng(91)
+    for _ in range(30):
+        a = rng.uniform(-40.0, 40.0, size=(int(rng.integers(1, 60)), 2))
+        b = rng.uniform(-40.0, 40.0, size=(int(rng.integers(1, 60)), 2))
+        ab = [min(math.hypot(p[0] - q[0], p[1] - q[1]) for q in b) for p in a]
+        ba = [min(math.hypot(p[0] - q[0], p[1] - q[1]) for q in a) for p in b]
+        hd_o, md_o = max(ab + ba), math.fsum(ab) / len(ab)
+        assert abs(hausdorff(a, b) - hd_o) <= 2 * np.spacing(hd_o)
+        assert abs(mad(a, b) - md_o) <= 2 * np.spacing(md_o)

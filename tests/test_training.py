@@ -229,6 +229,46 @@ def test_divergence_aborts_with_diagnostics(tmp_path):
         train_fold(cfg, samples[:4], samples[4:], fold=0)
 
 
+class _ScaledModel:
+    """A model whose logits are a real model's times ``scale``."""
+
+    def __init__(self, model, scale):
+        self.model, self.scale, self.dtype = model, scale, model.dtype
+
+    def forward(self, x):
+        out = self.model.forward(x)
+        return Tensor(out.data * out.data.dtype.type(self.scale))
+
+
+def test_mean_val_dice_equals_the_mean_dice_of_forward_segment():
+    samples = generate_phantom_set(2, 32, 3)
+    for arch in ("unet", "dilated-unet", "mfp-unet"):
+        model = Model(arch, 32, 2, 1 if arch == "unet" else 2, dtype=np.float32, seed=5)
+        ref = float(np.mean([training.dice(training.forward_segment(
+            model, compose_input(s, dtype=model.dtype)), s.mask) for s in samples]))
+        assert training.mean_val_dice(model, samples) == ref
+
+
+@pytest.mark.parametrize("scale", [np.inf, np.nan])
+def test_non_finite_validation_logits_name_the_sample(scale):
+    samples = generate_phantom_set(2, 32, 3)
+    model = _ScaledModel(Model("unet", 32, 2, 1, dtype=np.float32, seed=5), scale)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match="non-finite validation logits on sample 'subj000_ED'"):
+        training.mean_val_dice(model, samples)
+
+
+def test_a_step_that_blows_up_the_weights_ends_in_training_diverged(tmp_path):
+    # every loss stays finite, but after epoch 0 the weights reach ~1e29
+    # and the validation logits overflow
+    cfg = _tiny_cfg(tmp_path, arch="unet", batch_size=4, augment_factor=2, folds=2,
+                    learning_rate=1e30, data_dir="synthetic:2")
+    samples = resolve_data(cfg.data_dir, cfg.n, cfg.seed)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDiverged, match=r"validation logits .* \(fold 0, epoch 0, lr 1e\+30\)"):
+        train_fold(cfg, samples[:2], samples[2:], fold=0)
+
+
 def test_nan_input_pixel_aborts_training(tmp_path):
     # relu passes NaN on, so one NaN pixel reaches the loss and the
     # finite-loss check; when relu mapped NaN to 0 the fold trained on
