@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Verbs: synth, train, eval, measure, report. Exit code 0 on success, 2 on
-a contract violation, 3 on an I/O or format error.
+a contract violation or a verb that runs out of memory, 3 on an I/O or
+format error.
 """
 
 from __future__ import annotations
@@ -174,6 +175,10 @@ def main(argv: list[str] | None = None) -> int:
         handlers[args.command](args)
     except (ContractViolation, MeasurementError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONTRACT
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_CONTRACT
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
-"""Network layer vocabulary: (dilated) convolution, ReLU, max pooling,
-transposed convolution, nearest upsampling, channel concatenation, the
-MFP classifier head, pixelwise softmax cross-entropy, and SGD with
-momentum.
+"""Network layer vocabulary: (dilated) convolution with an optional fused
+ReLU, ReLU, max pooling, transposed convolution, nearest upsampling,
+channel concatenation, the MFP classifier head, pixelwise softmax
+cross-entropy, and SGD with momentum.
 
 All image tensors are channels-first ``(C, H, W)``. Convolution weights
 are ``(out, in, m, m)`` with square kernels; dilated kernels space their
@@ -166,7 +166,7 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           dilation: int = 1, padding=0) -> Tensor:
+           dilation: int = 1, padding=0, relu: bool = False) -> Tensor:
     """2-D convolution on a (C,H,W) tensor, differentiable in x, weight, bias.
 
     out[o,i,j] = bias[o] + sum_{c,a,b} w[o,c,a,b] * x[c, i*s + a*d - p, j*s + b*d - p]
@@ -188,6 +188,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3):
     g is zero-stuffed (stride - 1 zeros between its entries) and offset by
     eff - 1 - p, eff = d*(m - 1) + 1, the kernel reading zeros off its extent.
+
+    ``relu=True`` is ``relu(conv2d(...))`` in one op, bit for bit: the ReLU
+    runs in place on the output, so no pre-activation copy stays on the
+    tape, and backward masks g by ``out > 0`` before the conv gradients.
     """
     c_in, h, w = x.shape
     o_ch, c_w, m, m2 = weight.shape
@@ -211,8 +215,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                  lambda wd: wd.transpose(2, 0, 3, 1).reshape(m * o_ch, m * c_in))
     out_data, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
                                 ph, pw, h_out, w_out)
+    if relu:
+        np.maximum(out_data, 0, out=out_data)
 
     def backward(g):
+        if relu:
+            g = g * (out_data > 0)
         if weight.requires_grad:
             taps = _column_taps(x.data, m, stride, dilation, pw, w_out).reshape(m * c_in, h, w_out)
             gwt = np.empty((m, m * c_in, o_ch), dtype=g.dtype)
@@ -464,17 +472,19 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
 
 
 class Conv2d:
-    """Convolution layer owning its weight (out,in,m,m) and bias (out,).
+    """Convolution layer owning its weight (out,in,m,m) and bias (out,),
+    with its ReLU fused in when ``relu`` is set.
     ``rng`` draws the He-uniform weight; without one the weight is
     zero-filled, for a caller that sets it (a checkpoint read)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, dilation: int = 1, padding=0,
+                 stride: int = 1, dilation: int = 1, padding=0, relu: bool = False,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.kernel_size = kernel_size
         self.stride = stride
         self.dilation = dilation
         self.padding = padding
+        self.relu = relu
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         if rng is None:
             weight = np.zeros(shape, dtype=dtype)
@@ -484,7 +494,8 @@ class Conv2d:
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
+        return conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding,
+                      self.relu)
 
 
 class TransposedConv2d(Conv2d):

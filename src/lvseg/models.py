@@ -28,7 +28,7 @@ import numpy as np
 
 from .autograd import Tensor, no_grad
 from .errors import ContractViolation
-from .layers import (Conv2d, TransposedConv2d, concat_channels, max_pool2d, mfp_head, relu,
+from .layers import (Conv2d, TransposedConv2d, concat_channels, max_pool2d, mfp_head,
                      upsample_nearest)
 
 ARCH_TAGS = ("unet", "dilated-unet", "mfp-unet")
@@ -57,7 +57,9 @@ def layer_specs(arch: str, base_width: int, dilation: int) -> list[tuple[str, in
     """(name, in channels, out channels, kernel, dilation) of every layer,
     in construction order, which is also the parameter order. A 2x2 kernel
     is a stride-2 transposed conv; the others are convs whose "same"
-    padding keeps extents constant within a level."""
+    padding keeps extents constant within a level. Every 3x3 conv applies
+    its ReLU fused (``Conv2d(relu=True)``); the 1x1 classifier gives
+    logits."""
     B = base_width
     specs = []
     cin = IN_CHANNELS
@@ -118,7 +120,7 @@ class Model:
                 self.layers[name] = TransposedConv2d(cin, cout, rng=rng, dtype=dtype)
             else:
                 self.layers[name] = Conv2d(cin, cout, m, dilation=d, padding=d * (m - 1) // 2,
-                                           rng=rng, dtype=dtype)
+                                           relu=m == 3, rng=rng, dtype=dtype)
 
         L = self.layers
         levels = range(1, LEVELS + 1)
@@ -143,22 +145,22 @@ class Model:
         skips = []
         h = x
         for conv1, conv2 in self.encoders:
-            h = relu(conv2(relu(conv1(h))))
+            h = conv2(conv1(h))
             skips.append(h)
             h = max_pool2d(h)
         conv1, conv2 = self.bottleneck
-        h = relu(conv2(relu(conv1(h))))
+        h = conv2(conv1(h))
 
         ups = []
         for stage, (tconv, conv1, conv2) in enumerate(self.decoders, start=1):
             h = tconv(h)
             h = concat_channels([h, skips[LEVELS - stage]])
-            h = relu(conv2(relu(conv1(h))))
+            h = conv2(conv1(h))
             ups.append(h)
 
         if self.pyramid is None:
             return [ups[-1]]
-        return [relu(conv(up)) for conv, up in zip(self.pyramid[::-1], ups[::-1])]
+        return [conv(up) for conv, up in zip(self.pyramid[::-1], ups[::-1])]
 
     def features(self, x: Tensor) -> Tensor:
         """Pre-classifier feature map: the topmost decoder output for the

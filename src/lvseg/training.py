@@ -12,11 +12,14 @@ Everything is deterministic given (seed, config, data).
 Each sample is backpropagated as soon as its forward ends
 (``backprop_batch``), and backward frees the tape as it consumes it, so
 training memory holds one sample's tape whatever the batch size; the
-gradients are bit-identical to those of one summed-batch loss. The
-``train`` verb has glibc keep that freed memory in the process
-(``cli._keep_freed_memory``), so each sample's tape reuses the pages of
-the one before instead of faulting in fresh ones; the functions here set
-nothing process-wide.
+gradients are bit-identical to those of one summed-batch loss. Each 3x3
+conv applies its ReLU in place (``conv2d(..., relu=True)``), so that tape
+keeps no pre-activation copy of any conv output, and ``train`` drops each
+fold's model once its checkpoint is written, so one fold's model is alive
+at a time. The ``train`` verb has glibc keep the freed memory in the
+process (``cli._keep_freed_memory``), so each sample's tape reuses the
+pages of the one before instead of faulting in fresh ones; the functions
+here set nothing process-wide.
 
 The weights stay fixed from one ``opt.step()`` to the next, so
 ``backprop_batch``, ``mean_val_dice`` and ``evaluate_model`` each run
@@ -113,7 +116,7 @@ class EpochRecord:
 @dataclass
 class FoldResult:
     fold: int
-    model: Model
+    model: Model | None  # None once ``train`` has written its checkpoint
     log: list[EpochRecord]
     best_val_dice: float
     train_subjects: list[str]
@@ -230,7 +233,9 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
 
 def train(config: RunConfig) -> list[FoldResult]:
     """Full cross-validated run; writes per-fold checkpoints, per-fold
-    epoch logs, and a folds.json audit record under the output directory."""
+    epoch logs, and a folds.json audit record under the output directory.
+    Each fold's model is dropped once its checkpoint is written, so the
+    results carry ``model=None`` and one fold's model is alive at a time."""
     if config.folds < 2:
         raise ContractViolation(f"training needs >= 2 folds, got {config.folds}")
     out_dir = Path(config.out_dir)
@@ -254,6 +259,7 @@ def train(config: RunConfig) -> list[FoldResult]:
         audit.append({"fold": fold, "train_subjects": result.train_subjects,
                       "val_subjects": result.val_subjects,
                       "best_val_dice": result.best_val_dice})
+        result.model = None
         results.append(result)
     with open(out_dir / "folds.json", "w") as fh:
         json.dump(audit, fh, indent=2)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lvseg import cli
 from lvseg.checkpoint import checkpoint_write
 from lvseg.cli import main
 from lvseg.models import Model
@@ -198,6 +199,23 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")
     assert main(["train", "--config", str(garbled)]) == 3
+
+
+@pytest.mark.parametrize("work, argv, message", [
+    ("synth", ["synth", "--out", "d"],
+     "Unable to allocate 149. GiB for an array with shape (2, 100000, 100000)"),
+    ("measure_samples", ["measure", "--data", "synthetic:1", "--out", "m"], ""),
+])
+def test_out_of_memory_is_a_named_error(tmp_path, capsys, monkeypatch, work, argv, message):
+    # the verb's work is replaced by a raise, so nothing large is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(cli, work, exhausted)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    expected = f"error: {argv[0]} ran out of memory" + (f": {message}" if message else "")
+    assert capsys.readouterr().err == expected + "\n"
 
 
 def test_non_integer_synthetic_count_is_a_contract_violation(tmp_path, capsys):

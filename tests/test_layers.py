@@ -106,6 +106,47 @@ def test_relu_propagates_nan():
     assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
+def _conv_relu_and_grads(x0, w0, b0, g0, fused, **kw):
+    x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+    out = conv2d(x, w, b, relu=True, **kw) if fused else relu(conv2d(x, w, b, **kw))
+    data = out.data.copy()
+    backward((out * Tensor(g0)).sum())
+    return data, x.grad, w.grad, b.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("nan", [False, True])
+def test_fused_relu_is_bit_identical_to_relu_of_conv(dtype, stride, dilation, nan):
+    rng = np.random.default_rng(10 * stride + dilation)
+    x0 = rng.normal(size=(3, 9, 9)).astype(dtype)
+    if nan:
+        x0[1, 4, 4] = np.nan
+    w0 = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+    b0 = rng.normal(size=4).astype(dtype)
+    kw = dict(stride=stride, dilation=dilation, padding=dilation)
+    g0 = rng.normal(size=conv2d(Tensor(x0), Tensor(w0), Tensor(b0), **kw).shape).astype(dtype)
+    fused = _conv_relu_and_grads(x0, w0, b0, g0, True, **kw)
+    plain = _conv_relu_and_grads(x0, w0, b0, g0, False, **kw)
+    assert (fused[0] == 0).any() and (fused[0] > 0).any()
+    for a, b in zip(fused, plain):
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_fused_relu_gradients_against_finite_differences():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    g = Tensor(rng.normal(size=(3, 6, 6)))
+    for theta in (x, w, b):
+        err = grad_check(lambda: (conv2d(x, w, b, dilation=2, padding=2, relu=True) * g).sum(),
+                         theta)
+        assert err < 1e-6
+
+
 # -- max_pool2d -----------------------------------------------------------
 
 def test_pool_block_max():

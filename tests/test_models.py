@@ -33,6 +33,22 @@ def test_encoder_depth_and_width():
     assert c2.weight.data.shape[0] == 16 * 8
 
 
+def test_mfp_unet_tape_holds_no_separate_relu():
+    # every 3x3 conv applies its ReLU in place, so the tape keeps no
+    # pre-activation copy of a conv output alive through a relu node
+    model = build_mfp_unet(32, 2, dtype=np.float64)
+    out = model.forward(_rand_input(32))
+    ops, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            stack.extend(node.parents)
+    assert "relu" not in ops
+    assert ops.count("conv2d") == 22  # 18 body convs and 4 pyramid convs
+
+
 def test_skip_concat_doubles_decoder_input():
     model = build_unet(64, 8)
     for tconv, conv1, conv2 in model.decoders:

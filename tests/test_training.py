@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -199,6 +200,25 @@ def test_training_deterministic_byte_identical_checkpoints(tmp_path):
         a = (tmp_path / "a" / "run" / f"fold{fold}" / "checkpoint.bin").read_bytes()
         b = (tmp_path / "b" / "run" / f"fold{fold}" / "checkpoint.bin").read_bytes()
         assert a == b
+
+
+def test_train_keeps_one_fold_model_alive_at_a_time(tmp_path, monkeypatch):
+    refs = []
+    fold_train = training.train_fold
+
+    def tracked(config, train_samples, val_samples, fold):
+        gc.collect()
+        alive = [k for k, ref in enumerate(refs) if ref() is not None]
+        assert not alive, f"fold {fold} starts with the models of folds {alive} alive"
+        result = fold_train(config, train_samples, val_samples, fold)
+        refs.append(weakref.ref(result.model))
+        return result
+    monkeypatch.setattr(training, "train_fold", tracked)
+    results = train(_tiny_cfg(tmp_path))
+    assert len(refs) == 3
+    assert all(r.model is None for r in results)
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_training_writes_logs_and_audit(tmp_path):
