@@ -13,7 +13,8 @@ count and file size against the parameter shapes the spec implies
 absurd header is a ``FormatError``, not a failed allocation. It then
 checks every parameter's name and shape in turn, refuses NaN or infinite
 values and trailing bytes, and loads the values into a model built
-without drawing an initialisation (``Model(..., seed=None)``).
+without drawing an initialisation (``Model(..., seed=None)``), copying
+each parameter straight from the file's bytes into the model's array.
 """
 
 from __future__ import annotations
@@ -56,14 +57,18 @@ class _Reader:
         self.pos = 0
         self.path = path
 
-    def take(self, n: int, what: str) -> bytes:
+    def skip(self, n: int, what: str) -> int:
+        """Step over the next n bytes; returns the offset they start at."""
         if self.pos + n > len(self.buf):
             raise FormatError(
                 f"{self.path}: truncated while reading {what}: expected {self.pos + n} "
                 f"bytes, file has {len(self.buf)}")
-        out = self.buf[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.skip(n, what)
+        return self.buf[start:self.pos]
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -83,7 +88,8 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
     Raises ``FormatError`` naming ``path`` for any file that is not a
     checkpoint of a valid model, before allocating the model when the
     header alone gives it away. The model is built undrawn
-    (``seed=None``) and every parameter is then replaced by the file's."""
+    (``seed=None``) and every parameter is then overwritten in place by the
+    file's values."""
     with open(path, "rb") as fh:
         buf = fh.read()
     r = _Reader(buf, str(path))
@@ -128,8 +134,9 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
             raise FormatError(
                 f"{path}: shape mismatch for {name!r}: file has {shape}, model has "
                 f"{tensor.data.shape}")
-        raw = r.take(4 * math.prod(shape), f"values of {name!r}")
-        tensor.data = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
+        size = math.prod(shape)
+        start = r.skip(4 * size, f"values of {name!r}")
+        tensor.data[...] = np.frombuffer(buf, "<f4", size, start).reshape(shape)
         bad = np.count_nonzero(~np.isfinite(tensor.data))
         if bad:
             raise FormatError(f"{path}: parameter {name!r} holds {bad} non-finite value(s)")

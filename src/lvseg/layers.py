@@ -11,10 +11,15 @@ parameters.
 Convolution is column-tap GEMM (``conv2d``): with stride s, dilation d and
 padding p, out = bias + sum_a Y[a, rows i*s + a*d - p], where
 Y = Ws @ Q, Q holds the m column-shifted copies of the input
-(Q[b,c,r,j] = x[c, r, j*s + b*d - p]) and Ws[a,o,b,c] = w[o,c,a,b]. The
-weight gradient is gw[:, :, a] = (Q_a @ g_a^T)^T for each row tap a, and
-the input gradient is the same kernel on g, zero-stuffed by the stride,
-with the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
+(Q[b,c,r,j] = x[c, r, j*s + b*d - p]) and Ws[a,o,b,c] = w[o,c,a,b]. Q and
+Y are built per band of output rows, each at most ``_BAND_BYTES`` (512 KB)
+or one output row, so a full-resolution conv never holds the whole
+image's Q or Y; every band sums its row taps in one order, so the result
+does not depend on the bands. The weight gradient is
+gw[:, :, a] = (Q_a @ g_a^T)^T for each row tap a, over the whole image,
+and the input gradient is the same banded kernel on g, zero-stuffed by
+the stride, with the flipped, transposed kernel
+w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
 
 Per call, a conv lays its weight out as Ws (and, in backward, as the
 flipped kernel) and the transposed conv as its two GEMM matrices. Inside
@@ -45,6 +50,10 @@ import numpy as np
 from .autograd import Tensor, _result
 from .errors import ContractViolation
 
+
+# Bytes that one band of output rows may take of Q, and of Y = Ws @ Q, in
+# ``_correlate`` (a band is never less than one output row)
+_BAND_BYTES = 512 << 10
 
 # (id of a weight array, layout) -> (that array, its kernel matrix) while a
 # ``fixed_weights`` block is open, else None
@@ -144,24 +153,43 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
 
     with x zero off its extent and the kernel given as the (m*O, m*C) matrix
     ws[a*O + o, b*C + c] = w[o,c,a,b]. Returns out and, for each row tap a,
-    the slices (output rows, input rows) it pairs."""
+    the slices (output rows, input rows) it pairs.
+
+    Q and Y = ws @ Q are built per band of output rows, from the input rows
+    x[:, lo:hi] that the band's row taps read, so neither is ever larger
+    than ``_BAND_BYTES`` unless one output row's already is. Every band sums
+    its row taps in the one order chosen for the whole output, so the
+    banding changes no bit of out."""
     c, h, _ = x.shape
     m = ws.shape[1] // c
     o = ws.shape[0] // m
-    y = (ws @ _column_taps(x, m, stride, dilation, left, w_out)).reshape(m, o, h, w_out)
+    eff = dilation * (m - 1) + 1
     rows = [_span(a * dilation - top, stride, h, h_out) for a in range(m)]
     # a row tap that covers every output row starts the sum, which spares a pass over out
     order = sorted(range(m), key=lambda a: rows[a][0] != slice(0, h_out))
-    first = order[0]
-    if rows[first][0] == slice(0, h_out):
-        out = y[first, :, rows[first][1]] + base
-        order = order[1:]
-    else:
-        out = np.empty((o, h_out, w_out), dtype=y.dtype)
-        out[...] = base
-    for a in order:
-        dst, src = rows[a]
-        out[:, dst] += y[a, :, src]
+    full = rows[order[0]][0] == slice(0, h_out)
+    out = np.empty((o, h_out, w_out), dtype=np.result_type(ws, x))
+    row_bytes = m * max(c, o) * w_out * out.itemsize  # of Q or Y per input row
+    band = max(1, (_BAND_BYTES // row_bytes - eff) // stride + 1)
+    for i0 in range(0, h_out, band):
+        i1 = min(i0 + band, h_out)
+        lo, hi = max(0, i0 * stride - top), min(h, (i1 - 1) * stride + eff - top)
+        if not full:
+            out[:, i0:i1] = base
+        if lo >= hi:  # every row the band reads lies off the input
+            continue
+        q = _column_taps(x[:, lo:hi], m, stride, dilation, left, w_out)
+        y = (ws @ q).reshape(m, o, hi - lo, w_out)
+        for k, a in enumerate(order):
+            d0, d1 = max(rows[a][0].start, i0), min(rows[a][0].stop, i1)
+            if d0 >= d1:
+                continue
+            r0 = d0 * stride + a * dilation - top - lo
+            src = y[a, :, r0:r0 + (d1 - d0 - 1) * stride + 1:stride]
+            if k == 0 and full:
+                np.add(src, base, out=out[:, d0:d1])
+            else:
+                out[:, d0:d1] += src
     return out, rows
 
 
@@ -172,18 +200,27 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     out[o,i,j] = bias[o] + sum_{c,a,b} w[o,c,a,b] * x[c, i*s + a*d - p, j*s + b*d - p]
 
     with stride s, dilation d, padding p and x zero off its extent, in three
-    steps (``_correlate``):
+    steps (``_correlate``), taken per band of output rows:
 
-    - the column-tap matrix Q (m*C, H*W_out), Q[b,c,r,j] = x[c, r, j*s + b*d - p]:
-      m shifted copies of the input, where an im2col patch matrix takes m*m;
+    - the column-tap matrix Q (m*C, rows*W_out), Q[b,c,r,j] = x[c, r, j*s + b*d - p]
+      for the input rows r that the band reads: m shifted copies of them,
+      where an im2col patch matrix takes m*m;
     - one GEMM Y = Ws @ Q with Ws[a,o,b,c] = w[o,c,a,b], an (m*O, m*C) matrix;
     - the sum of m row-shifted slices, out[o,i] = sum_a Y[a,o, i*s + a*d - p]
-      over the rows i*s + a*d - p that lie in the input.
+      over the rows i*s + a*d - p that lie in the input, the taps added in
+      the same order in every band.
 
-    Backward is two more GEMM steps. The weight gradient is m GEMMs, one per
-    row tap: its block gw[:, :, a] is (Q_a @ g_a^T)^T, g_a the output
-    gradient's rows that tap a reads inside the input and Q_a those input
-    rows of Q, rebuilt from x (at stride 1 a range of Q's columns). The input
+    A band holds as many output rows as keep its Q and Y within
+    ``_BAND_BYTES``, and at least one. In a 128x128, width-8 MFP-Unet the
+    full-resolution convs run in 4-7 bands, and every conv at 16x16 or
+    coarser in one.
+
+    Backward is two more GEMM steps. The weight gradient is m GEMMs over the
+    whole image, one per row tap: its block gw[:, :, a] is (Q_a @ g_a^T)^T,
+    g_a the output gradient's rows that tap a reads inside the input and Q_a
+    those input rows of Q, rebuilt from x (at stride 1 a range of Q's
+    columns). Banding these would split their sums over pixels and change
+    gw's rounding. The input
     gradient is the same kernel at stride 1 and the same dilation on g with
     the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3):
     g is zero-stuffed (stride - 1 zeros between its entries) and offset by

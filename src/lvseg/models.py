@@ -142,20 +142,26 @@ class Model:
             raise ContractViolation(
                 f"input shape {x.shape} does not match model spec {(IN_CHANNELS, self.n, self.n)}")
 
+        # each activation is rebound as soon as its consumer has run, and each
+        # skip is popped by the concatenation that reads it, so without a
+        # tape an activation is freed once consumed
         skips = []
         h = x
         for conv1, conv2 in self.encoders:
-            h = conv2(conv1(h))
+            h = conv1(h)
+            h = conv2(h)
             skips.append(h)
             h = max_pool2d(h)
         conv1, conv2 = self.bottleneck
-        h = conv2(conv1(h))
+        h = conv1(h)
+        h = conv2(h)
 
         ups = []
-        for stage, (tconv, conv1, conv2) in enumerate(self.decoders, start=1):
+        for tconv, conv1, conv2 in self.decoders:
             h = tconv(h)
-            h = concat_channels([h, skips[LEVELS - stage]])
-            h = conv2(conv1(h))
+            h = concat_channels([h, skips.pop()])
+            h = conv1(h)
+            h = conv2(h)
             ups.append(h)
 
         if self.pyramid is None:

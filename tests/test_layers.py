@@ -777,6 +777,82 @@ def test_conv_gradients_with_q_rebuilt_in_the_backward(m, stride, dilation, padd
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
+def _spy_column_taps(monkeypatch):
+    """Record (input channels, input rows, Q bytes) of every column-tap
+    matrix ``_correlate`` builds."""
+    built = []
+
+    def spy(x, *args):
+        q = _column_taps(x, *args)
+        built.append((x.shape[0], x.shape[1], q.nbytes))
+        return q
+
+    monkeypatch.setattr(layers, "_column_taps", spy)
+    return built
+
+
+def _conv_and_input_grad(x, w, b, g, stride, dilation, padding):
+    xt = Tensor(x, requires_grad=True)
+    out = conv2d(xt, Tensor(w), Tensor(b), stride=stride, dilation=dilation, padding=padding)
+    backward((out * Tensor(g)).sum())
+    return out.data, xt.grad
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+@pytest.mark.parametrize("asymmetric", [(0, 1), (2, 0), (3, 1)])  # padding beyond 'same'
+@pytest.mark.parametrize("band_rows", [1, 2, 3])
+def test_row_bands_are_bit_identical_to_one_band(monkeypatch, dtype, m, stride, dilation,
+                                                 asymmetric, band_rows):
+    eff = dilation * (m - 1) + 1
+    ph, pw = ((eff - 1) // 2 + extra for extra in asymmetric)
+    c, o, h, w = 3, 4, 13, 9
+    h_out = (h + 2 * ph - eff) // stride + 1
+    w_out = (w + 2 * pw - eff) // stride + 1
+    rng = np.random.default_rng([m, stride, dilation, ph, pw])
+    x = rng.normal(size=(c, h, w)).astype(dtype)
+    wt = rng.normal(size=(o, c, m, m)).astype(dtype)
+    b = rng.normal(size=o).astype(dtype)
+    g = rng.normal(size=(o, h_out, w_out)).astype(dtype)
+    whole = _conv_and_input_grad(x, wt, b, g, stride, dilation, (ph, pw))
+    # forward bands of band_rows output rows
+    row_bytes = m * max(c, o) * w_out * np.dtype(dtype).itemsize
+    monkeypatch.setattr(layers, "_BAND_BYTES", row_bytes * (eff + (band_rows - 1) * stride))
+    built = _spy_column_taps(monkeypatch)
+    banded = _conv_and_input_grad(x, wt, b, g, stride, dilation, (ph, pw))
+    # a band whose rows all read the padding builds no Q
+    forward_bands = sum(1 for ch, _, _ in built if ch == c)
+    assert 1 < forward_bands <= -(-h_out // band_rows)
+    assert len(built) > forward_bands + 1  # the input gradient ran in bands too
+    for got, ref in zip(banded, whole):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("budget,shape,dilation", [
+    (16 << 10, (16, 40, 40), 2), (64 << 10, (16, 40, 40), 2), (64 << 10, (8, 33, 20), 1),
+    (None, (16, 128, 128), 1), (None, (8, 128, 128), 2)])
+def test_no_column_tap_matrix_exceeds_the_band_budget(monkeypatch, budget, shape, dilation):
+    # None: the module's own budget on MFP-Unet's full-resolution conv shapes
+    if budget is not None:
+        monkeypatch.setattr(layers, "_BAND_BYTES", budget)
+    budget = layers._BAND_BYTES
+    c, h, w = shape
+    o, eff = 8, 2 * dilation + 1
+    rng = np.random.default_rng(list(shape))
+    x = rng.normal(size=shape).astype(np.float32)
+    wt = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
+    built = _spy_column_taps(monkeypatch)
+    _conv_and_input_grad(x, wt, np.zeros(o, np.float32), rng.normal(size=(o, h, w)).astype(
+        np.float32), 1, dilation, dilation)
+    assert len(built) > 2
+    for channels, rows, q_bytes in built:
+        y_bytes = q_bytes // channels * (c + o - channels)  # Y has the other side's channels
+        one_row = rows <= eff  # a band of one output row reads eff input rows
+        assert max(q_bytes, y_bytes) <= budget or one_row, (channels, rows, q_bytes)
+
+
 def _logits_and_grads(model, x, target):
     out = model.forward(Tensor(x))
     backward(softmax_cross_entropy(out, target))

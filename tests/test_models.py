@@ -1,11 +1,12 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lvseg.autograd import Tensor, backward, no_grad
 from lvseg.errors import ContractViolation
-from lvseg.layers import max_pool2d, relu, softmax_cross_entropy
+from lvseg.layers import fixed_weights, max_pool2d, relu, softmax_cross_entropy
 from lvseg.models import (Model, build_dilated_unet, build_mfp_unet, build_unet,
                           forward_segment)
 from lvseg.phantom import generate_phantom
@@ -188,6 +189,24 @@ def test_forward_segment_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_forward_segment_heap_peak_at_n128():
+    # Measured 3.45 MB: conv GEMMs in row bands and each activation dropped
+    # once consumed. Whole-image Q and Y with activations kept to the end of
+    # their level read 6.88 MB, and either change alone 4.86 or 5.94 MB, so
+    # the bound (the measured value plus 16 %) guards both.
+    model = build_mfp_unet(128, 8, seed=1)
+    x = _rand_input(128, seed=1, dtype=np.float32)
+    with fixed_weights():
+        forward_segment(model, x)  # lays out the kernel matrices
+        tracemalloc.start()
+        try:
+            forward_segment(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4.0 * 2**20, peak
 
 
 def test_taped_gradients_unchanged_by_a_prior_forward_segment():
