@@ -231,7 +231,14 @@ def backward(loss: Tensor) -> None:
     gradient, once every consumer has contributed to it, and the tape is
     consumed: the node drops its closure, parents and gradient when its
     turn comes, which frees its saved buffers. Backward again through a
-    consumed node raises ``ContractViolation``."""
+    consumed node raises ``ContractViolation``.
+
+    The gradient a closure receives belongs to its node alone, and nothing
+    reads it after the closure returns: ``accumulate_grad`` copies every
+    first contribution that its caller does not own, and the node's slot
+    is cleared right after the call. So a closure may overwrite its g in
+    place (``conv2d``'s fused ReLU masks it there); one called directly
+    must be handed an array its caller no longer needs."""
     if loss.data.shape != () and loss.data.size != 1:
         raise ContractViolation(f"backward expects a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)

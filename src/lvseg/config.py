@@ -80,10 +80,12 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
         if not isinstance(raw, dict):
             raise FormatError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)

@@ -127,6 +127,10 @@ def load_dataset(directory: str | Path) -> list[ImageSample]:
     first_line: dict[str, int] = {}
     for line, row in csv_rows(meta, META_HEADER):
         sid = row["id"]
+        # the id names the image and mask files, so it must be one file-name stem
+        if sid in ("", ".", "..") or any(ch in sid for ch in "\0/\\"):
+            raise FormatError(f"{meta}: line {line}: field id: not a plain file-name "
+                              f"stem: {sid!r}")
         if sid in first_line:
             raise FormatError(f"{meta}: line {line}: field id: duplicate sample id "
                               f"{sid!r} (first on line {first_line[sid]})")

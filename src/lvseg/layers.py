@@ -220,7 +220,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     g_a the output gradient's rows that tap a reads inside the input and Q_a
     those input rows of Q, rebuilt from x (at stride 1 a range of Q's
     columns). Banding these would split their sums over pixels and change
-    gw's rounding. The input
+    gw's rounding. That whole-image Q is dropped as soon as gw is formed,
+    before the input-gradient pass starts (for ``up4.conv1`` of an n=64,
+    width-8 MFP-Unet it is 786,432 bytes). The input
     gradient is the same kernel at stride 1 and the same dilation on g with
     the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3):
     g is zero-stuffed (stride - 1 zeros between its entries) and offset by
@@ -228,7 +230,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
 
     ``relu=True`` is ``relu(conv2d(...))`` in one op, bit for bit: the ReLU
     runs in place on the output, so no pre-activation copy stays on the
-    tape, and backward masks g by ``out > 0`` before the conv gradients.
+    tape, and backward masks g by ``out > 0`` in place before the conv
+    gradients: ``autograd.backward`` hands each closure its node's own
+    gradient and drops it afterwards, so no mask-sized copy is made.
     """
     c_in, h, w = x.shape
     o_ch, c_w, m, m2 = weight.shape
@@ -256,8 +260,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         np.maximum(out_data, 0, out=out_data)
 
     def backward(g):
-        if relu:
-            g = g * (out_data > 0)
+        if relu:  # g is this node's own gradient, spent once backward returns
+            np.multiply(g, out_data > 0, out=g)
         if weight.requires_grad:
             taps = _column_taps(x.data, m, stride, dilation, pw, w_out).reshape(m * c_in, h, w_out)
             gwt = np.empty((m, m * c_in, o_ch), dtype=g.dtype)
@@ -265,6 +269,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 k = (dst.stop - dst.start) * w_out
                 np.matmul(taps[:, src].reshape(m * c_in, k), g[:, dst].reshape(o_ch, k).T,
                           out=gwt[a])
+            del taps  # the whole image's Q, not needed by the input-gradient pass
             weight.accumulate_grad(gwt.reshape(m, m, c_in, o_ch).transpose(3, 2, 0, 1),
                                    owned=True)
         if bias.requires_grad:

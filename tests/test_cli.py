@@ -201,6 +201,24 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["train", "--config", str(garbled)]) == 3
 
 
+def test_train_config_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.json"
+    cfg.write_bytes(b'{"arch": "unet\xff"}')
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 3
+    assert f"{cfg}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_measure_rejects_a_meta_csv_id_with_a_nul_byte(tmp_path, capsys):
+    data = _synth_with_meta(tmp_path, lambda lines: lines[:2] + ["subj000\x00" + lines[2][7:]]
+                            + lines[3:])
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "meta.csv: line 3: field id: not a plain file-name stem: 'subj000\\x00_ES'" in err
+    assert not (tmp_path / "m" / "measurements.csv").exists()
+
+
 @pytest.mark.parametrize("work, argv, message", [
     ("synth", ["synth", "--out", "d"],
      "Unable to allocate 149. GiB for an array with shape (2, 100000, 100000)"),

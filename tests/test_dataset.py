@@ -1,10 +1,13 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from lvseg.dataset import ImageSample
-from lvseg.errors import ContractViolation
+from lvseg import dataset
+from lvseg.dataset import ImageSample, load_dataset, save_dataset
+from lvseg.errors import ContractViolation, FormatError
+from lvseg.phantom import generate_phantom_set
 
 DTYPES = (np.bool_, np.uint8, np.int64, np.float32, np.float64)
 VALUES = (0, 1, -0.0, 2, 255, -1, 0.5, np.nan)
@@ -43,3 +46,39 @@ def test_mask_rule_names_the_first_eight_distinct_values():
     mask = np.arange(12, dtype=np.int64).reshape(3, 4)
     with pytest.raises(ContractViolation, match=r"found values \[0 1 2 3 4 5 6 7\]$"):
         ImageSample(np.zeros((3, 4), dtype=np.uint8), mask, 0.3)
+
+
+def _dataset_with_first_id(tmp_path, sid):
+    """A 1-subject dataset whose meta.csv names its first sample ``sid``."""
+    data = tmp_path / "data"
+    save_dataset(generate_phantom_set(1, 32, 3), data)
+    meta = data / "meta.csv"
+    lines = meta.read_text(encoding="utf-8").splitlines()
+    lines[1] = ",".join([sid] + lines[1].split(",")[1:])
+    meta.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return data
+
+
+@pytest.mark.parametrize("sid", ["subj000\x00_ED", "../images/subj000_ED", "subj000\\ED",
+                                 ".", "..", ""],
+                         ids=["nul", "slash", "backslash", "dot", "dotdot", "empty"])
+def test_load_dataset_rejects_an_id_that_is_not_a_file_name_stem(tmp_path, monkeypatch, sid):
+    data = _dataset_with_first_id(tmp_path, sid)
+    read = []
+    monkeypatch.setattr(dataset, "pgm_read", lambda path: read.append(path))
+    with pytest.raises(FormatError) as info:
+        load_dataset(data)
+    assert str(info.value) == (f"{data / 'meta.csv'}: line 2: field id: not a plain "
+                               f"file-name stem: {sid!r}")
+    assert read == []  # rejected before any image or mask is opened
+
+
+def test_load_dataset_reads_the_ids_the_benchmark_writes(tmp_path):
+    samples = generate_phantom_set(2, 32, 3)[:3]
+    ids = ["subj00_ED", "wide00_ED", "warm00_ED"]
+    save_dataset([dataclasses.replace(s, sample_id=i) for s, i in zip(samples, ids)],
+                 tmp_path / "data")
+    loaded = load_dataset(tmp_path / "data")
+    assert [s.sample_id for s in loaded] == ids
+    for s, t in zip(samples, loaded):
+        assert np.array_equal(s.mask, t.mask)

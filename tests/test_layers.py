@@ -135,6 +135,29 @@ def test_fused_relu_is_bit_identical_to_relu_of_conv(dtype, stride, dilation, na
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_fused_relu_backward_masks_its_gradient_in_place(dtype, stride):
+    # backward hands each closure its node's own gradient, so the fused
+    # ReLU masks g where it lies; the gradients must still be those of
+    # relu(conv2d(...)) for the g the caller had, which the test keeps
+    rng = np.random.default_rng(20 + stride)
+    x0 = rng.normal(size=(3, 9, 9)).astype(dtype)
+    w0 = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
+    b0 = rng.normal(size=4).astype(dtype)
+    kw = dict(stride=stride, dilation=2, padding=2)
+    x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
+    out = conv2d(x, w, b, relu=True, **kw)
+    g = rng.normal(size=out.shape).astype(dtype)
+    kept = g.copy()
+    out.backward_fn(g)
+    assert np.array_equal(g, kept * (out.data > 0))  # g itself was masked
+    _, *plain = _conv_relu_and_grads(x0, w0, b0, kept, False, **kw)
+    for fused, ref in zip((x.grad, w.grad, b.grad), plain):
+        assert fused.dtype == ref.dtype == dtype
+        assert np.array_equal(fused, ref)
+
+
 def test_fused_relu_gradients_against_finite_differences():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
