@@ -58,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure = sub.add_parser("measure", help="geometric measurements from masks")
     p_measure.add_argument("--data", required=True)
     p_measure.add_argument("--n", type=int, default=64,
-                           help="square extent that masks of another size are resampled "
-                                "to (nearest neighbour; calibration scaled to match)")
+                           help="extent of synthetic:<count> phantoms; a dataset directory "
+                                "is measured as stored")
     p_measure.add_argument("--seed", type=int, default=0)
     p_measure.add_argument("--out", required=True, help="output directory")
 
@@ -142,7 +142,7 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_measure(args) -> None:
-    samples = resolve_data(args.data, args.n, args.seed, images=False)
+    samples = resolve_data(args.data, args.n, args.seed)
     rows = measure_samples(samples)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

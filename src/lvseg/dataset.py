@@ -32,11 +32,11 @@ class ImageSample:
     and 1, NaN as neither). ``np.unique`` sorts the whole mask, so it runs
     only to list the offending values in the error.
 
-    ``image`` is ``None`` only for a sample read to be measured, which
-    ``training.resize_sample(..., images=False)`` resampled without it;
-    every sample read from disk or synthesized has its image."""
+    A sample keeps the shape and calibration it was stored or synthesized
+    with; only the network's input is resampled
+    (``training.resize_sample``)."""
 
-    image: np.ndarray | None    # (H, W) uint8
+    image: np.ndarray           # (H, W) uint8
     mask: np.ndarray            # (H, W) {0, 1}
     calibration: float          # mm per pixel
     phase: str = "other"
@@ -44,12 +44,11 @@ class ImageSample:
     sample_id: str = ""
 
     def __post_init__(self):
+        self.image = np.asarray(self.image)
         self.mask = np.asarray(self.mask)
-        if self.image is not None:
-            self.image = np.asarray(self.image)
-            if self.image.shape != self.mask.shape:
-                raise ContractViolation(
-                    f"image {self.image.shape} and mask {self.mask.shape} shapes differ")
+        if self.image.shape != self.mask.shape:
+            raise ContractViolation(
+                f"image {self.image.shape} and mask {self.mask.shape} shapes differ")
         if not ((self.mask == 0) | (self.mask == 1)).all():
             vals = np.unique(self.mask)
             raise ContractViolation(f"mask must be binary, found values {vals[:8]}")

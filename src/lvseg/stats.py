@@ -24,7 +24,6 @@ class PairedSeries:
     auto: np.ndarray
     man: np.ndarray
     name: str = ""
-    units: str = ""
 
     def __post_init__(self):
         self.auto = np.asarray(self.auto, dtype=np.float64)

@@ -9,6 +9,11 @@ saved checkpoint, or the last epoch when there are no validation samples.
 The untrained initial weights are saved only when no epoch runs.
 Everything is deterministic given (seed, config, data).
 
+Frames keep their stored shape and calibration (``resolve_data``); only
+the network's square input is resampled (``resize_sample``).
+``evaluate_model`` maps each prediction back to its frame's grid, and
+``measure_samples`` reads the masks as stored.
+
 Each sample is backpropagated as soon as its forward ends
 (``backprop_batch``), and backward frees the tape as it consumes it, so
 training memory holds one sample's tape whatever the batch size; the
@@ -72,14 +77,10 @@ from .report import MeasurementRow, MetricsRow, write_csv
 SYNTH_PREFIX = "synthetic:"
 
 
-def resolve_data(data_dir: str, n: int, seed: int, images: bool = True) -> list[ImageSample]:
-    """Load a dataset directory, or synthesize one for the sentinel
-    ``synthetic:<count>``. Samples are resized to n x n if needed.
-
-    With ``images=False`` a loaded sample that needs resizing keeps only
-    its mask (``image`` is ``None``): ``measure`` reads nothing else, and
-    the bilinear image zoom costs several times the mask's. Every image is
-    still read and checked against its mask by ``load_dataset``."""
+def resolve_data(data_dir: str, n: int, seed: int) -> list[ImageSample]:
+    """Load a dataset directory's frames as stored, or synthesize n x n
+    phantoms for the sentinel ``synthetic:<count>``. Nothing is resampled
+    here: ``resize_sample`` makes the network's input."""
     if n < 1:
         raise ContractViolation(f"image extent n must be >= 1, got {n}")
     if data_dir.startswith(SYNTH_PREFIX):
@@ -92,14 +93,13 @@ def resolve_data(data_dir: str, n: int, seed: int, images: bool = True) -> list[
         if count < 1:
             raise ContractViolation(f"synthetic sample count must be >= 1, got {count}")
         return generate_phantom_set(count, n, seed)
-    return [resize_sample(s, n, images) for s in load_dataset(data_dir)]
+    return load_dataset(data_dir)
 
 
-def resize_sample(sample: ImageSample, n: int, images: bool = True) -> ImageSample:
-    """Resize to n x n: bilinear for the image, nearest for the mask, and
-    the calibration scaled by h / n. A sample already n x n is returned
-    as it is. ``images=False`` skips the image zoom and leaves ``image``
-    ``None``, for callers that read only the mask.
+def resize_sample(sample: ImageSample, n: int) -> ImageSample:
+    """Resample a frame to the network's n x n input: bilinear for the
+    image, nearest for the mask, and the calibration scaled by h / n. A
+    sample already n x n is returned as it is.
 
     Both zooms extend the input by its edge values (``mode="nearest"``):
     where rounding puts the last output coordinate just past the input's
@@ -109,10 +109,8 @@ def resize_sample(sample: ImageSample, n: int, images: bool = True) -> ImageSamp
     if (h, w) == (n, n):
         return sample
     zoom = (n / h, n / w)
-    image = None
-    if images:
-        image = np.clip(np.rint(ndimage.zoom(sample.image.astype(np.float64), zoom, order=1,
-                                             mode="nearest")), 0, 255).astype(np.uint8)
+    image = np.clip(np.rint(ndimage.zoom(sample.image.astype(np.float64), zoom, order=1,
+                                         mode="nearest")), 0, 255).astype(np.uint8)
     mask = ndimage.zoom(sample.mask, zoom, order=0, mode="nearest")
     # calibration scales inversely with the resampling factor
     calibration = sample.calibration * h / n
@@ -257,7 +255,8 @@ def train(config: RunConfig) -> list[FoldResult]:
         raise ContractViolation(f"training needs >= 2 folds, got {config.folds}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    samples = resolve_data(config.data_dir, config.n, config.seed)
+    samples = [resize_sample(s, config.n)
+               for s in resolve_data(config.data_dir, config.n, config.seed)]
     assignment = make_folds(samples, config.folds, config.seed)
 
     results = []
@@ -316,11 +315,17 @@ def metrics_for_masks(pred: np.ndarray, truth: np.ndarray,
 
 
 def evaluate_model(model: Model, samples: list[ImageSample]) -> list[MetricsRow]:
-    """Per-image rows followed by nan-aware mean and sample-SD summary rows."""
+    """Per-image rows, each scored on the frame's own grid and calibration
+    (the prediction mapped back by nearest neighbour), followed by
+    nan-aware mean and sample-SD summary rows."""
     rows = []
     with fixed_weights():
         for s in samples:
-            pred = forward_segment(model, compose_input(s, dtype=model.dtype))
+            pred = forward_segment(model, compose_input(resize_sample(s, model.n),
+                                                        dtype=model.dtype))
+            if pred.shape != s.mask.shape:
+                pred = ndimage.zoom(pred, np.divide(s.mask.shape, pred.shape), order=0,
+                                    mode="nearest")
             dm, jc, hd, md = metrics_for_masks(pred, s.mask, s.calibration)
             rows.append(MetricsRow(s.sample_id, s.phase, dm, jc, hd, md))
     return rows + summary_rows(rows)

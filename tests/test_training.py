@@ -17,7 +17,7 @@ from lvseg.dataset import ImageSample, load_dataset, save_dataset
 from lvseg.errors import ContractViolation, TrainingDiverged
 from lvseg.layers import SGD, fixed_weights, softmax_cross_entropy
 from lvseg.models import Model
-from lvseg.phantom import ellipse_mask, generate_phantom_set
+from lvseg.phantom import bullet_height, ellipse_mask, generate_phantom_set
 from lvseg.preprocess import compose_input
 from lvseg.report import (MeasurementRow, MetricsRow, read_measurements_csv,
                           read_metrics_csv, write_measurements_csv, write_metrics_csv)
@@ -101,21 +101,16 @@ def _mixed_size_dataset(directory):
     return str(directory)
 
 
-@pytest.mark.parametrize("data,n", [("mixed", 64), ("mixed", 160), ("mixed", 256),
-                                    ("synthetic:2", 64)])
-def test_resolve_data_without_images_resamples_the_same_masks(tmp_path, data, n):
-    if data == "mixed":
-        data = _mixed_size_dataset(tmp_path / "data")
-        off_size = [s.mask.shape != (n, n) for s in load_dataset(data)]
-    else:
-        off_size = [False] * 4
-    full = resolve_data(data, n, seed=3)
-    masks_only = resolve_data(data, n, seed=3, images=False)
-    assert ([(s.sample_id, s.phase, s.subject, s.calibration) for s in masks_only]
-            == [(s.sample_id, s.phase, s.subject, s.calibration) for s in full])
-    for a, b in zip(masks_only, full):
+def test_resolve_data_returns_the_frames_as_stored(tmp_path):
+    data = _mixed_size_dataset(tmp_path / "data")
+    stored = load_dataset(data)
+    resolved = resolve_data(data, 64, seed=3)
+    assert ([(s.sample_id, s.phase, s.subject, s.calibration) for s in resolved]
+            == [(s.sample_id, s.phase, s.subject, s.calibration) for s in stored])
+    for a, b in zip(resolved, stored):
+        assert a.image.dtype == b.image.dtype and np.array_equal(a.image, b.image)
         assert a.mask.dtype == b.mask.dtype and np.array_equal(a.mask, b.mask)
-    assert [s.image is None for s in masks_only] == off_size
+    assert {s.mask.shape for s in resolved} == {(256, 256), (240, 320)}
 
 
 def test_measure_zooms_no_image(tmp_path, monkeypatch):
@@ -127,10 +122,54 @@ def test_measure_zooms_no_image(tmp_path, monkeypatch):
         return zoom(input, factors, *args, order=order, **kwargs)
     monkeypatch.setattr(training.ndimage, "zoom", counting_zoom)
     assert main(["measure", "--data", data, "--n", "160", "--out", str(tmp_path / "m")]) == 0
-    assert orders == [0, 0, 0, 0]
-    orders.clear()
-    resolve_data(data, 160, seed=0)   # control: training and eval still zoom every image
+    assert orders == []
+    # control: train and eval still zoom every off-size image (and its mask)
+    train(_tiny_cfg(tmp_path, n=160, folds=2, data_dir=data))
     assert sorted(orders) == [0, 0, 0, 0, 1, 1, 1, 1]
+    orders.clear()
+    evaluate_model(Model("unet", 160, 2, 1, seed=0), load_dataset(data))
+    # and map each prediction back to its frame's grid
+    assert sorted(orders) == [0] * 8 + [1] * 4
+
+
+def test_measure_reads_every_frame_on_its_own_grid(tmp_path):
+    data = _mixed_size_dataset(tmp_path / "data")
+    out = tmp_path / "m"
+    assert main(["measure", "--data", data, "--n", "64", "--out", str(out)]) == 0
+    rows = {r.sample_id: r for r in read_measurements_csv(out / "measurements.csv")}
+    for s in load_dataset(data):
+        h, w = s.mask.shape
+        c_cm = s.calibration / 10.0
+        scale = 1.0 if s.phase == "ED" else 0.75
+        row = rows[s.sample_id]
+        assert row.flag == "ok"
+        assert row.s_cm2 == pytest.approx(int(s.mask.sum()) * c_cm * c_cm, rel=1e-12, abs=0)
+        height = bullet_height(0.3 * h * scale, 0.2) * c_cm
+        assert abs(row.d_cm - height) <= 0.12 * height, s.sample_id
+
+
+def test_evaluate_model_scores_a_frame_on_its_own_grid(monkeypatch):
+    h, w, n = 240, 320, 64
+    mask = ellipse_mask((h, w), (w / 2, h / 2), (72.0, 36.0), 0.05, 0.2)
+    image = np.where(mask > 0, 40, 110).astype(np.uint8)
+    frame = ImageSample(image, mask, 0.3, "ED", "wide")
+    inputs, scored = [], []
+
+    def forward_segment(model, image_2ch):
+        inputs.append(image_2ch.shape)
+        return resize_sample(frame, n).mask
+    metrics = training.metrics_for_masks
+
+    def metrics_for_masks(pred, truth, calibration):
+        scored.append((pred, truth, calibration))
+        return metrics(pred, truth, calibration)
+    monkeypatch.setattr(training, "forward_segment", forward_segment)
+    monkeypatch.setattr(training, "metrics_for_masks", metrics_for_masks)
+    rows = evaluate_model(Model("unet", n, 2, 1, seed=0), [frame])
+    assert inputs == [(2, n, n)]
+    [(pred, truth, calibration)] = scored
+    assert pred.shape == (h, w) and truth is mask and calibration == 0.3
+    assert rows[0].dice > 0.95
 
 
 def _constant_mode_resize(image, mask, n):
