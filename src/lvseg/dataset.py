@@ -32,9 +32,8 @@ class ImageSample:
     and 1, NaN as neither). ``np.unique`` sorts the whole mask, so it runs
     only to list the offending values in the error.
 
-    A sample keeps the shape and calibration it was stored or synthesized
-    with; only the network's input is resampled
-    (``training.resize_sample``)."""
+    Samples are read and synthesized at their own shape and calibration;
+    only the network's input is resampled (``training.resize_sample``)."""
 
     image: np.ndarray           # (H, W) uint8
     mask: np.ndarray            # (H, W) {0, 1}

@@ -138,7 +138,7 @@ def test_measure_reads_every_frame_on_its_own_grid(tmp_path):
     assert main(["measure", "--data", data, "--n", "64", "--out", str(out)]) == 0
     rows = {r.sample_id: r for r in read_measurements_csv(out / "measurements.csv")}
     for s in load_dataset(data):
-        h, w = s.mask.shape
+        h = s.mask.shape[0]
         c_cm = s.calibration / 10.0
         scale = 1.0 if s.phase == "ED" else 0.75
         row = rows[s.sample_id]
