@@ -113,6 +113,28 @@ def test_resolve_data_returns_the_frames_as_stored(tmp_path):
     assert {s.mask.shape for s in resolved} == {(256, 256), (240, 320)}
 
 
+@pytest.mark.parametrize("data,n", [("mixed", 64), ("mixed", 160), ("mixed", 256),
+                                    ("synthetic:2", 64)])
+def test_resolve_data_without_images_resamples_the_same_masks(tmp_path, data, n):
+    """resolve_data no longer drops images: every frame comes back with its
+    image, and resizing it to the network's n x n input resamples the same
+    mask and calibration as resizing the frame as stored."""
+    if data == "mixed":
+        data = _mixed_size_dataset(tmp_path / "data")
+        stored = load_dataset(data)
+    else:
+        stored = generate_phantom_set(2, n, 3)
+    resolved = resolve_data(data, n, seed=3)
+    assert ([(s.sample_id, s.phase, s.subject, s.calibration) for s in resolved]
+            == [(s.sample_id, s.phase, s.subject, s.calibration) for s in stored])
+    assert all(s.image is not None for s in resolved)
+    for a, b in zip(resolved, stored):
+        ra, rb = resize_sample(a, n), resize_sample(b, n)
+        assert ra.mask.shape == (n, n) and ra.image.shape == (n, n)
+        assert ra.mask.dtype == rb.mask.dtype and np.array_equal(ra.mask, rb.mask)
+        assert ra.calibration == rb.calibration
+
+
 def test_measure_zooms_no_image(tmp_path, monkeypatch):
     data = _mixed_size_dataset(tmp_path / "data")
     zoom, orders = ndimage.zoom, []
