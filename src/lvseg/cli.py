@@ -2,7 +2,7 @@
 
 Verbs: synth, train, eval, measure, report. Exit code 0 on success, 2 on
 a contract violation or a verb that runs out of memory, 3 on an I/O or
-format error.
+format error or a training helper process that died or failed.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .checkpoint import checkpoint_read
 from .config import RunConfig
-from .errors import ContractViolation, FormatError, MeasurementError, TrainingDiverged
+from .errors import (ContractViolation, FormatError, MeasurementError, TrainingDiverged,
+                     TrainingHelperError)
 from .models import ARCH_TAGS
 from .report import (agreement_reports, method_anova, read_measurements_csv,
                      write_agreement_report, write_measurements_csv, write_metrics_csv)
@@ -79,7 +80,10 @@ def _cmd_synth(args) -> None:
 def _keep_freed_memory() -> None:
     """Have glibc keep the memory a verb frees in the process, so the next
     training sample's tape, or the next image's forward, reuses its pages.
-    Does nothing where the C library has no ``mallopt``."""
+    ``main`` applies it for every verb, and the training helper
+    (``helper.serve``) applies it to itself, since the setting holds only
+    for the process that makes it. Does nothing where the C library has no
+    ``mallopt``."""
     # Backward frees each sample's tape as it goes, and glibc by default
     # returns the freed heap top to the OS, so the next sample faults the
     # same pages in again. MFP-Unet ``train_fold`` at n=64, base width 8,
@@ -122,8 +126,11 @@ def _cmd_train(args) -> None:
     print(f"checkpoints and logs under {cfg.out_dir}")
     steps = sum(r.sample_steps for r in results)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    helper_mb = max((r.helper_peak_rss_mb for r in results if r.processes > 1), default=None)
     print(f"trained {steps} sample-steps in {elapsed:.2f} s "
-          f"({1e3 * elapsed / max(steps, 1):.1f} ms/step, peak RSS {peak_mb:.0f} MB)")
+          f"({1e3 * elapsed / max(steps, 1):.1f} ms/step, peak RSS {peak_mb:.0f} MB) "
+          + ("in 1 process" if helper_mb is None
+             else f"in 2 processes, the helper's peak RSS {helper_mb:.0f} MB"))
 
 
 def _cmd_eval(args) -> None:
@@ -180,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.command} ran out of memory" + (f": {exc}" if str(exc) else ""),
               file=sys.stderr)
         return EXIT_CONTRACT
-    except (FormatError, OSError) as exc:
+    except (FormatError, OSError, TrainingHelperError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -19,3 +19,7 @@ class MeasurementError(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during optimization."""
+
+
+class TrainingHelperError(RuntimeError):
+    """The helper process that trains beside ``train`` died or failed mid-fold."""

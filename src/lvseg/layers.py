@@ -87,13 +87,6 @@ def _kernel(data: np.ndarray, layout: str, make) -> np.ndarray:
     return entry[1]
 
 
-def _pad_pair(padding) -> tuple[int, int]:
-    if isinstance(padding, (tuple, list)):
-        ph, pw = padding
-        return int(ph), int(pw)
-    return int(padding), int(padding)
-
-
 def he_uniform(shape, fan_in: int, rng: np.random.Generator, dtype) -> np.ndarray:
     """Uniform init with variance 2/fan_in, which keeps activation variance
     level through ReLU conv stacks (a straight variance-preserving init
@@ -194,7 +187,7 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           dilation: int = 1, padding=0, relu: bool = False) -> Tensor:
+           dilation: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
     """2-D convolution on a (C,H,W) tensor, differentiable in x, weight, bias.
 
     out[o,i,j] = bias[o] + sum_{c,a,b} w[o,c,a,b] * x[c, i*s + a*d - p, j*s + b*d - p]
@@ -242,20 +235,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         raise ContractViolation(f"conv2d channel mismatch: input {c_in}, weight expects {c_w}")
     if dilation < 1 or stride < 1:
         raise ContractViolation("stride and dilation must be >= 1")
-    ph, pw = _pad_pair(padding)
+    p = padding
     eff = dilation * (m - 1) + 1
-    h_out = (h + 2 * ph - eff) // stride + 1
-    w_out = (w + 2 * pw - eff) // stride + 1
-    if eff > h + 2 * ph or eff > w + 2 * pw or h_out <= 0 or w_out <= 0:
+    h_out = (h + 2 * p - eff) // stride + 1
+    w_out = (w + 2 * p - eff) // stride + 1
+    if eff > h + 2 * p or eff > w + 2 * p or h_out <= 0 or w_out <= 0:
         raise ContractViolation(
-            f"effective kernel extent {eff} exceeds padded input {h + 2 * ph}x{w + 2 * pw}")
+            f"effective kernel extent {eff} exceeds padded input {h + 2 * p}x{w + 2 * p}")
 
     # Q's rows run (b, c), not (c, b): this copy then moves runs of C values,
     # where runs of the m taps made it ~5x slower at 128x128 channels
     ws = _kernel(weight.data, "ws",
                  lambda wd: wd.transpose(2, 0, 3, 1).reshape(m * o_ch, m * c_in))
     out_data, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
-                                ph, pw, h_out, w_out)
+                                p, p, h_out, w_out)
     if relu:
         np.maximum(out_data, 0, out=out_data)
 
@@ -263,7 +256,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if relu:  # g is this node's own gradient, spent once backward returns
             np.multiply(g, out_data > 0, out=g)
         if weight.requires_grad:
-            taps = _column_taps(x.data, m, stride, dilation, pw, w_out).reshape(m * c_in, h, w_out)
+            taps = _column_taps(x.data, m, stride, dilation, p, w_out).reshape(m * c_in, h, w_out)
             gwt = np.empty((m, m * c_in, o_ch), dtype=g.dtype)
             for a, (dst, src) in enumerate(rows):
                 k = (dst.stop - dst.start) * w_out
@@ -284,7 +277,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
             flipped = _kernel(weight.data, "flipped", lambda wd: wd[:, :, ::-1, ::-1].transpose(
                 2, 1, 3, 0).reshape(m * c_in, m * o_ch))
             x.accumulate_grad(_correlate(gs, flipped, 0, 1, dilation,
-                                         eff - 1 - ph, eff - 1 - pw, h, w)[0], owned=True)
+                                         eff - 1 - p, eff - 1 - p, h, w)[0], owned=True)
 
     return _result(out_data, (x, weight, bias), backward, "conv2d")
 
@@ -520,7 +513,7 @@ class Conv2d:
     zero-filled, for a caller that sets it (a checkpoint read)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, dilation: int = 1, padding=0, relu: bool = False,
+                 stride: int = 1, dilation: int = 1, padding: int = 0, relu: bool = False,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.kernel_size = kernel_size
         self.stride = stride

@@ -46,14 +46,45 @@ The weights stay fixed from one ``opt.step()`` to the next, so
 inside ``layers.fixed_weights()``: every conv lays out its kernel
 matrices once per batch or pass, not once per sample, with bit-identical
 results. The step itself runs outside that scope.
+
+Training uses two processes when a batch holds two or more samples and
+two CPUs are usable (``usable_cpus``). The process's helper
+(``helper.py``, one per Python process, started without forking this
+heap) runs the odd positions of every batch and of the validation
+samples, and this process the even ones. The weights live in a file both
+processes map, so ``opt.step()`` reaches the helper with no copy; each
+process runs on one BLAS thread while the fold lasts. Batch size 1,
+one-CPU hosts and ``backprop_batch`` keep the one-process path.
+
+The two paths write the same bytes. A sample's loss and gradient depend
+only on the weights and the sample, and both processes run the same
+per-sample step (``_sample_step``, with the same scale 1/B). The helper
+keeps each gradient to itself and copies it into a shared slot; this
+process adds it (``accumulate_grad``, as backward would) at the sample's
+own position, after the sample before it and before the backward of the
+one after it. So every parameter gradient is the float32 left fold
+((g_1 + g_2) + g_3) + ... of one process, the batch loss is summed in
+the same order, and the Dice scores are averaged as one list in sample
+order; a non-finite loss or logit is reported for the first such sample
+in that order. A fold that fails in any way kills the helper, so nothing
+of it reaches the next fold.
+
+The helper's memory is its own interpreter (numpy and scipy imported),
+one sample's tape at a time as here, with glibc keeping its freed memory
+(``cli._keep_freed_memory``), plus the shared weights and gradient slot,
+two copies of the parameters that both processes map. For the n=64,
+width-8 MFP-Unet of ``train``'s defaults that is 4 MB of shared file;
+the helper peaked at 81 MB RSS beside this process's 87 MB.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -136,6 +167,8 @@ class FoldResult:
     train_subjects: list[str]
     val_subjects: list[str]
     sample_steps: int  # forward-backward passes over augmented training samples
+    processes: int = 1  # 2 when the helper trained beside this process
+    helper_peak_rss_mb: float = math.nan  # the helper's own ru_maxrss at the fold's end
 
 
 def _derived_seed(*parts: int) -> int:
@@ -154,20 +187,53 @@ def augment_samples(samples: list[ImageSample], factor: int, alpha: float,
     return out
 
 
-def mean_val_dice(model: Model, samples: list[ImageSample]) -> float:
+def _val_score(model: Model, s: ImageSample) -> float | None:
+    """Dice of the model's mask on one validation sample, None when a logit
+    is not finite; run inside ``fixed_weights()`` and ``no_grad()``."""
+    logits = model.forward(Tensor(compose_input(s, dtype=model.dtype))).data
+    if not np.isfinite(logits).all():
+        return None
+    return dice(logits_mask(logits), s.mask)
+
+
+def mean_val_dice(model: Model, samples: list[ImageSample], helper=None) -> float:
     """Mean Dice of the model's masks (``logits_mask``) against the samples'
     masks, NaN with no samples. A non-finite logit raises TrainingDiverged
-    naming the sample, since a mask drawn from it predicts nothing."""
+    naming the first such sample in order, since a mask drawn from it
+    predicts nothing. With a ``helper`` (``helper.Helper``) the helper
+    scores the odd positions while this process scores the even ones, and
+    the mean is taken over the same list in the same order."""
     if not samples:
         return math.nan
+    if helper is not None:
+        helper.start_validation()
     scores = []
     with fixed_weights(), no_grad():
-        for s in samples:
-            logits = model.forward(Tensor(compose_input(s, dtype=model.dtype))).data
-            if not np.isfinite(logits).all():
-                raise TrainingDiverged(f"non-finite validation logits on sample {s.sample_id!r}")
-            scores.append(dice(logits_mask(logits), s.mask))
+        for s in (samples if helper is None else samples[::2]):
+            scores.append(_val_score(model, s))
+            if scores[-1] is None:
+                break
+    if helper is not None:
+        # each side stops at its first None, which comes before any position
+        # that side skipped, so the interleaved list meets the first None in order
+        scores = [score for pair in zip_longest(scores, helper.scores())
+                  for score in pair][:len(samples)]
+    for s, score in zip(samples, scores):
+        if score is None:
+            raise TrainingDiverged(f"non-finite validation logits on sample {s.sample_id!r}")
     return float(np.mean(scores))
+
+
+def _sample_step(model: Model, x: np.ndarray, target: np.ndarray, scale: float, total):
+    """One sample of a batch: its forward and float32 loss, added to the
+    running ``total`` (None before the first sample), then
+    ``backward(loss * scale)`` unless the new total is not finite. Returns
+    the new total. ``backprop_batch`` and the helper both run this."""
+    sample_loss = softmax_cross_entropy(model.forward(Tensor(x)), target)
+    total = sample_loss.data if total is None else total + sample_loss.data
+    if np.isfinite(total):
+        backward(sample_loss * scale)
+    return total
 
 
 def backprop_batch(model: Model, inputs: Iterable[np.ndarray],
@@ -187,22 +253,69 @@ def backprop_batch(model: Model, inputs: Iterable[np.ndarray],
     total = None
     with fixed_weights():
         for x, target in zip(inputs, targets):
-            sample_loss = softmax_cross_entropy(model.forward(Tensor(x)), target)
-            total = sample_loss.data if total is None else total + sample_loss.data
+            total = _sample_step(model, x, target, scale, total)
             if not np.isfinite(total):
                 break
-            backward(sample_loss * scale)
     return float(total * total.dtype.type(scale))
+
+
+def _backprop_shared(model: Model, helper, batch: np.ndarray,
+                     augmented: list[ImageSample], targets: list[np.ndarray]) -> float:
+    """``backprop_batch`` of ``augmented[batch]`` with the helper running
+    the odd positions. This process runs the even ones and adds each of the
+    helper's losses and gradients at its position, so every sum runs in
+    ``backprop_batch``'s order and the result is bit-identical to it."""
+    scale = 1.0 / len(batch)
+    helper.start_batch(batch[1::2], len(batch))
+    total = None
+    with fixed_weights():
+        for k, i in enumerate(batch):
+            if k % 2 == 0:
+                total = _sample_step(model, compose_input(augmented[i]), targets[i], scale, total)
+            else:
+                total = total + helper.loss()
+                if np.isfinite(total):
+                    helper.add_gradient()
+            if not np.isfinite(total):
+                break
+    return float(total * total.dtype.type(scale))
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS does not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
 
 
 def train_fold(config: RunConfig, train_samples: list[ImageSample],
                val_samples: list[ImageSample], fold: int) -> FoldResult:
+    """Train one fold. With batches of two or more samples and two usable
+    CPUs, the process's helper (``helper.acquire``) runs the odd positions
+    of every batch and of the validation samples; any failure kills it."""
+    if config.batch_size < 2 or usable_cpus() < 2:
+        return _train_fold(config, train_samples, val_samples, fold, None)
+    from . import helper as helpers  # imported here: eval and measure never need it
+    helper = helpers.acquire()
+    try:
+        with helpers.one_blas_thread():
+            return _train_fold(config, train_samples, val_samples, fold, helper)
+    except BaseException:
+        helpers.reset()
+        raise
+
+
+def _train_fold(config: RunConfig, train_samples: list[ImageSample],
+                val_samples: list[ImageSample], fold: int, helper) -> FoldResult:
     model = Model(config.arch, config.n, config.base_width, config.model_dilation,
                   dtype=np.float32, seed=_derived_seed(config.seed, fold, 0))
     augmented = augment_samples(train_samples, config.augment_factor,
                                 config.elastic_alpha, config.elastic_sigma,
                                 _derived_seed(config.seed, fold, 1))
     targets = [s.mask for s in augmented]
+    if helper is not None:
+        helper.start_fold(model, augmented, val_samples)
 
     params = model.parameters()
     opt = SGD(params, learning_rate=config.learning_rate, momentum=config.momentum,
@@ -218,8 +331,11 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
         running = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            value = backprop_batch(model, (compose_input(augmented[i]) for i in batch),
-                                   [targets[i] for i in batch])
+            if helper is None:
+                value = backprop_batch(model, (compose_input(augmented[i]) for i in batch),
+                                       [targets[i] for i in batch])
+            else:
+                value = _backprop_shared(model, helper, batch, augmented, targets)
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss (fold {fold}, epoch {epoch}, batch index "
@@ -227,7 +343,7 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
             running += value * len(batch)
             opt.step()
         try:
-            val = mean_val_dice(model, val_samples)
+            val = mean_val_dice(model, val_samples, helper)
         except TrainingDiverged as exc:
             raise TrainingDiverged(f"{exc} (fold {fold}, epoch {epoch}, "
                                    f"lr {opt.learning_rate:.6g})") from None
@@ -240,10 +356,12 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
     if best is not None:  # with nothing to validate on, the last epoch's weights stand
         for name, t in params.items():
             t.data = best[name]
+    helper_rss = math.nan if helper is None else helper.end_fold()
     return FoldResult(fold=fold, model=model, log=log, best_val_dice=best_dice,
                       train_subjects=sorted({s.subject for s in train_samples}),
                       val_subjects=sorted({s.subject for s in val_samples}),
-                      sample_steps=len(augmented) * config.epochs)
+                      sample_steps=len(augmented) * config.epochs,
+                      processes=1 if helper is None else 2, helper_peak_rss_mb=helper_rss)
 
 
 def train(config: RunConfig) -> list[FoldResult]:

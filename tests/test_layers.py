@@ -825,32 +825,36 @@ def _conv_and_input_grad(x, w, b, g, stride, dilation, padding):
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
-@pytest.mark.parametrize("asymmetric", [(0, 1), (2, 0), (3, 1)])  # padding beyond 'same'
+# ``asymmetric`` held (row, column) paddings beyond 'same' while conv2d took a
+# pair; it takes one integer now, so each extra runs as that padding on both axes
+@pytest.mark.parametrize("asymmetric", [(0, 1), (2, 0), (3, 1)])
 @pytest.mark.parametrize("band_rows", [1, 2, 3])
 def test_row_bands_are_bit_identical_to_one_band(monkeypatch, dtype, m, stride, dilation,
                                                  asymmetric, band_rows):
     eff = dilation * (m - 1) + 1
-    ph, pw = ((eff - 1) // 2 + extra for extra in asymmetric)
-    c, o, h, w = 3, 4, 13, 9
-    h_out = (h + 2 * ph - eff) // stride + 1
-    w_out = (w + 2 * pw - eff) // stride + 1
-    rng = np.random.default_rng([m, stride, dilation, ph, pw])
-    x = rng.normal(size=(c, h, w)).astype(dtype)
-    wt = rng.normal(size=(o, c, m, m)).astype(dtype)
-    b = rng.normal(size=o).astype(dtype)
-    g = rng.normal(size=(o, h_out, w_out)).astype(dtype)
-    whole = _conv_and_input_grad(x, wt, b, g, stride, dilation, (ph, pw))
-    # forward bands of band_rows output rows
-    row_bytes = m * max(c, o) * w_out * np.dtype(dtype).itemsize
-    monkeypatch.setattr(layers, "_BAND_BYTES", row_bytes * (eff + (band_rows - 1) * stride))
-    built = _spy_column_taps(monkeypatch)
-    banded = _conv_and_input_grad(x, wt, b, g, stride, dilation, (ph, pw))
-    # a band whose rows all read the padding builds no Q
-    forward_bands = sum(1 for ch, _, _ in built if ch == c)
-    assert 1 < forward_bands <= -(-h_out // band_rows)
-    assert len(built) > forward_bands + 1  # the input gradient ran in bands too
-    for got, ref in zip(banded, whole):
-        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    for extra in asymmetric:
+        p = (eff - 1) // 2 + extra
+        c, o, h, w = 3, 4, 13, 9
+        h_out = (h + 2 * p - eff) // stride + 1
+        w_out = (w + 2 * p - eff) // stride + 1
+        rng = np.random.default_rng([m, stride, dilation, p, p])
+        x = rng.normal(size=(c, h, w)).astype(dtype)
+        wt = rng.normal(size=(o, c, m, m)).astype(dtype)
+        b = rng.normal(size=o).astype(dtype)
+        g = rng.normal(size=(o, h_out, w_out)).astype(dtype)
+        monkeypatch.undo()  # the reference runs in one band, with no spy
+        whole = _conv_and_input_grad(x, wt, b, g, stride, dilation, p)
+        # forward bands of band_rows output rows
+        row_bytes = m * max(c, o) * w_out * np.dtype(dtype).itemsize
+        monkeypatch.setattr(layers, "_BAND_BYTES", row_bytes * (eff + (band_rows - 1) * stride))
+        built = _spy_column_taps(monkeypatch)
+        banded = _conv_and_input_grad(x, wt, b, g, stride, dilation, p)
+        # a band whose rows all read the padding builds no Q
+        forward_bands = sum(1 for ch, _, _ in built if ch == c)
+        assert 1 < forward_bands <= -(-h_out // band_rows)
+        assert len(built) > forward_bands + 1  # the input gradient ran in bands too
+        for got, ref in zip(banded, whole):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("budget,shape,dilation", [
