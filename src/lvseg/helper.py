@@ -282,7 +282,6 @@ class Helper:
             self.proc.kill()
             self.proc.wait()
         os.close(self._fd)
-        self._params, self._weights, self._slots = [], [], None
 
 
 _current: Helper | None = None

@@ -825,8 +825,8 @@ def _conv_and_input_grad(x, w, b, g, stride, dilation, padding):
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
-# ``asymmetric`` held (row, column) paddings beyond 'same' while conv2d took a
-# pair; it takes one integer now, so each extra runs as that padding on both axes
+# each pair's two extras beyond 'same' run as two integer paddings, since conv2d
+# takes one for both axes; the parameter keeps its name so the cases keep their ids
 @pytest.mark.parametrize("asymmetric", [(0, 1), (2, 0), (3, 1)])
 @pytest.mark.parametrize("band_rows", [1, 2, 3])
 def test_row_bands_are_bit_identical_to_one_band(monkeypatch, dtype, m, stride, dilation,
