@@ -288,6 +288,17 @@ def test_train_says_how_many_processes_trained(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[-1].endswith(" MB) in 1 process")
 
 
+def test_two_process_folds_run_one_blas_thread_and_restore_the_count():
+    import lvseg.helper as helper
+    pools = helper._blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in pools]
+    with helper.one_blas_thread():
+        assert [get() for get, _ in pools] == [1] * len(pools)
+    assert [get() for get, _ in pools] == before
+
+
 def test_eval_and_measure_never_import_the_helper(tmp_path):
     code = ("import sys; from lvseg.cli import main; "
             f"main(['measure', '--data', 'synthetic:1', '--out', {str(tmp_path)!r}]); "
