@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lvseg import cli
+from lvseg import cli, training
 from lvseg.checkpoint import checkpoint_write
 from lvseg.cli import main
 from lvseg.models import Model
@@ -412,19 +412,31 @@ def test_train_prints_its_sample_steps_and_peak_rss(tmp_path, capsys):
 
 _FAULTS_PER_STEP = """
 import resource
+from lvseg import training
 from lvseg.cli import _keep_freed_memory
 from lvseg.config import RunConfig
 from lvseg.phantom import generate_phantom_set
-from lvseg.training import train_fold
 if KEEP:
     _keep_freed_memory()
+if not HELPER:
+    training.usable_cpus = lambda: 1
 samples = generate_phantom_set(4, 96, 1)
 cfg = RunConfig(n=96, base_width=8, batch_size=4, epochs=2, augment_factor=2, seed=3)
-train_fold(cfg, samples[:6], samples[6:], 0)
+training.train_fold(cfg, samples[:6], samples[6:], 0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-result = train_fold(cfg, samples[:6], samples[6:], 1)
-print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / result.sample_steps)
+result = training.train_fold(cfg, samples[:6], samples[6:], 1)
+# per sample-step this process ran: beside the helper it runs every other one
+own_steps = result.sample_steps / result.processes
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / own_steps)
 """
+
+
+def _faults_per_step(keep: bool, helper: bool) -> float:
+    script = _FAULTS_PER_STEP.replace("KEEP", str(keep)).replace("HELPER", str(helper))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=_child_env(), timeout=300)
+    assert out.returncode == 0, out.stderr
+    return float(out.stdout)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
@@ -433,14 +445,19 @@ def test_train_keeps_freed_tape_memory_in_the_process():
     # n=96, since below it glibc's dynamic thresholds can already keep the
     # tape (2-core Xeon, one BLAS thread: without the helper ~21 faults per
     # sample-step at n=32; at n=64 ~1,470 while first gradients were
-    # copied, 0-216 since they are stored as made; ~630 at n=96)
-    faults = {}
-    for keep in (False, True):
-        out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP.replace("KEEP", str(keep))],
-                             capture_output=True, text=True, env=_child_env(), timeout=300)
-        assert out.returncode == 0, out.stderr
-        faults[keep] = float(out.stdout)
+    # copied, 0-216 since they are stored as made; ~630 at n=96). In one
+    # process: beside the helper this process runs positions 0 and 2 of each
+    # batch, and position 0 re-faults least, so the count without the
+    # setting fell below 200 in 8 of 77 runs, against 4 of 77 in one process.
+    faults = {keep: _faults_per_step(keep, helper=False) for keep in (False, True)}
     assert faults[True] < 200 < faults[False]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+@pytest.mark.skipif(training.usable_cpus() < 2, reason="the helper needs two CPUs")
+def test_train_beside_the_helper_keeps_freed_tape_memory():
+    # 0-3 faults per sample-step this process ran, over 8 runs on 2 Xeon CPUs
+    assert _faults_per_step(keep=True, helper=True) < 200
 
 
 def test_multi_method_report_emits_anova(tmp_path):
