@@ -105,23 +105,23 @@ def _span(shift: int, stride: int, n_in: int, n_out: int) -> tuple[slice, slice]
     return slice(lo, hi), slice(lo * stride + shift, (hi - 1) * stride + shift + 1, stride)
 
 
-def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, left: int,
+def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, pad: int,
                  w_out: int) -> np.ndarray:
     """The (m*C, H*w_out) column-tap matrix Q[b*C + c, r*w_out + j] =
-    x[c, r, j*stride + b*d - left], x zero off its extent.
+    x[c, r, j*stride + b*d - pad], x zero off its extent.
 
     At stride 1 with w_out == W (a 'same' width), tap b is the flattened
-    input shifted by s = b*d - left: one contiguous copy, after which the
+    input shifted by s = b*d - pad: one contiguous copy, after which the
     |s| columns of each row that the shift wrapped around are zeroed (all of
     them when |s| >= W). Other strides copy each tap's column span."""
     c, h, w = x.shape
-    if m == 1 and stride == 1 and left == 0 and w_out == w:
+    if m == 1 and stride == 1 and pad == 0 and w_out == w:
         return x.reshape(c, h * w)  # a 1x1 kernel's one tap is the input itself
     q = np.empty((m, c, h, w_out), dtype=x.dtype)
     if stride == 1 and w_out == w:
         flat, xf = q.reshape(m, c, h * w), x.reshape(c, h * w)
         for b in range(m):
-            s = b * dilation - left
+            s = b * dilation - pad
             k = max(h * w - abs(s), 0)
             if s >= 0:
                 flat[b, :, :k] = xf[:, s:s + k]
@@ -131,7 +131,7 @@ def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, left: int,
                 q[b, :, :, :min(-s, w)] = 0
     else:
         for b in range(m):
-            dst, src = _span(b * dilation - left, stride, w, w_out)
+            dst, src = _span(b * dilation - pad, stride, w, w_out)
             q[b, :, :, :dst.start] = 0
             q[b, :, :, dst.stop:] = 0
             q[b, :, :, dst] = x[:, :, src]
@@ -139,10 +139,10 @@ def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, left: int,
 
 
 def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
-               top: int, left: int, h_out: int, w_out: int):
+               pad: int, h_out: int, w_out: int):
     """The column-tap kernel: ``base`` plus the (h_out, w_out) correlation
 
-        out[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x[c, i*stride + a*d - top, j*stride + b*d - left]
+        out[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x[c, i*stride + a*d - pad, j*stride + b*d - pad]
 
     with x zero off its extent and the kernel given as the (m*O, m*C) matrix
     ws[a*O + o, b*C + c] = w[o,c,a,b]. Returns out and, for each row tap a,
@@ -157,7 +157,7 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
     m = ws.shape[1] // c
     o = ws.shape[0] // m
     eff = dilation * (m - 1) + 1
-    rows = [_span(a * dilation - top, stride, h, h_out) for a in range(m)]
+    rows = [_span(a * dilation - pad, stride, h, h_out) for a in range(m)]
     # a row tap that covers every output row starts the sum, which spares a pass over out
     order = sorted(range(m), key=lambda a: rows[a][0] != slice(0, h_out))
     full = rows[order[0]][0] == slice(0, h_out)
@@ -166,18 +166,18 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
     band = max(1, (_BAND_BYTES // row_bytes - eff) // stride + 1)
     for i0 in range(0, h_out, band):
         i1 = min(i0 + band, h_out)
-        lo, hi = max(0, i0 * stride - top), min(h, (i1 - 1) * stride + eff - top)
+        lo, hi = max(0, i0 * stride - pad), min(h, (i1 - 1) * stride + eff - pad)
         if not full:
             out[:, i0:i1] = base
         if lo >= hi:  # every row the band reads lies off the input
             continue
-        q = _column_taps(x[:, lo:hi], m, stride, dilation, left, w_out)
+        q = _column_taps(x[:, lo:hi], m, stride, dilation, pad, w_out)
         y = (ws @ q).reshape(m, o, hi - lo, w_out)
         for k, a in enumerate(order):
             d0, d1 = max(rows[a][0].start, i0), min(rows[a][0].stop, i1)
             if d0 >= d1:
                 continue
-            r0 = d0 * stride + a * dilation - top - lo
+            r0 = d0 * stride + a * dilation - pad - lo
             src = y[a, :, r0:r0 + (d1 - d0 - 1) * stride + 1:stride]
             if k == 0 and full:
                 np.add(src, base, out=out[:, d0:d1])
@@ -248,7 +248,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     ws = _kernel(weight.data, "ws",
                  lambda wd: wd.transpose(2, 0, 3, 1).reshape(m * o_ch, m * c_in))
     out_data, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
-                                p, p, h_out, w_out)
+                                p, h_out, w_out)
     if relu:
         np.maximum(out_data, 0, out=out_data)
 
@@ -276,8 +276,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
                 gs = g
             flipped = _kernel(weight.data, "flipped", lambda wd: wd[:, :, ::-1, ::-1].transpose(
                 2, 1, 3, 0).reshape(m * c_in, m * o_ch))
-            x.accumulate_grad(_correlate(gs, flipped, 0, 1, dilation,
-                                         eff - 1 - p, eff - 1 - p, h, w)[0], owned=True)
+            x.accumulate_grad(_correlate(gs, flipped, 0, 1, dilation, eff - 1 - p, h, w)[0],
+                              owned=True)
 
     return _result(out_data, (x, weight, bias), backward, "conv2d")
 
