@@ -21,7 +21,10 @@ and two CPUs are usable; ``acquire`` gives the process's one helper and
   in place, and one gradient slot of the same size. Each parameter's slot
   is laid out in the memory order of the gradient the backward pass makes
   (conv weight gradients are transposed views), so the helper's copy in
-  and the parent's add out both run through memory in order.
+  and the parent's add out both run through memory in order. On 2 Xeon
+  CPUs perfbench's train-mfp64 (n=64, width-8 MFP-Unet, batch 8) ran 228
+  ops/s with these slots and 192 with row-major ones (medians of 10
+  paired runs).
 - The helper keeps its own gradients: after each of its samples it waits
   until the parent has released the slot, copies the gradients in, and
   sends the sample's float32 loss. The parent adds them at that sample's
