@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Verbs: synth, train, eval, measure, report. Exit code 0 on success, 2 on
-a contract violation or a verb that runs out of memory, 3 on an I/O or
-format error or a training helper process that died or failed.
+a contract violation, a model whose training or logits blew up, or a verb
+that runs out of memory, 3 on an I/O or format error or a training helper
+process that died or failed.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 
 from .checkpoint import checkpoint_read
 from .config import RunConfig
-from .errors import (ContractViolation, FormatError, MeasurementError, TrainingDiverged,
-                     TrainingHelperError)
+from .errors import (ContractViolation, FormatError, MeasurementError, NonFiniteLogits,
+                     TrainingDiverged, TrainingHelperError)
 from .models import ARCH_TAGS
 from .report import (agreement_reports, method_anova, read_measurements_csv,
                      write_agreement_report, write_measurements_csv, write_metrics_csv)
@@ -137,7 +138,10 @@ def _cmd_eval(args) -> None:
     model = checkpoint_read(args.checkpoint, expect_arch=args.arch)
     samples = resolve_data(args.data, model.n, args.seed)
     t0 = time.perf_counter()
-    rows = evaluate_model(model, samples)
+    try:
+        rows = evaluate_model(model, samples)
+    except NonFiniteLogits as exc:
+        raise NonFiniteLogits(f"{exc} (checkpoint {args.checkpoint})") from None
     elapsed = time.perf_counter() - t0
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
                 "measure": _cmd_measure, "report": _cmd_report}
     try:
         handlers[args.command](args)
-    except (ContractViolation, MeasurementError, TrainingDiverged) as exc:
+    except (ContractViolation, MeasurementError, NonFiniteLogits, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
     except MemoryError as exc:

@@ -23,3 +23,7 @@ class TrainingDiverged(RuntimeError):
 
 class TrainingHelperError(RuntimeError):
     """The helper process that trains beside ``train`` died or failed mid-fold."""
+
+
+class NonFiniteLogits(RuntimeError):
+    """A model's weights are finite but its logits are not: they have blown up."""

@@ -12,9 +12,12 @@ and two CPUs are usable; ``acquire`` gives the process's one helper and
   fold and ``train`` call of the process. ``atexit`` closes its socket
   and waits for it to exit; a helper whose parent dies reads end-of-file
   and exits too.
-- Control messages are pickles over a Unix socket pair. A fold that fails
-  in any way kills the helper (``reset``), so no message of that fold is
-  ever read by the next; the next fold starts a new one.
+- Control messages are pickles over a Unix socket pair: each end writes
+  with ``pickle.dump`` to a buffered file on its socket and flushes, and
+  reads with ``pickle.load``, since a pickle ends itself and needs no
+  length before it. A fold that fails in any way kills the helper
+  (``reset``), so no message of that fold is ever read by the next; the
+  next fold starts a new one.
 - Data moves through one anonymous shared file (``os.memfd_create``:
   no name in any file system, freed with the last process that maps it).
   It holds the fold's weights, which the parent's ``opt.step()`` updates
@@ -45,7 +48,6 @@ import pickle
 import resource
 import signal
 import socket
-import struct
 import subprocess
 import sys
 import traceback
@@ -55,41 +57,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .autograd import no_grad
 from .cli import _keep_freed_memory
 from .errors import TrainingHelperError
 from .layers import fixed_weights
 from .models import Model
 from .preprocess import compose_input
-from .training import _sample_step, _val_score
+from .training import _sample_step, _val_scores
 
 _ALIGN = 64  # bytes; every parameter and slot starts on a cache line
-_HEADER = struct.Struct("<Q")
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# the helper's command line: put this lvseg's directory first on the path,
-# then serve on the socket and shared file whose descriptors follow
-_BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); from lvseg.helper import serve; "
+# the helper's command line: put the directory of this copy of the package
+# first on the path, import this module by its own name, then serve on the
+# socket and shared file whose descriptors follow
+_BOOT = (f"import sys; sys.path.insert(0, sys.argv[1]); from {__name__} import serve; "
          "serve(int(sys.argv[2]), int(sys.argv[3]))")
 
 
-def _send(sock: socket.socket, msg) -> None:
-    data = pickle.dumps(msg, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_HEADER.pack(len(data)))
-    sock.sendall(data)
-
-
-def _recv(sock: socket.socket):
-    """The next message; EOFError once the other end has closed."""
-    def exact(n):
-        buf = bytearray(n)
-        view, got = memoryview(buf), 0
-        while got < n:
-            k = sock.recv_into(view[got:])
-            if k == 0:
-                raise EOFError
-            got += k
-        return buf
-    return pickle.loads(exact(_HEADER.unpack(exact(_HEADER.size))[0]))
+def _send(conn, msg) -> None:
+    pickle.dump(msg, conn, protocol=pickle.HIGHEST_PROTOCOL)
+    conn.flush()
 
 
 def _layout(shapes: list[tuple[int, ...]], itemsize: int) -> tuple[list[tuple[int, int]], int]:
@@ -182,21 +168,21 @@ class Helper:
             raise
         finally:
             theirs.close()
-        self._sock = ours
+        self._sock, self._conn = ours, ours.makefile("rwb")
         self._params, self._weights, self._slots = [], [], None
 
     # -- messages -----------------------------------------------------------
 
     def _send(self, msg) -> None:
         try:
-            _send(self._sock, msg)
+            _send(self._conn, msg)
         except OSError:
             self._lost()
 
     def _recv(self, expect: str):
         try:
-            msg = _recv(self._sock)
-        except (EOFError, OSError):
+            msg = pickle.load(self._conn)
+        except (EOFError, pickle.UnpicklingError, OSError):  # the helper died, mid-message or not
             self._lost()
         if msg[0] == "error":
             raise TrainingHelperError(f"training helper (pid {self.proc.pid}) failed:\n{msg[1]}")
@@ -278,6 +264,11 @@ class Helper:
         closing its socket (it exits at end-of-file)."""
         if kill:
             self.proc.kill()
+        # the file first: a socket stays open while a file made from it is
+        try:
+            self._conn.close()
+        except OSError:
+            pass  # a message that never left for a helper that has gone
         self._sock.close()
         try:
             self.proc.wait(timeout=10)
@@ -335,12 +326,12 @@ def serve(sock_fd: int, map_fd: int) -> None:
     """The helper's loop: answer the parent's messages until end-of-file."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _keep_freed_memory()
-    sock = socket.socket(fileno=sock_fd)
+    conn = socket.socket(fileno=sock_fd).makefile("rwb")
     mapping, size, fold = None, 0, None
     while True:
         try:
-            msg = _recv(sock)
-        except EOFError:
+            msg = pickle.load(conn)
+        except (EOFError, pickle.UnpicklingError):
             return
         try:
             if msg[0] == "fold":
@@ -350,25 +341,25 @@ def serve(sock_fd: int, map_fd: int) -> None:
                 np.seterr(**err)
                 fold = _Fold(mapping, spec, dtype, offsets, samples, val_samples)
             elif msg[0] == "batch":
-                _run_batch(sock, fold, *msg[1:])
+                _run_batch(conn, fold, *msg[1:])
             elif msg[0] == "free":
                 fold.slot_busy = False
             elif msg[0] == "validate":
-                _send(sock, ("scores", _validate(fold)))
+                _send(conn, ("scores", _val_scores(fold.model, fold.val_samples[1::2])))
             elif msg[0] == "end":
                 fold = None
-                _send(sock, ("end", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
+                _send(conn, ("end", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))
             else:
                 raise ValueError(f"unknown message {msg[0]!r}")
         except Exception:
             try:
-                _send(sock, ("error", traceback.format_exc()))
+                _send(conn, ("error", traceback.format_exc()))
             except OSError:
                 pass  # the parent has gone
             return
 
 
-def _run_batch(sock, fold: _Fold, indices: list[int], size: int) -> None:
+def _run_batch(conn, fold: _Fold, indices: list[int], size: int) -> None:
     """Run these samples of a batch of ``size`` through the shared
     per-sample step, sending each one's loss once its gradient is in the
     slot; stop after a non-finite loss, whose gradient is not made."""
@@ -378,10 +369,10 @@ def _run_batch(sock, fold: _Fold, indices: list[int], size: int) -> None:
             s = fold.samples[i]
             loss = _sample_step(fold.model, compose_input(s), s.mask, scale, None)
             if not np.isfinite(loss):
-                _send(sock, ("loss", loss, None))
+                _send(conn, ("loss", loss, None))
                 return
             while fold.slot_busy:
-                msg = _recv(sock)
+                msg = pickle.load(conn)
                 if msg[0] != "free":
                     raise ValueError(f"{msg[0]!r} while the gradient slot is in use")
                 fold.slot_busy = False
@@ -394,15 +385,4 @@ def _run_batch(sock, fold: _Fold, indices: list[int], size: int) -> None:
                 np.copyto(slot, t.grad)
                 t.grad = None
             fold.slot_busy = True
-            _send(sock, ("loss", loss, orders))
-
-
-def _validate(fold: _Fold) -> list:
-    """Dice of the odd validation positions, ending at the first None."""
-    scores = []
-    with fixed_weights(), no_grad():
-        for s in fold.val_samples[1::2]:
-            scores.append(_val_score(fold.model, s))
-            if scores[-1] is None:
-                break
-    return scores
+            _send(conn, ("loss", loss, orders))

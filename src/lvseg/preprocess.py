@@ -63,9 +63,12 @@ def elastic_deform(sample: ImageSample, alpha: float = 2.0, sigma: float = 6.0,
                        subject=sample.subject, sample_id=sample.sample_id)
 
 
-def compose_input(sample: ImageSample, k: float = 2.0, dtype=np.float32) -> np.ndarray:
-    """Stack the raw image and its thresholded contrast channel into the
-    (2, H, W) network input, both scaled to [0, 1]."""
-    raw = sample.image.astype(dtype) / 255.0
-    contrast = niblack_threshold(sample.image, k=k).astype(dtype) / 255.0
+def compose_input(sample: ImageSample | np.ndarray, k: float = 2.0,
+                  dtype=np.float32) -> np.ndarray:
+    """Stack the raw image (``sample.image``, or ``sample`` itself when it is
+    an image array) and its thresholded contrast channel into the (2, H, W)
+    network input, both scaled to [0, 1]."""
+    image = sample.image if isinstance(sample, ImageSample) else sample
+    raw = image.astype(dtype) / 255.0
+    contrast = niblack_threshold(image, k=k).astype(dtype) / 255.0
     return np.stack([raw, contrast])

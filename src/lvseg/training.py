@@ -42,27 +42,29 @@ the one before instead of faulting in fresh ones; the functions here set
 nothing process-wide.
 
 The weights stay fixed from one ``opt.step()`` to the next, so
-``backprop_batch``, ``mean_val_dice`` and ``evaluate_model`` each run
+``backprop_batch``, ``_val_scores`` and ``evaluate_model`` each run
 inside ``layers.fixed_weights()``: every conv lays out its kernel
 matrices once per batch or pass, not once per sample, with bit-identical
 results. The step itself runs outside that scope.
 
-Training uses two processes when a batch holds two or more samples and
-two CPUs are usable (``usable_cpus``). The process's helper
+Training runs one loop per job, alone or beside a helper process:
+``backprop_batch`` runs a batch, each sample through ``_sample_step``,
+and ``_val_scores`` the validation samples. Batches of two or more
+samples on two usable CPUs (``usable_cpus``) get the process's helper
 (``helper.py``, one per Python process, started without forking this
-heap) runs the odd positions of every batch and of the validation
-samples, and this process the even ones. The weights live in a file both
+heap). It runs the odd positions of every batch and of the validation
+samples through the same two functions, and ``backprop_batch`` takes its
+loss and gradient at each odd position. The weights live in a file both
 processes map, so ``opt.step()`` reaches the helper with no copy; each
-process runs on one BLAS thread while the fold lasts. Batch size 1,
-one-CPU hosts and ``backprop_batch`` keep the one-process path.
+process runs on one BLAS thread while the fold lasts.
 
-The two paths write the same bytes. A sample's loss and gradient depend
-only on the weights and the sample, and both processes run the same
-per-sample step (``_sample_step``, with the same scale 1/B). The helper
-keeps each gradient to itself and copies it into a shared slot; this
-process adds it (``accumulate_grad``, as backward would) at the sample's
-own position, after the sample before it and before the backward of the
-one after it. So every parameter gradient is the float32 left fold
+The outputs are the same bytes either way. A sample's loss and gradient
+depend only on the weights and the sample, and both processes run the
+same per-sample step with the same scale 1/B. The helper keeps each
+gradient to itself and copies it into a shared slot; ``backprop_batch``
+adds it (``accumulate_grad``, as backward would) at the sample's own
+position, after the sample before it and before the backward of the one
+after it. So every parameter gradient is the float32 left fold
 ((g_1 + g_2) + g_3) + ... of one process, the batch loss is summed in
 the same order, and the Dice scores are averaged as one list in sample
 order; a non-finite loss or logit is reported for the first such sample
@@ -83,7 +85,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
@@ -95,7 +97,7 @@ from .autograd import Tensor, backward, no_grad
 from .checkpoint import checkpoint_write
 from .config import RunConfig
 from .dataset import FoldAssignment, ImageSample, load_dataset, make_folds, save_dataset
-from .errors import ContractViolation, MeasurementError, TrainingDiverged
+from .errors import ContractViolation, MeasurementError, NonFiniteLogits, TrainingDiverged
 from .geometry import extract_contour
 from .layers import SGD, fixed_weights, softmax_cross_entropy
 from .measure import ejection_fraction, measure_mask
@@ -139,15 +141,20 @@ def resize_sample(sample: ImageSample, n: int) -> ImageSample:
     h, w = sample.mask.shape
     if (h, w) == (n, n):
         return sample
-    zoom = (n / h, n / w)
-    image = np.clip(np.rint(ndimage.zoom(sample.image.astype(np.float64), zoom, order=1,
-                                         mode="nearest")), 0, 255).astype(np.uint8)
-    mask = ndimage.zoom(sample.mask, zoom, order=0, mode="nearest")
     # calibration scales inversely with the resampling factor
-    calibration = sample.calibration * h / n
-    return ImageSample(image=image, mask=mask, calibration=calibration,
-                       phase=sample.phase, subject=sample.subject,
-                       sample_id=sample.sample_id)
+    return replace(sample, image=_resize_image(sample.image, n),
+                   mask=ndimage.zoom(sample.mask, (n / h, n / w), order=0, mode="nearest"),
+                   calibration=sample.calibration * h / n)
+
+
+def _resize_image(image: np.ndarray, n: int) -> np.ndarray:
+    """``resize_sample``'s bilinear zoom of an image to n x n; an image
+    already n x n is returned as it is."""
+    if image.shape == (n, n):
+        return image
+    zoom = (n / image.shape[0], n / image.shape[1])
+    return np.clip(np.rint(ndimage.zoom(image.astype(np.float64), zoom, order=1,
+                                        mode="nearest")), 0, 255).astype(np.uint8)
 
 
 @dataclass
@@ -187,13 +194,18 @@ def augment_samples(samples: list[ImageSample], factor: int, alpha: float,
     return out
 
 
-def _val_score(model: Model, s: ImageSample) -> float | None:
-    """Dice of the model's mask on one validation sample, None when a logit
-    is not finite; run inside ``fixed_weights()`` and ``no_grad()``."""
-    logits = model.forward(Tensor(compose_input(s, dtype=model.dtype))).data
-    if not np.isfinite(logits).all():
-        return None
-    return dice(logits_mask(logits), s.mask)
+def _val_scores(model: Model, samples: list[ImageSample]) -> list[float | None]:
+    """Dice of the model's mask on each sample in order, ending at the first
+    None: a sample with a non-finite logit. ``mean_val_dice`` and the helper
+    both run this."""
+    scores = []
+    with fixed_weights(), no_grad():
+        for s in samples:
+            logits = model.forward(Tensor(compose_input(s, dtype=model.dtype))).data
+            if not np.isfinite(logits).all():
+                return scores + [None]
+            scores.append(dice(logits_mask(logits), s.mask))
+    return scores
 
 
 def mean_val_dice(model: Model, samples: list[ImageSample], helper=None) -> float:
@@ -205,18 +217,14 @@ def mean_val_dice(model: Model, samples: list[ImageSample], helper=None) -> floa
     the mean is taken over the same list in the same order."""
     if not samples:
         return math.nan
-    if helper is not None:
+    if helper is None:
+        scores = _val_scores(model, samples)
+    else:
         helper.start_validation()
-    scores = []
-    with fixed_weights(), no_grad():
-        for s in (samples if helper is None else samples[::2]):
-            scores.append(_val_score(model, s))
-            if scores[-1] is None:
-                break
-    if helper is not None:
         # each side stops at its first None, which comes before any position
         # that side skipped, so the interleaved list meets the first None in order
-        scores = [score for pair in zip_longest(scores, helper.scores())
+        scores = [score for pair in zip_longest(_val_scores(model, samples[::2]),
+                                                helper.scores())
                   for score in pair][:len(samples)]
     for s, score in zip(samples, scores):
         if score is None:
@@ -236,8 +244,8 @@ def _sample_step(model: Model, x: np.ndarray, target: np.ndarray, scale: float, 
     return total
 
 
-def backprop_batch(model: Model, inputs: Iterable[np.ndarray],
-                   targets: list[np.ndarray]) -> float:
+def backprop_batch(model: Model, inputs: Iterable[np.ndarray], targets: list[np.ndarray],
+                   helper=None) -> float:
     """Add the gradient of the batch's mean loss into the parameters and
     return that loss, running ``backward(loss_i * (1/B))`` as soon as each
     sample's forward ends so that one sample's tape is alive at a time.
@@ -248,30 +256,19 @@ def backprop_batch(model: Model, inputs: Iterable[np.ndarray],
     order, so gradients and the float32 ``(loss_1 + ... + loss_B) * (1/B)``
     returned are bit-identical to that graph's. A sample that makes the
     sum non-finite is not backpropagated; the non-finite value is returned.
+
+    With a ``helper`` (``helper.Helper``) already given the batch's odd
+    positions (``start_batch``), ``inputs`` holds the even positions' only:
+    at each odd position the helper's loss is added and its gradient
+    accumulated, in the same order, so the result is the same bits.
     """
     scale = 1.0 / len(targets)
+    inputs = iter(inputs)
     total = None
     with fixed_weights():
-        for x, target in zip(inputs, targets):
-            total = _sample_step(model, x, target, scale, total)
-            if not np.isfinite(total):
-                break
-    return float(total * total.dtype.type(scale))
-
-
-def _backprop_shared(model: Model, helper, batch: np.ndarray,
-                     augmented: list[ImageSample], targets: list[np.ndarray]) -> float:
-    """``backprop_batch`` of ``augmented[batch]`` with the helper running
-    the odd positions. This process runs the even ones and adds each of the
-    helper's losses and gradients at its position, so every sum runs in
-    ``backprop_batch``'s order and the result is bit-identical to it."""
-    scale = 1.0 / len(batch)
-    helper.start_batch(batch[1::2], len(batch))
-    total = None
-    with fixed_weights():
-        for k, i in enumerate(batch):
-            if k % 2 == 0:
-                total = _sample_step(model, compose_input(augmented[i]), targets[i], scale, total)
+        for k, target in enumerate(targets):
+            if helper is None or k % 2 == 0:
+                total = _sample_step(model, next(inputs), target, scale, total)
             else:
                 total = total + helper.loss()
                 if np.isfinite(total):
@@ -313,7 +310,6 @@ def _train_fold(config: RunConfig, train_samples: list[ImageSample],
     augmented = augment_samples(train_samples, config.augment_factor,
                                 config.elastic_alpha, config.elastic_sigma,
                                 _derived_seed(config.seed, fold, 1))
-    targets = [s.mask for s in augmented]
     if helper is not None:
         helper.start_fold(model, augmented, val_samples)
 
@@ -330,12 +326,12 @@ def _train_fold(config: RunConfig, train_samples: list[ImageSample],
         order = shuffle_rng.permutation(len(augmented))
         running = 0.0
         for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            if helper is None:
-                value = backprop_batch(model, (compose_input(augmented[i]) for i in batch),
-                                       [targets[i] for i in batch])
-            else:
-                value = _backprop_shared(model, helper, batch, augmented, targets)
+            batch = own = order[start:start + config.batch_size]
+            if helper is not None:
+                helper.start_batch(batch[1::2], len(batch))
+                own = batch[::2]
+            value = backprop_batch(model, (compose_input(augmented[i]) for i in own),
+                                   [augmented[i].mask for i in batch], helper)
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss (fold {fold}, epoch {epoch}, batch index "
@@ -432,15 +428,34 @@ def metrics_for_masks(pred: np.ndarray, truth: np.ndarray,
     return dm, jc, hd, md
 
 
+class _FiniteLogits:
+    """``model`` as ``evaluate_model`` hands it to ``forward_segment``, which
+    stays the call that perfbench times: its forward raises NonFiniteLogits
+    naming the image when a logit is not finite, which the mask drawn from
+    the logits would not show."""
+
+    def __init__(self, model: Model, sample_id: str):
+        self.model, self.dtype, self.sample_id = model, model.dtype, sample_id
+
+    def forward(self, x: Tensor) -> Tensor:
+        logits = self.model.forward(x)
+        if not np.isfinite(logits.data).all():
+            raise NonFiniteLogits(f"non-finite logits on image {self.sample_id!r}")
+        return logits
+
+
 def evaluate_model(model: Model, samples: list[ImageSample]) -> list[MetricsRow]:
     """Per-image rows, each scored on the frame's own grid and calibration
     (the prediction mapped back by nearest neighbour), followed by
-    nan-aware mean and sample-SD summary rows."""
+    nan-aware mean and sample-SD summary rows. Only the image is resampled
+    to the network's input. A non-finite logit raises NonFiniteLogits
+    naming the first such image."""
     rows = []
     with fixed_weights():
         for s in samples:
-            pred = forward_segment(model, compose_input(resize_sample(s, model.n),
-                                                        dtype=model.dtype))
+            pred = forward_segment(_FiniteLogits(model, s.sample_id),
+                                   compose_input(_resize_image(s.image, model.n),
+                                                 dtype=model.dtype))
             if pred.shape != s.mask.shape:
                 pred = ndimage.zoom(pred, np.divide(s.mask.shape, pred.shape), order=0,
                                     mode="nearest")

@@ -145,13 +145,14 @@ def test_measure_zooms_no_image(tmp_path, monkeypatch):
     monkeypatch.setattr(training.ndimage, "zoom", counting_zoom)
     assert main(["measure", "--data", data, "--n", "160", "--out", str(tmp_path / "m")]) == 0
     assert orders == []
-    # control: train and eval still zoom every off-size image (and its mask)
+    # control: train zooms every off-size image and its mask
     train(_tiny_cfg(tmp_path, n=160, folds=2, data_dir=data))
     assert sorted(orders) == [0, 0, 0, 0, 1, 1, 1, 1]
     orders.clear()
     evaluate_model(Model("unet", 160, 2, 1, seed=0), load_dataset(data))
-    # and map each prediction back to its frame's grid
-    assert sorted(orders) == [0] * 8 + [1] * 4
+    # eval zooms each off-size image, not its mask, and maps each prediction
+    # back to its frame's grid
+    assert sorted(orders) == [0] * 4 + [1] * 4
 
 
 def test_measure_reads_every_frame_on_its_own_grid(tmp_path):

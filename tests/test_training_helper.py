@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -169,6 +170,33 @@ def test_outputs_hold_with_more_training_processes_than_cores(tmp_path, monkeypa
         assert _digests(tmp_path / f"run{k}") == _digests(tmp_path / "one")
 
 
+_RENAMED = """
+from lvseg_copy import training
+from lvseg_copy.config import RunConfig
+from lvseg_copy.phantom import generate_phantom_set
+samples = generate_phantom_set(3, 32, 1)
+cfg = RunConfig(arch="unet", n=32, base_width=2, batch_size=2, epochs=1, seed=3)
+print(training.train_fold(cfg, samples[:4], samples[4:], 0).processes)
+"""
+
+
+def test_a_copy_of_the_package_under_another_name_starts_its_own_helper(tmp_path):
+    # the copy is importable as lvseg_copy only: a package named lvseg ahead
+    # of any installed one fails on import, so a helper that imported lvseg
+    # would end the fold instead of running the copy's code
+    import lvseg
+    packages = tmp_path / "packages"
+    shutil.copytree(Path(lvseg.__file__).parent, packages / "lvseg_copy",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (packages / "lvseg").mkdir()
+    (packages / "lvseg" / "__init__.py").write_text(
+        "raise ImportError('this lvseg is not the copy')\n")
+    out = subprocess.run([sys.executable, "-c", _RENAMED], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(packages)}, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["2"]
+
+
 # -- processes and files ----------------------------------------------------------
 
 _LIFECYCLE = """
@@ -300,8 +328,13 @@ def test_two_process_folds_run_one_blas_thread_and_restore_the_count():
 
 
 def test_eval_and_measure_never_import_the_helper(tmp_path):
+    checkpoint = str(tmp_path / "checkpoint.bin")
     code = ("import sys; from lvseg.cli import main; "
+            "from lvseg.checkpoint import checkpoint_write; from lvseg.models import Model; "
             f"main(['measure', '--data', 'synthetic:1', '--out', {str(tmp_path)!r}]); "
+            f"checkpoint_write(Model('unet', 32, 2, 1, seed=0), {checkpoint!r}); "
+            f"assert main(['eval', '--checkpoint', {checkpoint!r}, '--data', 'synthetic:1', "
+            f"'--out', {str(tmp_path / 'eval')!r}]) == 0; "
             "print('lvseg.helper' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_child_env(), timeout=120)
