@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,10 +46,11 @@ class RunConfig:
 
     def __post_init__(self):
         check_spec(self.arch, self.n, self.base_width, self.model_dilation)
-        # json reads NaN and Infinity, which pass the sign checks below
+        # json reads NaN and Infinity, which pass the sign checks below, and
+        # integers past the largest float, on which math.isfinite overflows
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            if f.type == "float" and not abs(value) <= sys.float_info.max:
                 raise ContractViolation(f"{f.name} must be finite, got {value}")
         positive = ("learning_rate", "momentum", "batch_size", "augment_factor",
                     "elastic_sigma", "folds")
@@ -82,10 +83,11 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (ValueError, RecursionError) as exc:
+            # a JSONDecodeError, an integer past int()'s digit limit, or nesting too deep
+            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise FormatError(f"{path}: config must be a JSON object")
         return cls.from_dict(raw)

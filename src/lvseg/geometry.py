@@ -113,11 +113,10 @@ def extract_contour(mask: np.ndarray) -> np.ndarray:
     # the first foreground pixel in row-major order: topmost, then leftmost
     start = divmod(int(np.argmax(binary)), binary.shape[1])
 
+    # the walk turns clockwise on screen from the top-left pixel, which is
+    # counterclockwise in (x, y): the polygon's signed area is never negative
     trace = _moore_trace(binary, start, (0, bottom - top, 0, right - left))
-    poly = (trace + (top, left))[:, ::-1].astype(np.float64)
-    if len(poly) >= 3 and signed_area(poly) < 0:
-        poly = poly[::-1].copy()
-    return poly
+    return (trace + (top, left))[:, ::-1].astype(np.float64)
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:

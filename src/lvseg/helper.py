@@ -4,6 +4,9 @@ each training batch, and every other validation sample, of a fold.
 ``training.train_fold`` uses it when a batch holds at least two samples
 and two CPUs are usable; ``acquire`` gives the process's one helper and
 ``reset`` stops it. Nothing here is imported by ``eval`` or ``measure``.
+The parent chooses which samples the helper runs: it sends the indices
+of each batch's (``start_batch``) and of the validation samples'
+(``start_validation``) share, and the helper runs exactly those.
 
 - The helper is a fresh interpreter started with ``subprocess`` on first
   use: nothing of the caller's heap is forked, and the caller's
@@ -239,12 +242,13 @@ class Helper:
             t.accumulate_grad(g)
         self._send(("free",))
 
-    def start_validation(self) -> None:
-        self._send(("validate",))
+    def start_validation(self, indices) -> None:
+        """Have the helper score these validation samples."""
+        self._send(("validate", [int(i) for i in indices]))
 
     def scores(self) -> list:
-        """The helper's Dice scores of the odd validation positions, in
-        order, ending at the first None (non-finite logits)."""
+        """The helper's Dice scores of the validation samples it was given,
+        in order, ending at the first None (non-finite logits)."""
         return self._recv("scores")[0]
 
     def end_fold(self) -> float:
@@ -345,7 +349,8 @@ def serve(sock_fd: int, map_fd: int) -> None:
             elif msg[0] == "free":
                 fold.slot_busy = False
             elif msg[0] == "validate":
-                _send(conn, ("scores", _val_scores(fold.model, fold.val_samples[1::2])))
+                samples = [fold.val_samples[i] for i in msg[1]]
+                _send(conn, ("scores", _val_scores(fold.model, samples)))
             elif msg[0] == "end":
                 fold = None
                 _send(conn, ("end", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0))

@@ -2,87 +2,56 @@
 
 PGM is the interchange format for images and masks: trivially parseable,
 byte-exact, no compression ambiguity. Masks are stored with values
-{0, 255}. Format errors name the byte offset at which parsing failed.
+{0, 255}. The header is ``P5``, then width, height and maxval, each one
+token of non-whitespace bytes read by ``int`` after a run of whitespace
+and ``#`` comments (each to the end of its line); one whitespace byte
+separates it from the raster. Format errors name the byte offset at
+which parsing failed.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
 from .errors import FormatError
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-class _Scanner:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def fail(self, msg: str):
-        raise FormatError(f"{self.path}: {msg} at byte {self.pos}")
-
-    def skip_space(self, required: bool = False):
-        moved = False
-        while self.pos < len(self.buf):
-            c = self.buf[self.pos:self.pos + 1]
-            if c in (b"#",):  # comment runs to end of line
-                while self.pos < len(self.buf) and self.buf[self.pos:self.pos + 1] != b"\n":
-                    self.pos += 1
-                moved = True
-            elif c in _WHITESPACE:
-                self.pos += 1
-                moved = True
-            else:
-                break
-        if required and not moved:
-            self.fail("expected whitespace")
-
-    def token(self) -> bytes:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.buf) and self.buf[self.pos:self.pos + 1] not in _WHITESPACE:
-            self.pos += 1
-        if self.pos == start:
-            self.fail("unexpected end of header")
-        return self.buf[start:self.pos]
-
-    def integer(self, what: str) -> int:
-        tok = self.token()
-        try:
-            return int(tok)
-        except ValueError:
-            self.fail(f"invalid {what} {tok!r}")
+_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")  # whitespace and comments, then a token
 
 
 def pgm_read(path: str | os.PathLike) -> np.ndarray:
     """Read a binary P5 PGM with maxval 255 into a (H, W) uint8 array."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    sc = _Scanner(buf, str(path))
     if buf[:2] != b"P5":
         magic = buf[:2].decode("latin-1", errors="replace")
         raise FormatError(f"{path}: unsupported magic {magic!r} (want P5) at byte 0")
-    sc.pos = 2
-    width = sc.integer("width")
-    height = sc.integer("height")
-    if width <= 0 or height <= 0:
-        sc.fail(f"non-positive dimensions {width}x{height}")
-    maxval = sc.integer("maxval")
+    pos, fields = 2, []
+    for what in ("width", "height", "maxval"):
+        match = _FIELD.match(buf, pos)
+        token, pos = match[1], match.end()
+        if not token:
+            raise FormatError(f"{path}: unexpected end of header at byte {pos}")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise FormatError(f"{path}: invalid {what} {token!r} at byte {pos}") from None
+        if what == "height" and min(fields) <= 0:
+            raise FormatError(
+                f"{path}: non-positive dimensions {fields[0]}x{fields[1]} at byte {pos}")
+    width, height, maxval = fields
     if maxval != 255:
-        sc.fail(f"unsupported maxval {maxval} (want 255)")
-    # exactly one whitespace byte separates the header from the raster
-    if sc.pos >= len(buf) or buf[sc.pos:sc.pos + 1] not in _WHITESPACE:
-        sc.fail("missing raster separator")
-    sc.pos += 1
+        raise FormatError(f"{path}: unsupported maxval {maxval} (want 255) at byte {pos}")
+    if not buf[pos:pos + 1].isspace():
+        raise FormatError(f"{path}: missing raster separator at byte {pos}")
+    pos += 1
     need = width * height
-    data = buf[sc.pos:sc.pos + need]
+    data = buf[pos:pos + need]
     if len(data) < need:
         raise FormatError(
-            f"{path}: truncated raster, expected {need} bytes at byte {sc.pos}, found {len(data)}")
+            f"{path}: truncated raster, expected {need} bytes at byte {pos}, found {len(data)}")
     return np.frombuffer(data, dtype=np.uint8).reshape(height, width)
 
 

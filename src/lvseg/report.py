@@ -63,7 +63,8 @@ def csv_rows(path: str | Path, header: list[str], kind: str | None = None):
     be exactly ``header`` with a ``kind`` to name in the error, or hold at
     least those fields without one. A row shorter than ``header`` or longer
     than the file's own header raises FormatError naming the file and the
-    line; bytes that are not UTF-8 raise it naming the file."""
+    line; bytes that are not UTF-8 raise it naming the file, and a field
+    past csv's size limit naming the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -83,6 +84,8 @@ def csv_rows(path: str | Path, header: list[str], kind: str | None = None):
                 yield line, row
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

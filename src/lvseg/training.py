@@ -52,8 +52,9 @@ Training runs one loop per job, alone or beside a helper process:
 and ``_val_scores`` the validation samples. Batches of two or more
 samples on two usable CPUs (``usable_cpus``) get the process's helper
 (``helper.py``, one per Python process, started without forking this
-heap). It runs the odd positions of every batch and of the validation
-samples through the same two functions, and ``backprop_batch`` takes its
+heap). It runs the samples this process names through the same two
+functions: the odd positions of every batch (``_train_fold``) and of the
+validation samples (``mean_val_dice``), and ``backprop_batch`` takes its
 loss and gradient at each odd position. The weights live in a file both
 processes map, so ``opt.step()`` reaches the helper with no copy; each
 process runs on one BLAS thread while the fold lasts.
@@ -212,15 +213,16 @@ def mean_val_dice(model: Model, samples: list[ImageSample], helper=None) -> floa
     """Mean Dice of the model's masks (``logits_mask``) against the samples'
     masks, NaN with no samples. A non-finite logit raises TrainingDiverged
     naming the first such sample in order, since a mask drawn from it
-    predicts nothing. With a ``helper`` (``helper.Helper``) the helper
-    scores the odd positions while this process scores the even ones, and
-    the mean is taken over the same list in the same order."""
+    predicts nothing. With a ``helper`` (``helper.Helper``) this is the one
+    place that splits the samples: the helper is told to score the odd
+    positions while this process scores the even ones, and the mean is
+    taken over the same list in the same order."""
     if not samples:
         return math.nan
     if helper is None:
         scores = _val_scores(model, samples)
     else:
-        helper.start_validation()
+        helper.start_validation(range(1, len(samples), 2))
         # each side stops at its first None, which comes before any position
         # that side skipped, so the interleaved list meets the first None in order
         scores = [score for pair in zip_longest(_val_scores(model, samples[::2]),
@@ -286,11 +288,14 @@ def usable_cpus() -> int:
         return 1
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_fold(config: RunConfig, train_samples: list[ImageSample],
                val_samples: list[ImageSample], fold: int) -> FoldResult:
     """Train one fold. With batches of two or more samples and two usable
     CPUs, the process's helper (``helper.acquire``) runs the odd positions
-    of every batch and of the validation samples; any failure kills it."""
+    of every batch and of the validation samples; any failure kills it.
+    numpy's overflow and invalid warnings are off, in the helper too (it gets
+    ``np.geterr()``), since the finite checks name a blow-up."""
     if config.batch_size < 2 or usable_cpus() < 2:
         return _train_fold(config, train_samples, val_samples, fold, None)
     from . import helper as helpers  # imported here: eval and measure never need it
@@ -438,7 +443,8 @@ class _FiniteLogits:
         self.model, self.dtype, self.sample_id = model, model.dtype, sample_id
 
     def forward(self, x: Tensor) -> Tensor:
-        logits = self.model.forward(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below names a blow-up
+            logits = self.model.forward(x)
         if not np.isfinite(logits.data).all():
             raise NonFiniteLogits(f"non-finite logits on image {self.sample_id!r}")
         return logits

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -12,12 +13,12 @@ import numpy as np
 import pytest
 
 from lvseg import cli, training
-from lvseg.checkpoint import checkpoint_write
+from lvseg.checkpoint import checkpoint_read, checkpoint_write
 from lvseg.cli import main
 from lvseg.models import Model
 from lvseg.pgm import pgm_read
-from lvseg.report import (agreement_reports, method_anova, read_measurements_csv,
-                          read_metrics_csv)
+from lvseg.report import (MeasurementRow, agreement_reports, anova_text_table, method_anova,
+                          read_measurements_csv, read_metrics_csv, write_measurements_csv)
 from lvseg.stats import anova_from_sums
 
 
@@ -218,6 +219,38 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["train", "--config", str(garbled)]) == 3
 
 
+def _digests(out_dir: Path) -> dict[str, str]:
+    return {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out_dir.rglob("*")) if p.is_file()}
+
+
+def test_train_flags_override_the_config_file(tmp_path, capsys):
+    base = {"arch": "mfp-unet", "n": 32, "base_width": 2, "batch_size": 2, "epochs": 0,
+            "folds": 2, "seed": 0, "data_dir": "synthetic:2",
+            "out_dir": str(tmp_path / "from_config")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(base))
+    assert main(["train", "--config", str(cfg), "--arch", "unet", "--seed", "3",
+                 "--data", "synthetic:4", "--out", str(tmp_path / "flags")]) == 0
+    assert capsys.readouterr().out.splitlines()[-2] == (
+        f"checkpoints and logs under {tmp_path / 'flags'}")
+    assert not (tmp_path / "from_config").exists()
+    assert checkpoint_read(tmp_path / "flags" / "fold0" / "checkpoint.bin").arch == "unet"
+    folds = json.loads((tmp_path / "flags" / "folds.json").read_text())
+    split = [(f["train_subjects"], f["val_subjects"]) for f in folds]
+    assert sorted(split[0][0] + split[0][1]) == [f"subj{k:03d}" for k in range(4)]
+    # the same outputs as a config file that holds the flags' values
+    written = tmp_path / "written.json"
+    written.write_text(json.dumps({**base, "arch": "unet", "seed": 3, "data_dir": "synthetic:4",
+                                   "out_dir": str(tmp_path / "written")}))
+    assert main(["train", "--config", str(written)]) == 0
+    assert _digests(tmp_path / "flags") == _digests(tmp_path / "written")
+    # and not those of the config file alone: another split at seed 0
+    assert main(["train", "--config", str(cfg), "--data", "synthetic:4"]) == 0
+    folds0 = json.loads((tmp_path / "from_config" / "folds.json").read_text())
+    assert [(f["train_subjects"], f["val_subjects"]) for f in folds0] != split
+
+
 def test_train_config_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
     cfg = tmp_path / "latin.json"
     cfg.write_bytes(b'{"arch": "unet\xff"}')
@@ -412,6 +445,33 @@ def test_train_whose_weights_blow_up_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run" / "folds.json").exists()
 
 
+@pytest.mark.parametrize("verb", ["eval", "train"])
+def test_a_blown_up_eval_or_train_prints_only_its_error_line(tmp_path, verb):
+    # numpy's overflow and invalid-value warnings used to come first, from
+    # the helper too; the finite checks already name the failure
+    model = Model("unet", 32, 2, 1, seed=0)
+    for t in model.parameters().values():
+        t.data *= np.float32(1e8)
+    ck = tmp_path / "big.bin"
+    checkpoint_write(model, ck)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"arch": "unet", "n": 32, "base_width": 2, "folds": 2,
+                               "epochs": 1, "batch_size": 4, "augment_factor": 2,
+                               "data_dir": "synthetic:2", "learning_rate": 1e30,
+                               "out_dir": str(tmp_path / "run")}))
+    argv, message = {
+        "eval": (["eval", "--checkpoint", str(ck), "--data", "synthetic:2",
+                  "--out", str(tmp_path / "eval")],
+                 f"non-finite logits on image 'subj000_ED' (checkpoint {ck})"),
+        "train": (["train", "--config", str(cfg)],
+                  "non-finite validation logits on sample 'subj000_ED' (fold 0, epoch 0, "
+                  "lr 1e+30)")}[verb]
+    out = subprocess.run([sys.executable, "-m", "lvseg", *argv], capture_output=True,
+                         text=True, env=_child_env(), timeout=120)
+    assert out.returncode == 2
+    assert out.stderr == f"error: {message}\n"
+
+
 def test_train_prints_its_sample_steps_and_peak_rss(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"arch": "unet", "n": 32, "base_width": 2, "batch_size": 2,
@@ -505,6 +565,43 @@ def test_multi_method_report_emits_anova(tmp_path):
     assert set(tables) <= {"volume", "area", "length", "EF"}
     for t in tables.values():
         assert t.df_between == 1
+
+
+def test_report_of_two_methods_writes_anova_and_leaves_out_a_flagged_row(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--count", "5", "--n", "64", "--seed", "8", "--out", str(data)]) == 0
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "man")]) == 0
+    measured = tmp_path / "man" / "measurements.csv"
+
+    def flagged(rows):  # the length procedure failed on subj002_ES
+        return [MeasurementRow(r.sample_id, r.phase, flag="length_error", ef_pct=r.ef_pct)
+                if r.sample_id == "subj002_ES" else r for r in rows]
+
+    rng = np.random.default_rng(3)
+    paths = {}
+    for name, noise in (("m1", 0.05), ("m2", 0.3)):
+        rows = read_measurements_csv(measured)
+        for r in rows:
+            for col in ("d_cm", "s_cm2", "v_ml", "ef_pct"):
+                setattr(r, col, getattr(r, col) + rng.normal(0, noise))
+        paths[name] = tmp_path / f"{name}.csv"
+        write_measurements_csv(flagged(rows) if name == "m1" else rows, paths[name])
+    write_measurements_csv(flagged(read_measurements_csv(measured)), tmp_path / "manual.csv")
+    assert "length_error" in paths["m1"].read_text()
+    assert main(["report", "--auto", str(paths["m1"]), "--auto", str(paths["m2"]),
+                 "--manual", str(tmp_path / "manual.csv"), "--out", str(tmp_path / "rep")]) == 0
+
+    lines = (tmp_path / "rep" / "agreement.csv").read_text().splitlines()
+    n = {line.split(",")[0]: int(line.split(",")[1]) for line in lines[1:]}
+    assert n == {"volume": 9, "area": 9, "length": 9, "EF": 5}  # 10 images, one flagged
+    sections = (tmp_path / "rep" / "anova.txt").read_text().split("\n\n")
+    assert len(sections) == 5 and sections[-1] == ""
+    header = anova_text_table(anova_from_sums(1.0, 1, 1.0, 2)).splitlines()[0]
+    for section, param in zip(sections, ["volume", "area", "length", "EF"]):
+        title, head, between, within, total = section.splitlines()
+        assert (title, head) == (f"[{param}]", header)
+        assert between.startswith("between-groups variation")
+        assert total.split()[-1] == str(2 * n[param] - 1)  # two methods, n ids each
 
 
 def test_anova_from_sums_matches_published_table():

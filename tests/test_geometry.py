@@ -122,6 +122,29 @@ def test_contour_equals_the_nonzero_start_trace():
             assert np.array_equal(extract_contour(mask), _nonzero_start_contour(mask))
 
 
+def test_contour_signed_area_is_never_negative_on_random_masks():
+    # the Moore walk starts at the top-left pixel and turns clockwise on
+    # screen, counterclockwise in (x, y); nothing reverses its polygon
+    rng = np.random.default_rng(27)
+    traced = 0
+    for k in range(600):
+        h, w = rng.integers(1, 40, size=2)
+        if k % 2:
+            noise = ndimage.gaussian_filter(rng.normal(size=(h, w)), rng.uniform(0.5, 3.0))
+            mask = noise > rng.uniform(-0.2, 0.3)
+        else:
+            mask = rng.random((h, w)) < rng.uniform(0.05, 0.9)
+        if not mask.any():
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            poly = extract_contour(mask)
+        if len(poly) >= 3:
+            traced += 1
+            assert signed_area(poly) >= 0, (k, poly.tolist())
+    assert traced > 500
+
+
 # -- convex hull --------------------------------------------------------------
 
 def test_hull_of_triangle_is_itself():

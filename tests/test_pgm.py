@@ -62,3 +62,18 @@ def test_write_rejects_bad_payload(tmp_path):
         pgm_write(tmp_path / "bad.pgm", np.zeros((2, 2, 2), dtype=np.uint8))
     with pytest.raises(FormatError):
         pgm_write(tmp_path / "bad2.pgm", np.array([[300, 0]]))
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"P5", "unexpected end of header at byte 2"),
+    (b"P5 x 2 255\n", "invalid width b'x' at byte 4"),
+    (b"P5 2 2 25x\n", "invalid maxval b'25x' at byte 10"),
+    (b"P5 0 2 255\n", "non-positive dimensions 0x2 at byte 6"),
+    (b"P5 2 2 255", "missing raster separator at byte 10"),
+])
+def test_header_errors_name_the_byte(tmp_path, header, message):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(header)
+    with pytest.raises(FormatError) as exc:
+        pgm_read(p)
+    assert str(exc.value) == f"{p}: {message}"

@@ -20,6 +20,7 @@ import lvseg.training as training
 from lvseg.cli import main
 from lvseg.config import RunConfig
 from lvseg.errors import TrainingDiverged
+from lvseg.models import Model
 from lvseg.phantom import generate_phantom_set
 
 pytestmark = pytest.mark.skipif(training.usable_cpus() < 2,
@@ -145,6 +146,38 @@ def test_a_failed_fold_leaves_no_stale_message_for_the_next(tmp_path, monkeypatc
     assert _digests(tmp_path / "after") == _digests(tmp_path / "one")
 
 
+def test_a_fold_keeps_its_weights_after_the_next_fold_rewrites_the_shared_file():
+    # with no epoch no best copy is taken, so the returned weights are the
+    # ones end_fold moved out of the shared file before the next fold's start
+    samples = generate_phantom_set(4, 32, 6)
+    cfg = RunConfig(arch="unet", n=32, base_width=2, batch_size=2, epochs=0, seed=3)
+    first = training.train_fold(cfg, samples[:4], samples[4:], 0)
+    second = training.train_fold(cfg, samples[:4], samples[4:], 1)
+    assert first.processes == second.processes == 2
+    initial = Model("unet", 32, 2, 1, dtype=np.float32, seed=training._derived_seed(3, 0, 0))
+    params = first.model.parameters()
+    for name, t in initial.parameters().items():
+        assert np.array_equal(params[name].data, t.data), name
+    assert not np.array_equal(params["enc1.conv1.weight"].data,
+                              second.model.parameters()["enc1.conv1.weight"].data)
+
+
+def test_the_helper_scores_the_validation_samples_it_is_given():
+    import lvseg.helper as helper
+    val = generate_phantom_set(2, 32, 4)
+    model = Model("unet", 32, 2, 1, dtype=np.float32, seed=0)
+    helpers = helper.acquire()
+    try:
+        helpers.start_fold(model, [], val)
+        helpers.start_validation([3, 0])
+        scores = helpers.scores()
+        helpers.end_fold()
+    except BaseException:
+        helper.reset()
+        raise
+    assert scores == training._val_scores(model, [val[3], val[0]])
+
+
 _TRAIN = """
 import sys
 import lvseg.training as training
@@ -206,6 +239,7 @@ import lvseg.helper as helper
 import lvseg.training as training
 from lvseg.config import RunConfig
 from lvseg.errors import TrainingDiverged
+from lvseg.models import Model
 
 def alive(pid):
     try:
