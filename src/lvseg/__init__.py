@@ -3,7 +3,8 @@
 from .autograd import Tensor, backward, grad_check
 from .config import RunConfig
 from .dataset import FoldAssignment, ImageSample, make_folds
-from .errors import ContractViolation, FormatError, MeasurementError, TrainingDiverged
+from .errors import (ContractViolation, FormatError, MeasurementError, NonFiniteLogits,
+                     TrainingDiverged, TrainingHelperError)
 from .geometry import convex_hull, extract_contour, min_enclosing_triangle
 from .measure import (LVMeasures, ejection_fraction, lv_area, lv_landmarks, lv_length,
                       lv_volume, measure_mask)
@@ -20,7 +21,8 @@ __all__ = [
     "Tensor", "backward", "grad_check",
     "RunConfig",
     "FoldAssignment", "ImageSample", "make_folds",
-    "ContractViolation", "FormatError", "MeasurementError", "TrainingDiverged",
+    "ContractViolation", "FormatError", "MeasurementError", "NonFiniteLogits",
+    "TrainingDiverged", "TrainingHelperError",
     "convex_hull", "extract_contour", "min_enclosing_triangle",
     "LVMeasures", "ejection_fraction", "lv_area", "lv_landmarks", "lv_length",
     "lv_volume", "measure_mask",

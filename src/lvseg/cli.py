@@ -164,9 +164,12 @@ def _cmd_measure(args) -> None:
 
 
 def _cmd_report(args) -> None:
+    for p in args.auto:
+        if args.auto.count(p) > 1:
+            raise ContractViolation(f"--auto {p} is given more than once")
     manual = read_measurements_csv(args.manual)
-    autos = {Path(p).stem if len(args.auto) > 1 else "auto": read_measurements_csv(p)
-             for p in args.auto}
+    # each method is named by its path as given: every ``measure`` writes measurements.csv
+    autos = {p if len(args.auto) > 1 else "auto": read_measurements_csv(p) for p in args.auto}
     first = next(iter(autos.values()))
     reports = agreement_reports(first, manual)
     tables = method_anova(autos, manual) if len(autos) >= 2 else None

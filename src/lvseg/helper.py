@@ -248,7 +248,7 @@ class Helper:
 
     def scores(self) -> list:
         """The helper's Dice scores of the validation samples it was given,
-        in order, ending at the first None (non-finite logits)."""
+        in order, NaN for each whose logits are not finite."""
         return self._recv("scores")[0]
 
     def end_fold(self) -> float:

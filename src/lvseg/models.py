@@ -27,9 +27,10 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, no_grad
-from .errors import ContractViolation
+from .errors import ContractViolation, NonFiniteLogits
 from .layers import (Conv2d, TransposedConv2d, concat_channels, max_pool2d, mfp_head,
                      upsample_nearest)
+from .units import MAX_EXTENT_PX
 
 ARCH_TAGS = ("unet", "dilated-unet", "mfp-unet")
 IN_CHANNELS = 2
@@ -45,6 +46,8 @@ def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
         raise ContractViolation(f"unknown architecture tag {arch!r}")
     if n % 16 != 0 or n <= 0:
         raise ContractViolation(f"input extent must be a positive multiple of 16, got {n}")
+    if n > MAX_EXTENT_PX:
+        raise ContractViolation(f"input extent must be <= {MAX_EXTENT_PX}, got {n}")
     if base_width < 2:
         raise ContractViolation(f"base width must be >= 2, got {base_width}")
     if dilation < 1:
@@ -221,20 +224,17 @@ def build_mfp_unet(n: int, base_width: int, dilation: int = 2,
 
 
 def forward_segment(model: Model, image_2ch: Tensor | np.ndarray) -> np.ndarray:
-    """Binary N x N mask of the model's logits (``logits_mask``). The
-    forward pass runs under ``no_grad``, so it records no tape and each
-    activation is freed once consumed."""
+    """Binary N x N mask of the model's logits: 1 where the foreground logit
+    exceeds the background one, the argmax of finite logits with ties going
+    to background. Raises NonFiniteLogits when any logit is not finite,
+    since no mask drawn from those means anything; numpy's overflow and
+    invalid warnings are off for the forward, as that check names the
+    blow-up. The forward pass runs under ``no_grad``, so it records no tape
+    and each activation is freed once consumed."""
     if not isinstance(image_2ch, Tensor):
         image_2ch = Tensor(np.asarray(image_2ch, dtype=model.dtype))
-    with no_grad():
-        return logits_mask(model.forward(image_2ch).data)
-
-
-def logits_mask(logits: np.ndarray) -> np.ndarray:
-    """Per-pixel argmax over the 2 logit channels, channel 1 being
-    foreground. The argmax of two channels is 1 where l1 > l0 or where l1
-    alone is NaN (argmax picks the first NaN), which is where l0 >= l1
-    fails and l0 is not NaN: one compare instead of a reduction over an
-    axis of 2."""
-    l0, l1 = logits
-    return (~(l0 >= l1) & ~np.isnan(l0)).astype(np.uint8)
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        logits = model.forward(image_2ch).data
+    if not np.isfinite(logits).all():
+        raise NonFiniteLogits("non-finite logits")
+    return (logits[1] > logits[0]).astype(np.uint8)

@@ -3,10 +3,9 @@
 PGM is the interchange format for images and masks: trivially parseable,
 byte-exact, no compression ambiguity. Masks are stored with values
 {0, 255}. The header is ``P5``, then width, height and maxval, each one
-token of non-whitespace bytes read by ``int`` after a run of whitespace
-and ``#`` comments (each to the end of its line); one whitespace byte
-separates it from the raster. Format errors name the byte offset at
-which parsing failed.
+token of ASCII digits after a run of whitespace and ``#`` comments (each
+to the end of its line); one whitespace byte separates it from the
+raster. Format errors name the byte offset at which parsing failed.
 """
 
 from __future__ import annotations
@@ -35,8 +34,10 @@ def pgm_read(path: str | os.PathLike) -> np.ndarray:
         if not token:
             raise FormatError(f"{path}: unexpected end of header at byte {pos}")
         try:
+            if not token.isdigit():  # int() also reads signs and underscores
+                raise ValueError
             fields.append(int(token))
-        except ValueError:
+        except ValueError:  # or a run past int()'s digit limit
             raise FormatError(f"{path}: invalid {what} {token!r} at byte {pos}") from None
         if what == "height" and min(fields) <= 0:
             raise FormatError(

@@ -17,6 +17,7 @@ from scipy import ndimage
 
 from .dataset import ImageSample
 from .errors import ContractViolation
+from .units import MAX_EXTENT_PX
 
 DEFAULT_CALIBRATION = 0.3  # mm per pixel
 
@@ -87,6 +88,8 @@ def generate_phantom(n: int, seed: int,
     """
     if n < 32:
         raise ContractViolation(f"phantom extent must be >= 32, got {n}")
+    if n > MAX_EXTENT_PX:
+        raise ContractViolation(f"phantom extent must be <= {MAX_EXTENT_PX}, got {n}")
     rng = np.random.default_rng(seed)
     a = n * rng.uniform(0.26, 0.33)
     # keep the cavity elongated: apex identification needs the

@@ -29,9 +29,10 @@ model is alive at a time. A ``train`` of 6 phantom subjects at n=64
 (width-8 MFP-Unet, batch 8, augment 2, 3 folds, 2 epochs) peaks at
 15.37 MB of heap (tracemalloc); with every input composed up front, an
 out-of-place mask and that matrix kept to the end of backward it took
-16.47 MB. Validation and ``evaluate_model`` record no tape, so there
-each activation is freed as soon as its consumer has run (``Model._taps``
-pops each skip as its concatenation reads it). Every conv builds its
+16.47 MB. Validation and ``evaluate_model`` draw each mask with
+``models.forward_segment``, which records no tape, so there each
+activation is freed as soon as its consumer has run (``Model._taps`` pops
+each skip as its concatenation reads it). Every conv builds its
 column-tap matrix and GEMM product one band of output rows at a time
 (``layers._correlate``), in training too. A 128x128, width-8 MFP-Unet
 forward peaks at 3.45 MB of heap; with whole-image matrices and
@@ -67,10 +68,10 @@ adds it (``accumulate_grad``, as backward would) at the sample's own
 position, after the sample before it and before the backward of the one
 after it. So every parameter gradient is the float32 left fold
 ((g_1 + g_2) + g_3) + ... of one process, the batch loss is summed in
-the same order, and the Dice scores are averaged as one list in sample
-order; a non-finite loss or logit is reported for the first such sample
-in that order. A fold that fails in any way kills the helper, so nothing
-of it reaches the next fold.
+the same order, and the Dice scores fill one array in sample order; a
+non-finite loss or logit is reported for the first such sample in that
+order. A fold that fails in any way kills the helper, so nothing of it
+reaches the next fold.
 
 The helper's memory is its own interpreter (numpy and scipy imported),
 one sample's tape at a time as here, with glibc keeping its freed memory
@@ -87,14 +88,13 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 from scipy import ndimage
 
-from .autograd import Tensor, backward, no_grad
+from .autograd import Tensor, backward
 from .checkpoint import checkpoint_write
 from .config import RunConfig
 from .dataset import FoldAssignment, ImageSample, load_dataset, make_folds, save_dataset
@@ -103,7 +103,7 @@ from .geometry import extract_contour
 from .layers import SGD, fixed_weights, softmax_cross_entropy
 from .measure import ejection_fraction, measure_mask
 from .metrics import dice, hausdorff, jaccard, mad
-from .models import Model, forward_segment, logits_mask
+from .models import Model, forward_segment
 from .phantom import generate_phantom_set
 from .preprocess import compose_input, elastic_deform
 from .report import MeasurementRow, MetricsRow, write_csv
@@ -195,42 +195,42 @@ def augment_samples(samples: list[ImageSample], factor: int, alpha: float,
     return out
 
 
-def _val_scores(model: Model, samples: list[ImageSample]) -> list[float | None]:
-    """Dice of the model's mask on each sample in order, ending at the first
-    None: a sample with a non-finite logit. ``mean_val_dice`` and the helper
-    both run this."""
+def _val_scores(model: Model, samples: list[ImageSample]) -> list[float]:
+    """Dice of the model's mask (``forward_segment``) on each sample in
+    order, NaN for a sample whose logits are not finite; no Dice is NaN
+    otherwise. ``mean_val_dice`` and the helper both run this."""
     scores = []
-    with fixed_weights(), no_grad():
+    with fixed_weights():
         for s in samples:
-            logits = model.forward(Tensor(compose_input(s, dtype=model.dtype))).data
-            if not np.isfinite(logits).all():
-                return scores + [None]
-            scores.append(dice(logits_mask(logits), s.mask))
+            try:
+                scores.append(dice(forward_segment(model, compose_input(s, dtype=model.dtype)),
+                                   s.mask))
+            except NonFiniteLogits:
+                scores.append(math.nan)
     return scores
 
 
 def mean_val_dice(model: Model, samples: list[ImageSample], helper=None) -> float:
-    """Mean Dice of the model's masks (``logits_mask``) against the samples'
-    masks, NaN with no samples. A non-finite logit raises TrainingDiverged
-    naming the first such sample in order, since a mask drawn from it
-    predicts nothing. With a ``helper`` (``helper.Helper``) this is the one
-    place that splits the samples: the helper is told to score the odd
-    positions while this process scores the even ones, and the mean is
-    taken over the same list in the same order."""
+    """Mean Dice of the model's masks (``forward_segment``) against the
+    samples' masks, NaN with no samples. A non-finite logit raises
+    TrainingDiverged naming the first such sample in order. With a
+    ``helper`` (``helper.Helper``) this is the one place that splits the
+    samples: the helper is told to score the odd positions while this
+    process scores the even ones, and the mean is taken over the same
+    scores in the same order."""
     if not samples:
         return math.nan
+    scores = np.empty(len(samples))
     if helper is None:
-        scores = _val_scores(model, samples)
+        scores[:] = _val_scores(model, samples)
     else:
         helper.start_validation(range(1, len(samples), 2))
-        # each side stops at its first None, which comes before any position
-        # that side skipped, so the interleaved list meets the first None in order
-        scores = [score for pair in zip_longest(_val_scores(model, samples[::2]),
-                                                helper.scores())
-                  for score in pair][:len(samples)]
-    for s, score in zip(samples, scores):
-        if score is None:
-            raise TrainingDiverged(f"non-finite validation logits on sample {s.sample_id!r}")
+        scores[::2] = _val_scores(model, samples[::2])
+        scores[1::2] = helper.scores()
+    diverged = np.flatnonzero(np.isnan(scores))
+    if diverged.size:
+        raise TrainingDiverged(f"non-finite validation logits on sample "
+                               f"{samples[diverged[0]].sample_id!r}")
     return float(np.mean(scores))
 
 
@@ -433,23 +433,6 @@ def metrics_for_masks(pred: np.ndarray, truth: np.ndarray,
     return dm, jc, hd, md
 
 
-class _FiniteLogits:
-    """``model`` as ``evaluate_model`` hands it to ``forward_segment``, which
-    stays the call that perfbench times: its forward raises NonFiniteLogits
-    naming the image when a logit is not finite, which the mask drawn from
-    the logits would not show."""
-
-    def __init__(self, model: Model, sample_id: str):
-        self.model, self.dtype, self.sample_id = model, model.dtype, sample_id
-
-    def forward(self, x: Tensor) -> Tensor:
-        with np.errstate(over="ignore", invalid="ignore"):  # the check below names a blow-up
-            logits = self.model.forward(x)
-        if not np.isfinite(logits.data).all():
-            raise NonFiniteLogits(f"non-finite logits on image {self.sample_id!r}")
-        return logits
-
-
 def evaluate_model(model: Model, samples: list[ImageSample]) -> list[MetricsRow]:
     """Per-image rows, each scored on the frame's own grid and calibration
     (the prediction mapped back by nearest neighbour), followed by
@@ -459,9 +442,11 @@ def evaluate_model(model: Model, samples: list[ImageSample]) -> list[MetricsRow]
     rows = []
     with fixed_weights():
         for s in samples:
-            pred = forward_segment(_FiniteLogits(model, s.sample_id),
-                                   compose_input(_resize_image(s.image, model.n),
-                                                 dtype=model.dtype))
+            try:
+                pred = forward_segment(model, compose_input(_resize_image(s.image, model.n),
+                                                            dtype=model.dtype))
+            except NonFiniteLogits as exc:
+                raise NonFiniteLogits(f"{exc} on image {s.sample_id!r}") from None
             if pred.shape != s.mask.shape:
                 pred = ndimage.zoom(pred, np.divide(s.mask.shape, pred.shape), order=0,
                                     mode="nearest")

@@ -5,6 +5,7 @@ import platform
 import re
 import resource
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lvseg import cli, training
+from lvseg import cli, errors, training
 from lvseg.checkpoint import checkpoint_read, checkpoint_write
 from lvseg.cli import main
 from lvseg.models import Model
@@ -20,6 +21,7 @@ from lvseg.pgm import pgm_read
 from lvseg.report import (MeasurementRow, agreement_reports, anova_text_table, method_anova,
                           read_measurements_csv, read_metrics_csv, write_measurements_csv)
 from lvseg.stats import anova_from_sums
+from lvseg.units import MAX_EXTENT_PX
 
 
 def test_synth_writes_dataset(tmp_path):
@@ -632,3 +634,71 @@ def test_python_dash_m_runs_the_cli(tmp_path):
                           "--out", str(tmp_path / "m")],
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 2
+
+
+def test_reports_on_two_measurement_csvs_of_one_name_keep_both_methods(tmp_path, capsys):
+    # every measure writes measurements.csv: keyed by file stem, the second
+    # --auto replaced the first, and no anova.txt was written
+    data = tmp_path / "data"
+    assert main(["synth", "--count", "4", "--n", "64", "--seed", "8", "--out", str(data)]) == 0
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "man")]) == 0
+    manual = str(tmp_path / "man" / "measurements.csv")
+    rng = np.random.default_rng(4)
+    autos = []
+    for name, noise in (("a", 0.05), ("b", 0.3)):
+        rows = read_measurements_csv(manual)
+        for r in rows:
+            for col in ("d_cm", "s_cm2", "v_ml", "ef_pct"):
+                setattr(r, col, getattr(r, col) + rng.normal(0, noise))
+        (tmp_path / name).mkdir()
+        autos.append(str(tmp_path / name / "measurements.csv"))
+        write_measurements_csv(rows, autos[-1])
+    assert main(["report", "--auto", autos[0], "--auto", autos[1], "--manual", manual,
+                 "--out", str(tmp_path / "both")]) == 0
+    assert main(["report", "--auto", autos[0], "--manual", manual,
+                 "--out", str(tmp_path / "first")]) == 0
+    assert ((tmp_path / "both" / "agreement.csv").read_bytes()
+            == (tmp_path / "first" / "agreement.csv").read_bytes())
+    assert (tmp_path / "both" / "anova.txt").exists()
+    capsys.readouterr()
+    assert main(["report", "--auto", autos[0], "--auto", autos[1], "--auto", autos[0],
+                 "--manual", manual, "--out", str(tmp_path / "twice")]) == 2
+    assert capsys.readouterr().err == f"error: --auto {autos[0]} is given more than once\n"
+    assert not (tmp_path / "twice").exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["measure", "--data", "synthetic:1", "--n", "99999999999999999999999"], 2),
+    (["synth", "--n", "99999999999999999999999"], 2),
+    (["eval", "--checkpoint", "big.bin", "--data", "synthetic:1"], 3),
+    (["train", "--config", "big.json"], 2),
+], ids=["measure", "synth", "eval", "train"])
+def test_an_image_extent_past_the_bound_is_one_named_error(tmp_path, capsys, monkeypatch,
+                                                           argv, code):
+    # numpy used to refuse the extent with a ValueError traceback, exit 1
+    model = Model("unet", 32, 2, 1, seed=0)
+    checkpoint_write(model, tmp_path / "big.bin")
+    header = (tmp_path / "big.bin").read_bytes()
+    (tmp_path / "big.bin").write_bytes(header.replace(struct.pack("<III", 32, 2, 1),
+                                                      struct.pack("<III", 2**32 - 16, 2, 1), 1))
+    (tmp_path / "big.json").write_text('{"n": 160000000000000000000000}')
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv + ["--out", "out"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"extent must be <= {MAX_EXTENT_PX}, got " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [value for value in vars(errors).values()
+                                   if isinstance(value, type) and issubclass(value, Exception)
+                                   and value.__module__ == errors.__name__],
+                         ids=lambda error: error.__name__)
+def test_every_named_error_exits_2_or_3_with_one_error_line(capsys, monkeypatch, error):
+    def fail(args):
+        raise error("what went wrong")
+    monkeypatch.setattr(cli, "_cmd_report", fail)
+    capsys.readouterr()
+    assert main(["report", "--auto", "a.csv", "--manual", "m.csv", "--out", "r"]) in (2, 3)
+    assert capsys.readouterr().err == "error: what went wrong\n"

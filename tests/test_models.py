@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from lvseg.autograd import Tensor, backward, no_grad
-from lvseg.errors import ContractViolation
+from lvseg.errors import ContractViolation, NonFiniteLogits
 from lvseg.layers import fixed_weights, max_pool2d, relu, softmax_cross_entropy
 from lvseg.models import (Model, build_dilated_unet, build_mfp_unet, build_unet,
-                          forward_segment)
+                          check_spec, forward_segment)
 from lvseg.phantom import generate_phantom
 from lvseg.preprocess import compose_input
+from lvseg.units import MAX_EXTENT_PX
 
 
 def _rand_input(n, seed=0, dtype=np.float64):
@@ -234,6 +235,13 @@ def test_invalid_configs_rejected():
         Model("resnet", 64, 4, dilation=1)
 
 
+def test_an_extent_past_the_bound_is_rejected_before_any_allocation():
+    Model("unet", MAX_EXTENT_PX, 2, 1, seed=None)  # builds: no parameter depends on n
+    for n in (MAX_EXTENT_PX + 16, 2**32 - 16, 10**23):
+        with pytest.raises(ContractViolation, match=f"must be <= {MAX_EXTENT_PX}, got {n}"):
+            check_spec("unet", n, 2, 1)
+
+
 def test_unet_with_dilation_rejected():
     # a dilated net labelled unet would write a checkpoint its reader refuses
     with pytest.raises(ContractViolation, match="unet uses dilation 1"):
@@ -271,11 +279,15 @@ def test_forward_segment_mask_equals_argmax_on_ties_and_nan(dtype):
     nans[rng.random(nans.shape) < 0.3] = np.nan
     nans[:, 0, 0] = np.nan
     infs = rng.choice([-np.inf, np.inf, np.nan, 0.0], size=(2, 16, 16))
-    for logits in (random, tied, nans, infs):
+    for logits in (random, tied):
         logits = logits.astype(dtype)
         mask = forward_segment(_FixedLogits(logits), Tensor(np.zeros((2, 16, 16), dtype)))
         assert mask.dtype == np.uint8
         assert np.array_equal(mask, np.argmax(logits, axis=0))
+    for logits in (nans, infs):
+        with pytest.raises(NonFiniteLogits, match="non-finite logits"):
+            forward_segment(_FixedLogits(logits.astype(dtype)),
+                            Tensor(np.zeros((2, 16, 16), dtype)))
 
 
 @pytest.mark.parametrize("arch,dilation", [("unet", 1), ("dilated-unet", 2), ("mfp-unet", 2)])

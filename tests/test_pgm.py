@@ -70,6 +70,10 @@ def test_write_rejects_bad_payload(tmp_path):
     (b"P5 2 2 25x\n", "invalid maxval b'25x' at byte 10"),
     (b"P5 0 2 255\n", "non-positive dimensions 0x2 at byte 6"),
     (b"P5 2 2 255", "missing raster separator at byte 10"),
+    (b"P5 1_6 1 255\n" + bytes(16), "invalid width b'1_6' at byte 6"),
+    (b"P5 16 1 +255\n" + bytes(16), "invalid maxval b'+255' at byte 12"),
+    (b"P5 +16 1 255\n" + bytes(16), "invalid width b'+16' at byte 6"),
+    (b"P5 16 +1 255\n" + bytes(16), "invalid height b'+1' at byte 8"),
 ])
 def test_header_errors_name_the_byte(tmp_path, header, message):
     p = tmp_path / "bad.pgm"
