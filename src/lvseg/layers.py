@@ -21,8 +21,13 @@ and the input gradient is the same banded kernel on g, zero-stuffed by
 the stride, with the flipped, transposed kernel
 w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
 
-Per call, a conv lays its weight out as Ws (and, in backward, as the
-flipped kernel) and the transposed conv as its two GEMM matrices. Inside
+Everything a conv kernel decides from shapes alone (each row tap's span,
+the order its row taps are summed in, the bands with their input rows and
+slices, each column tap's copy slices and zero columns) is planned once per
+shape, itemsize and band budget by ``_correlate_plan`` and ``_tap_plan``
+and kept in bounded caches; a call runs only the numpy work. Per call, a
+conv lays its weight out as Ws (and, in backward, as the flipped kernel)
+and the transposed conv as its two GEMM matrices. Inside
 ``with fixed_weights():`` each layout is made once per weight array and
 reused by every later call in the block, with bit-identical results; the
 caller promises that no weight array changes there. Training opens it
@@ -44,6 +49,7 @@ concatenation is built.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +111,34 @@ def _span(shift: int, stride: int, n_in: int, n_out: int) -> tuple[slice, slice]
     return slice(lo, hi), slice(lo * stride + shift, (hi - 1) * stride + shift + 1, stride)
 
 
+@lru_cache(maxsize=1024)
+def _tap_plan(h: int, w: int, m: int, stride: int, dilation: int, pad: int,
+              w_out: int) -> tuple[bool, tuple]:
+    """``_column_taps``' plan for one shape: whether its copies run on the
+    flattened arrays, and for each tap b (dst, src, zeros), the slices of
+    the copy Q[b, ..., dst] = x[..., src] and the column slices of Q[b]
+    zeroed after it."""
+    if stride == 1 and w_out == w:
+        taps = []
+        for b in range(m):
+            s = b * dilation - pad
+            k = max(h * w - abs(s), 0)
+            if s >= 0:
+                copy = slice(0, k), slice(s, s + k)
+                zeros = (slice(max(w - s, 0), None),) if s else ()
+            else:
+                copy = slice(-s, k - s), slice(0, k)
+                zeros = (slice(0, min(-s, w)),)
+            taps.append((*copy, zeros))
+        return True, tuple(taps)
+    taps = []
+    for b in range(m):
+        dst, src = _span(b * dilation - pad, stride, w, w_out)
+        zeros = slice(0, dst.start), slice(dst.stop, w_out)
+        taps.append((dst, src, tuple(z for z in zeros if z.start < z.stop)))
+    return False, tuple(taps)
+
+
 def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, pad: int,
                  w_out: int) -> np.ndarray:
     """The (m*C, H*w_out) column-tap matrix Q[b*C + c, r*w_out + j] =
@@ -113,29 +147,53 @@ def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, pad: int,
     At stride 1 with w_out == W (a 'same' width), tap b is the flattened
     input shifted by s = b*d - pad: one contiguous copy, after which the
     |s| columns of each row that the shift wrapped around are zeroed (all of
-    them when |s| >= W). Other strides copy each tap's column span."""
+    them when |s| >= W). Other strides copy each tap's column span and zero
+    the columns outside it. The slices come from ``_tap_plan``."""
     c, h, w = x.shape
     if m == 1 and stride == 1 and pad == 0 and w_out == w:
         return x.reshape(c, h * w)  # a 1x1 kernel's one tap is the input itself
     q = np.empty((m, c, h, w_out), dtype=x.dtype)
-    if stride == 1 and w_out == w:
-        flat, xf = q.reshape(m, c, h * w), x.reshape(c, h * w)
-        for b in range(m):
-            s = b * dilation - pad
-            k = max(h * w - abs(s), 0)
-            if s >= 0:
-                flat[b, :, :k] = xf[:, s:s + k]
-                q[b, :, :, max(w - s, 0):] = 0
-            else:
-                flat[b, :, -s:k - s] = xf[:, :k]
-                q[b, :, :, :min(-s, w)] = 0
-    else:
-        for b in range(m):
-            dst, src = _span(b * dilation - pad, stride, w, w_out)
-            q[b, :, :, :dst.start] = 0
-            q[b, :, :, dst.stop:] = 0
-            q[b, :, :, dst] = x[:, :, src]
+    flat, taps = _tap_plan(h, w, m, stride, dilation, pad, w_out)
+    qv, xv = (q.reshape(m, c, h * w), x.reshape(c, h * w)) if flat else (q, x)
+    for b, (dst, src, zeros) in enumerate(taps):
+        qv[b, ..., dst] = xv[..., src]
+        for cols in zeros:
+            q[b, :, :, cols] = 0
     return q.reshape(m * c, h * w_out)
+
+
+@lru_cache(maxsize=1024)
+def _correlate_plan(c: int, h: int, o: int, m: int, stride: int, dilation: int, pad: int,
+                    h_out: int, w_out: int, itemsize: int,
+                    band_bytes: int) -> tuple[tuple, bool, tuple]:
+    """``_correlate``'s plan for one shape and band budget: (rows, full,
+    bands). rows[a] is row tap a's (output rows, input rows) pair of slices;
+    full says the first tap in the summation order covers every output row
+    (it then starts the sum, which spares a pass over out). Each band is
+    (output rows, input rows or None when all of them lie off the input,
+    their count, taps), each tap (a, output rows, Y rows, first)."""
+    eff = dilation * (m - 1) + 1
+    rows = tuple(_span(a * dilation - pad, stride, h, h_out) for a in range(m))
+    order = sorted(range(m), key=lambda a: rows[a][0] != slice(0, h_out))
+    full = rows[order[0]][0] == slice(0, h_out)
+    row_bytes = m * max(c, o) * w_out * itemsize  # of Q or Y per input row
+    band = max(1, (band_bytes // row_bytes - eff) // stride + 1)
+    bands = []
+    for i0 in range(0, h_out, band):
+        i1 = min(i0 + band, h_out)
+        lo, hi = max(0, i0 * stride - pad), min(h, (i1 - 1) * stride + eff - pad)
+        if lo >= hi:
+            bands.append((slice(i0, i1), None, 0, ()))
+            continue
+        taps = []
+        for k, a in enumerate(order):
+            d0, d1 = max(rows[a][0].start, i0), min(rows[a][0].stop, i1)
+            if d0 < d1:
+                r0 = d0 * stride + a * dilation - pad - lo
+                taps.append((a, slice(d0, d1), slice(r0, r0 + (d1 - d0 - 1) * stride + 1, stride),
+                             k == 0 and full))
+        bands.append((slice(i0, i1), slice(lo, hi), hi - lo, tuple(taps)))
+    return rows, full, tuple(bands)
 
 
 def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
@@ -152,37 +210,30 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
     x[:, lo:hi] that the band's row taps read, so neither is ever larger
     than ``_BAND_BYTES`` unless one output row's already is. Every band sums
     its row taps in the one order chosen for the whole output, so the
-    banding changes no bit of out."""
+    banding changes no bit of out.
+
+    The row spans, the tap order and the bands with their slices depend on
+    the shapes, the itemsize and ``_BAND_BYTES`` alone: ``_correlate_plan``
+    works them out once per such key. Per call only the numpy work runs:
+    Q, the GEMM and the row-shifted sums."""
     c, h, _ = x.shape
     m = ws.shape[1] // c
     o = ws.shape[0] // m
-    eff = dilation * (m - 1) + 1
-    rows = [_span(a * dilation - pad, stride, h, h_out) for a in range(m)]
-    # a row tap that covers every output row starts the sum, which spares a pass over out
-    order = sorted(range(m), key=lambda a: rows[a][0] != slice(0, h_out))
-    full = rows[order[0]][0] == slice(0, h_out)
     out = np.empty((o, h_out, w_out), dtype=np.result_type(ws, x))
-    row_bytes = m * max(c, o) * w_out * out.itemsize  # of Q or Y per input row
-    band = max(1, (_BAND_BYTES // row_bytes - eff) // stride + 1)
-    for i0 in range(0, h_out, band):
-        i1 = min(i0 + band, h_out)
-        lo, hi = max(0, i0 * stride - pad), min(h, (i1 - 1) * stride + eff - pad)
+    rows, full, bands = _correlate_plan(c, h, o, m, stride, dilation, pad, h_out, w_out,
+                                        out.itemsize, _BAND_BYTES)
+    for out_rows, in_rows, n_rows, taps in bands:
         if not full:
-            out[:, i0:i1] = base
-        if lo >= hi:  # every row the band reads lies off the input
+            out[:, out_rows] = base
+        if in_rows is None:
             continue
-        q = _column_taps(x[:, lo:hi], m, stride, dilation, pad, w_out)
-        y = (ws @ q).reshape(m, o, hi - lo, w_out)
-        for k, a in enumerate(order):
-            d0, d1 = max(rows[a][0].start, i0), min(rows[a][0].stop, i1)
-            if d0 >= d1:
-                continue
-            r0 = d0 * stride + a * dilation - pad - lo
-            src = y[a, :, r0:r0 + (d1 - d0 - 1) * stride + 1:stride]
-            if k == 0 and full:
-                np.add(src, base, out=out[:, d0:d1])
+        q = _column_taps(x[:, in_rows], m, stride, dilation, pad, w_out)
+        y = (ws @ q).reshape(m, o, n_rows, w_out)
+        for a, dst, src, first in taps:
+            if first:
+                np.add(y[a, :, src], base, out=out[:, dst])
             else:
-                out[:, d0:d1] += src
+                out[:, dst] += y[a, :, src]
     return out, rows
 
 
@@ -206,7 +257,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     A band holds as many output rows as keep its Q and Y within
     ``_BAND_BYTES``, and at least one. In a 128x128, width-8 MFP-Unet the
     full-resolution convs run in 4-7 bands, and every conv at 16x16 or
-    coarser in one.
+    coarser in one. The bands, the row taps' spans and order and every
+    slice are planned once per shape (``_correlate_plan``, ``_tap_plan``);
+    a call builds Q, runs the GEMM and sums the slices, and backward reads
+    the forward plan's row spans for the weight gradient.
 
     Backward is two more GEMM steps. The weight gradient is m GEMMs over the
     whole image, one per row tap: its block gw[:, :, a] is (Q_a @ g_a^T)^T,

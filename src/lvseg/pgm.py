@@ -3,8 +3,8 @@
 PGM is the interchange format for images and masks: trivially parseable,
 byte-exact, no compression ambiguity. Masks are stored with values
 {0, 255}. The header is ``P5``, then width, height and maxval, each one
-token of ASCII digits after a run of whitespace and ``#`` comments (each
-to the end of its line); one whitespace byte separates it from the
+token of ASCII digits after a non-empty run of whitespace and ``#``
+comments (each to the end of its line); one whitespace byte separates it from the
 raster. Format errors name the byte offset at which parsing failed.
 """
 
@@ -27,6 +27,8 @@ def pgm_read(path: str | os.PathLike) -> np.ndarray:
     if buf[:2] != b"P5":
         magic = buf[:2].decode("latin-1", errors="replace")
         raise FormatError(f"{path}: unsupported magic {magic!r} (want P5) at byte 0")
+    if buf[2:3] not in (b"", b"#") and not buf[2:3].isspace():
+        raise FormatError(f"{path}: missing separator after magic at byte 2")
     pos, fields = 2, []
     for what in ("width", "height", "maxval"):
         match = _FIELD.match(buf, pos)

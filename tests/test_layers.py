@@ -881,6 +881,63 @@ def test_no_column_tap_matrix_exceeds_the_band_budget(monkeypatch, budget, shape
         assert max(q_bytes, y_bytes) <= budget or one_row, (channels, rows, q_bytes)
 
 
+def _forward_bands(monkeypatch, budget, x, wt):
+    """The input rows of each column-tap matrix one 3x3 'same' conv
+    forward builds under ``budget``, and its output."""
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, "_BAND_BYTES", budget)
+        built = _spy_column_taps(patch)
+        out = conv2d(Tensor(x), Tensor(wt), Tensor(np.zeros(wt.shape[0], x.dtype)), padding=1)
+    return [rows for _, rows, _ in built], out.data
+
+
+@pytest.mark.parametrize("wide_first", [True, False])
+def test_each_call_bands_by_the_budget_in_force(monkeypatch, wide_first):
+    # the conv plans are cached per shape: a plan made under one budget must
+    # not serve a call under another
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 13, 9))
+    wt = rng.normal(size=(4, 3, 3, 3))
+    row_bytes = 3 * 4 * 9 * 8
+    budgets = {"one band": row_bytes * 15, "one row a band": row_bytes * 3}
+    want = {"one band": [13], "one row a band": [2] + [3] * 11 + [2]}
+    names = list(budgets) if wide_first else list(budgets)[::-1]
+    outs = []
+    for name in names:
+        rows, out = _forward_bands(monkeypatch, budgets[name], x, wt)
+        assert rows == want[name], name
+        outs.append(out)
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+def test_band_rows_follow_the_itemsize(monkeypatch):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(3, 13, 9))
+    wt = rng.normal(size=(4, 3, 3, 3))
+    budget = 3 * 4 * 9 * 4 * 4  # two output rows a band of float32, one of float64
+    rows32, _ = _forward_bands(monkeypatch, budget, x.astype(np.float32), wt.astype(np.float32))
+    rows64, _ = _forward_bands(monkeypatch, budget, x, wt)
+    assert rows32 == [3] + [4] * 5 + [2]
+    assert rows64 == [2] + [3] * 11 + [2]
+
+
+def test_conv_plans_are_made_once_per_shape_and_bounded():
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(3, 11, 7)), requires_grad=True)
+    wt = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(5), requires_grad=True)
+    caches = (layers._correlate_plan, layers._tap_plan)
+    for stride in (1, 2):
+        backward(conv2d(x, wt, b, stride=stride, padding=1).sum())
+    sizes = [cache.cache_info().currsize for cache in caches]
+    for _ in range(3):
+        for stride in (1, 2):
+            backward(conv2d(x, wt, b, stride=stride, padding=1).sum())
+    for cache, size in zip(caches, sizes):
+        assert cache.cache_info().currsize == size
+        assert cache.cache_info().maxsize is not None
+
+
 def _logits_and_grads(model, x, target):
     out = model.forward(Tensor(x))
     backward(softmax_cross_entropy(out, target))

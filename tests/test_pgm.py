@@ -74,6 +74,7 @@ def test_write_rejects_bad_payload(tmp_path):
     (b"P5 16 1 +255\n" + bytes(16), "invalid maxval b'+255' at byte 12"),
     (b"P5 +16 1 255\n" + bytes(16), "invalid width b'+16' at byte 6"),
     (b"P5 16 +1 255\n" + bytes(16), "invalid height b'+1' at byte 8"),
+    (b"P516 1 255\n" + bytes(16), "missing separator after magic at byte 2"),
 ])
 def test_header_errors_name_the_byte(tmp_path, header, message):
     p = tmp_path / "bad.pgm"
