@@ -6,15 +6,22 @@ Layout (all integers little-endian unsigned 32-bit):
   per parameter: name_len | name utf-8 | rank | extents... | raw float32
   little-endian values
 
-Write -> read -> write is byte-identical. A read validates the magic,
-version and architecture tag, and checks the header's spec, parameter
-count and file size against the parameter shapes the spec implies
-(``models.parameter_shapes``) before it allocates any parameter, so an
-absurd header is a ``FormatError``, not a failed allocation. It then
-checks every parameter's name and shape in turn, refuses NaN or infinite
-values and trailing bytes, and loads the values into a model built
-without drawing an initialisation (``Model(..., seed=None)``), copying
-each parameter straight from the file's bytes into the model's array.
+``_head_format`` defines the fixed header (magic to parameter count) and
+``_param_header`` a parameter's bytes before its values; the writer and
+the reader both use them. Write -> read -> write is byte-identical.
+
+A read parses only the fixed header, behind one bounds check. It
+validates the magic, version and architecture tag, and checks the spec
+and parameter count against the parameter shapes the spec implies
+(``models.parameter_shapes``). From those shapes it builds the expected
+layout, so one exact-size check finds a truncated file or trailing bytes
+before any parameter is allocated: an absurd header is a ``FormatError``,
+not a failed allocation. It then builds the model without drawing an
+initialisation (``Model(..., seed=None)``) and, per parameter, compares
+the file's name, rank and extents bytes with the expected ones (a
+mismatch names the parameter expected there) instead of parsing them,
+copies the values straight from the file's bytes into the model's array
+and refuses NaN or infinite values.
 """
 
 from __future__ import annotations
@@ -32,54 +39,27 @@ MAGIC = b"MFPU"
 VERSION = 1
 
 
+def _head_format(tag_len: int) -> str:
+    """The fixed header: magic, version, tag length, tag, N, B, d, parameter count."""
+    return f"<4sII{tag_len}s4I"
+
+
+def _param_header(name: str, shape: tuple[int, ...]) -> bytes:
+    """The bytes before a parameter's values: name length, name, rank, extents."""
+    nb = name.encode("utf-8")
+    return struct.pack(f"<I{len(nb)}sI{len(shape)}I", len(nb), nb, len(shape), *shape)
+
+
 def checkpoint_write(model: Model, path: str | Path) -> None:
     params = model.parameters()
-    chunks = [MAGIC, struct.pack("<I", VERSION)]
     tag = model.arch.encode("utf-8")
-    chunks.append(struct.pack("<I", len(tag)))
-    chunks.append(tag)
-    chunks.append(struct.pack("<III", model.n, model.base_width, model.dilation))
-    chunks.append(struct.pack("<I", len(params)))
+    chunks = [struct.pack(_head_format(len(tag)), MAGIC, VERSION, len(tag), tag,
+                          model.n, model.base_width, model.dilation, len(params))]
     for name, tensor in params.items():
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", tensor.data.ndim))
-        chunks.append(struct.pack(f"<{tensor.data.ndim}I", *tensor.data.shape))
+        chunks.append(_param_header(name, tensor.data.shape))
         chunks.append(np.ascontiguousarray(tensor.data, dtype="<f4").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def skip(self, n: int, what: str) -> int:
-        """Step over the next n bytes; returns the offset they start at."""
-        if self.pos + n > len(self.buf):
-            raise FormatError(
-                f"{self.path}: truncated while reading {what}: expected {self.pos + n} "
-                f"bytes, file has {len(self.buf)}")
-        self.pos += n
-        return self.pos - n
-
-    def take(self, n: int, what: str) -> bytes:
-        start = self.skip(n, what)
-        return self.buf[start:self.pos]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def text(self, what: str) -> str:
-        """A length-prefixed UTF-8 string."""
-        raw = self.take(self.u32(f"{what} length"), what)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{self.path}: {what} is not UTF-8: {raw[:32]!r}") from None
 
 
 def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
@@ -87,26 +67,28 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
 
     Raises ``FormatError`` naming ``path`` for any file that is not a
     checkpoint of a valid model, before allocating the model when the
-    header alone gives it away. The model is built undrawn
-    (``seed=None``) and every parameter is then overwritten in place by the
-    file's values."""
+    header and the file's size alone give it away. The model is built
+    undrawn (``seed=None``) and every parameter is then overwritten in
+    place by the file's values."""
     with open(path, "rb") as fh:
         buf = fh.read()
-    r = _Reader(buf, str(path))
-    if r.take(4, "magic") != MAGIC:
+    if buf[:4] != MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint file")
-    version = r.u32("version")
+    # a file too short for the tag length reads a shorter one, whose header still ends past it
+    head_format = _head_format(int.from_bytes(buf[8:12], "little"))
+    head = struct.calcsize(head_format)
+    if len(buf) < head:
+        raise FormatError(f"{path}: truncated header: expected {head} bytes, file has {len(buf)}")
+    _, version, _, tag, n, base_width, dilation, count = struct.unpack_from(head_format, buf)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version} (want {VERSION})")
-    tag = r.text("architecture tag")
+    try:
+        tag = tag.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: architecture tag is not UTF-8: {tag[:32]!r}") from None
     if expect_arch is not None and tag != expect_arch:
         raise FormatError(
             f"{path}: architecture tag mismatch: checkpoint holds {tag!r}, expected {expect_arch!r}")
-    n = r.u32("input extent")
-    base_width = r.u32("base width")
-    dilation = r.u32("dilation")
-    count = r.u32("parameter count")
-
     try:
         shapes = parameter_shapes(tag, n, base_width, dilation)
     except ContractViolation as exc:
@@ -114,32 +96,32 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
     if count != len(shapes):
         raise FormatError(
             f"{path}: parameter count {count} does not match architecture ({len(shapes)})")
-    # name length, name, rank, extents and values of each parameter
-    need = sum(8 + len(name.encode("utf-8")) + 4 * len(shape) + 4 * math.prod(shape)
-               for name, shape in shapes.items())
-    if r.pos + need > len(buf):
-        raise FormatError(
-            f"{path}: truncated: the header's {count} parameters take {need} bytes: expected "
-            f"{r.pos + need} bytes, file has {len(buf)}")
+
+    layout = [(name, _param_header(name, shape), math.prod(shape))
+              for name, shape in shapes.items()]
+    size = head + sum(len(header) + 4 * values for _, header, values in layout)
+    if len(buf) != size:
+        what = ("truncated" if len(buf) < size
+                else f"{len(buf) - size} trailing bytes after parameters")
+        raise FormatError(f"{path}: {what}: the header's {count} parameters take {size - head} "
+                          f"bytes: expected {size} bytes, file has {len(buf)}")
 
     model = Model(tag, n, base_width, dilation, dtype=np.float32, seed=None)
-    for expected_name, tensor in model.parameters().items():
-        name = r.text("parameter name")
-        if name != expected_name:
-            raise FormatError(
-                f"{path}: parameter order mismatch: found {name!r}, expected {expected_name!r}")
-        rank = r.u32("rank")
-        shape = tuple(r.u32("extent") for _ in range(rank))
-        if shape != tensor.data.shape:
-            raise FormatError(
-                f"{path}: shape mismatch for {name!r}: file has {shape}, model has "
-                f"{tensor.data.shape}")
-        size = math.prod(shape)
-        start = r.skip(4 * size, f"values of {name!r}")
-        tensor.data[...] = np.frombuffer(buf, "<f4", size, start).reshape(shape)
+    at = head
+    for (name, header, values), tensor in zip(layout, model.parameters().values()):
+        found = buf[at:at + len(header)]
+        if found != header:
+            raw = found[4:4 + len(name.encode("utf-8"))]
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: parameter name is not UTF-8: {raw[:32]!r}") from None
+            raise FormatError(f"{path}: parameter {name!r} expected at byte {at}: name, rank "
+                              f"and extents {header!r}, file has {found!r}")
+        at += len(header)
+        tensor.data[...] = np.frombuffer(buf, "<f4", values, at).reshape(tensor.data.shape)
+        at += 4 * values
         bad = np.count_nonzero(~np.isfinite(tensor.data))
         if bad:
             raise FormatError(f"{path}: parameter {name!r} holds {bad} non-finite value(s)")
-    if r.pos != len(buf):
-        raise FormatError(f"{path}: {len(buf) - r.pos} trailing bytes after parameters")
     return model

@@ -45,6 +45,9 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        # the class attribute is the field's default, which unet ignores
+        if self.arch == "unet" and self.dilation not in (1, RunConfig.dilation):
+            raise ContractViolation(f"unet uses dilation 1, got {self.dilation}")
         check_spec(self.arch, self.n, self.base_width, self.model_dilation)
         # json reads NaN and Infinity, which pass the sign checks below, and
         # integers past the largest float, on which math.isfinite overflows
@@ -64,6 +67,12 @@ class RunConfig:
 
     @property
     def model_dilation(self) -> int:
+        """The dilation the network is built with: 1 for unet, else ``dilation``.
+
+        A unet config takes ``dilation`` 1 or the field's default, 2, and
+        raises ``ContractViolation`` for any other value. The default cannot
+        be told apart from an explicit 2, so a unet config that sets 2 is
+        accepted too, and builds a dilation-1 net."""
         return 1 if self.arch == "unet" else self.dilation
 
     @classmethod

@@ -9,7 +9,7 @@ works; masks use pixel values {0, 255}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +65,6 @@ class FoldAssignment:
     """Per-sample fold indices; all samples of one subject share a fold."""
 
     folds: list[int]
-    n_folds: int
-    subject_folds: dict[str, int] = field(default_factory=dict)
 
     def train_val_indices(self, held_out: int) -> tuple[list[int], list[int]]:
         train = [i for i, f in enumerate(self.folds) if f != held_out]
@@ -91,18 +89,15 @@ def make_folds(samples: list[ImageSample], n_folds: int = 5, seed: int = 0) -> F
 
     rng = np.random.default_rng(seed)
     folds = [0] * len(samples)
-    subject_folds: dict[str, int] = {}
     counter = 0
     for profile in sorted(strata):
         members = sorted(strata[profile])
         rng.shuffle(members)
         for subj in members:
-            f = counter % n_folds
-            subject_folds[subj] = f
             for i in subjects[subj]:
-                folds[i] = f
+                folds[i] = counter % n_folds
             counter += 1
-    return FoldAssignment(folds=folds, n_folds=n_folds, subject_folds=subject_folds)
+    return FoldAssignment(folds=folds)
 
 
 def save_dataset(samples: list[ImageSample], directory: str | Path) -> None:

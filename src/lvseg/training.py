@@ -97,7 +97,7 @@ from scipy import ndimage
 from .autograd import Tensor, backward
 from .checkpoint import checkpoint_write
 from .config import RunConfig
-from .dataset import FoldAssignment, ImageSample, load_dataset, make_folds, save_dataset
+from .dataset import ImageSample, load_dataset, make_folds, save_dataset
 from .errors import ContractViolation, MeasurementError, NonFiniteLogits, TrainingDiverged
 from .geometry import extract_contour
 from .layers import SGD, fixed_weights, softmax_cross_entropy

@@ -181,3 +181,52 @@ def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, field):
     assert main(["eval", "--checkpoint", str(bad), "--data", "synthetic:2",
                  "--out", str(tmp_path / "x")]) == 3
     assert f"bad_{field}.bin" in capsys.readouterr().err
+
+
+def _packed_from_the_layout(model) -> tuple[bytes, list[tuple[int, int]]]:
+    """``model``'s checkpoint packed field by field from the layout in the
+    module docstring, and the byte span of each parameter's name length,
+    name, rank and extents."""
+    params = model.parameters()
+    tag = model.arch.encode("utf-8")
+    raw = b"MFPU" + struct.pack("<I", 1) + struct.pack("<I", len(tag)) + tag
+    raw += struct.pack("<I", model.n) + struct.pack("<I", model.base_width)
+    raw += struct.pack("<I", model.dilation) + struct.pack("<I", len(params))
+    spans = []
+    for name, tensor in params.items():
+        start = len(raw)
+        raw += struct.pack("<I", len(name.encode("utf-8"))) + name.encode("utf-8")
+        raw += struct.pack("<I", tensor.data.ndim)
+        for extent in tensor.data.shape:
+            raw += struct.pack("<I", extent)
+        spans.append((start, len(raw)))
+        raw += struct.pack(f"<{tensor.data.size}f", *tensor.data.ravel().tolist())
+    return raw, spans
+
+
+def test_write_and_read_follow_the_documented_layout(tmp_path):
+    model = build_unet(16, 2, seed=4)
+    packed, _ = _packed_from_the_layout(model)
+    path = tmp_path / "ck.bin"
+    checkpoint_write(model, path)
+    assert path.read_bytes() == packed
+    by_hand = tmp_path / "by_hand.bin"
+    by_hand.write_bytes(packed)
+    loaded = checkpoint_read(by_hand)
+    written = model.parameters()
+    assert list(loaded.parameters()) == list(written)
+    for name, tensor in loaded.parameters().items():
+        assert tensor.data.tobytes() == written[name].data.tobytes(), name
+
+
+def test_every_flipped_parameter_header_byte_is_a_format_error(tmp_path):
+    packed, spans = _packed_from_the_layout(build_unet(16, 2, seed=4))
+    assert len(spans) == 46
+    path = tmp_path / "flipped.bin"
+    for start, end in spans:
+        for at in range(start, end):
+            raw = bytearray(packed)
+            raw[at] ^= 0xFF
+            path.write_bytes(bytes(raw))
+            with pytest.raises(FormatError, match="flipped.bin: "):
+                checkpoint_read(path)

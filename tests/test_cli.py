@@ -253,6 +253,15 @@ def test_train_flags_override_the_config_file(tmp_path, capsys):
     assert [(f["train_subjects"], f["val_subjects"]) for f in folds0] != split
 
 
+def test_train_unet_config_with_another_dilation_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "unet3.json"
+    cfg.write_text('{"arch": "unet", "dilation": 3}')
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: unet uses dilation 1, got 3\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_config_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
     cfg = tmp_path / "latin.json"
     cfg.write_bytes(b'{"arch": "unet\xff"}')

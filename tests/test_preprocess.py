@@ -187,7 +187,8 @@ def test_folds_partition_each_sample_held_out_once():
 def test_folds_balanced_subject_counts():
     samples = generate_phantom_set(11, 64, 5)
     fa = make_folds(samples, n_folds=5, seed=6)
-    per_fold = [sum(1 for f in fa.subject_folds.values() if f == k) for k in range(5)]
+    subject_folds = {s.subject: fa.folds[i] for i, s in enumerate(samples)}
+    per_fold = [sum(1 for f in subject_folds.values() if f == k) for k in range(5)]
     assert max(per_fold) - min(per_fold) <= 1
 
 

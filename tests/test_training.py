@@ -61,6 +61,14 @@ def test_config_validation():
         RunConfig(batch_size=0)
 
 
+def test_unet_config_refuses_a_dilation_it_would_ignore():
+    with pytest.raises(ContractViolation, match="unet uses dilation 1, got 3"):
+        RunConfig(arch="unet", dilation=3)
+    # the default (the mfp-unet and dilated-unet value) stands for "unset"
+    assert RunConfig(arch="unet").model_dilation == 1
+    assert RunConfig(arch="unet", dilation=1).model_dilation == 1
+
+
 # -- data resolution -------------------------------------------------------------
 
 def test_synthetic_sentinel(tmp_path):
