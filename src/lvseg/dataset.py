@@ -3,7 +3,9 @@
 A dataset directory holds ``images/<id>.pgm``, ``masks/<id>.pgm`` and a
 ``meta.csv`` with columns id, subject, phase, calibration_mm_per_px.
 Sample ids are ``<subject>_<phase>`` by convention but any unique string
-works; masks use pixel values {0, 255}.
+works; masks use pixel values {0, 255}. A mask pixel above 127 reads as
+foreground, so a mask whose largest value lies in 1-127 (a {0, 1} mask,
+say) would read as empty: ``load_dataset`` refuses it.
 """
 
 from __future__ import annotations
@@ -134,7 +136,12 @@ def load_dataset(directory: str | Path) -> list[ImageSample]:
             raise FormatError(f"{meta}: line {line}: field calibration_mm_per_px: "
                               f"not a number: {row['calibration_mm_per_px']!r}") from None
         image = pgm_read(directory / "images" / f"{sid}.pgm")
-        mask = (pgm_read(directory / "masks" / f"{sid}.pgm") > 127).astype(np.uint8)
+        mask_path = directory / "masks" / f"{sid}.pgm"
+        mask = pgm_read(mask_path)
+        if 0 < mask.max() <= 127:
+            raise FormatError(f"{mask_path}: largest mask value is {mask.max()}; masks hold "
+                              f"0 and 255, and values up to 127 read as background")
+        mask = (mask > 127).astype(np.uint8)
         try:
             samples.append(ImageSample(
                 image=image, mask=mask, calibration=calibration,

@@ -24,13 +24,14 @@ of each batch's (``start_batch``) and of the validation samples'
 - Data moves through one anonymous shared file (``os.memfd_create``:
   no name in any file system, freed with the last process that maps it).
   It holds the fold's weights, which the parent's ``opt.step()`` updates
-  in place, and one gradient slot of the same size. Each parameter's slot
-  is laid out in the memory order of the gradient the backward pass makes
-  (conv weight gradients are transposed views), so the helper's copy in
-  and the parent's add out both run through memory in order. On 2 Xeon
-  CPUs perfbench's train-mfp64 (n=64, width-8 MFP-Unet, batch 8) ran 228
-  ops/s with these slots and 192 with row-major ones (medians of 10
-  paired runs).
+  in place, so they reach the helper with no copy, and one gradient slot
+  of the same size: 4 MB in all for the n=64, width-8 MFP-Unet of
+  ``train``'s defaults. Each parameter's slot is laid out in the memory
+  order of the gradient the backward pass makes (conv weight gradients
+  are transposed views), so the helper's copy in and the parent's add
+  out both run through memory in order. On 2 Xeon CPUs perfbench's
+  train-mfp64 (n=64, width-8 MFP-Unet, batch 8) ran 228 ops/s with these
+  slots and 192 with row-major ones (medians of 10 paired runs).
 - The helper keeps its own gradients: after each of its samples it waits
   until the parent has released the slot, copies the gradients in, and
   sends the sample's float32 loss. The parent adds them at that sample's

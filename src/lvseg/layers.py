@@ -1,7 +1,7 @@
 """Network layer vocabulary: (dilated) convolution with an optional fused
 ReLU, ReLU, max pooling, transposed convolution, nearest upsampling,
-channel concatenation, the MFP classifier head, pixelwise softmax
-cross-entropy, and SGD with momentum.
+channel concatenation, the classifier head every network ends in,
+pixelwise softmax cross-entropy, and SGD with momentum.
 
 All image tensors are channels-first ``(C, H, W)``. Convolution weights
 are ``(out, in, m, m)`` with square kernels; dilated kernels space their
@@ -40,10 +40,10 @@ input alive until backward.
 
 Two ops only lay data out around their GEMMs. The transposed conv
 (kernel m, stride m) writes each of its m*m kernel taps' GEMM blocks into
-a strided view of the output. ``mfp_head`` is the 1x1 classifier of
-nearest-upsampled, concatenated taps, applied at each tap's own
-resolution and broadcast into the output, so no upsampled channel and no
-concatenation is built.
+a strided view of the output. ``mfp_head``, every network's head, is the
+1x1 classifier of nearest-upsampled, concatenated taps, applied at each
+tap's own resolution and broadcast into the output, so no upsampled
+channel and no concatenation is built.
 """
 
 from __future__ import annotations
@@ -150,8 +150,6 @@ def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, pad: int,
     them when |s| >= W). Other strides copy each tap's column span and zero
     the columns outside it. The slices come from ``_tap_plan``."""
     c, h, w = x.shape
-    if m == 1 and stride == 1 and pad == 0 and w_out == w:
-        return x.reshape(c, h * w)  # a 1x1 kernel's one tap is the input itself
     q = np.empty((m, c, h, w_out), dtype=x.dtype)
     flat, taps = _tap_plan(h, w, m, stride, dilation, pad, w_out)
     qv, xv = (q.reshape(m, c, h * w), x.reshape(c, h * w)) if flat else (q, x)
@@ -471,9 +469,12 @@ def concat_channels(xs: list[Tensor]) -> Tensor:
 
 
 def mfp_head(taps: list[Tensor], weight: Tensor, bias: Tensor) -> Tensor:
-    """The 1x1 classifier of the nearest-upsampled tap concatenation,
+    """Every network's head (``Model.forward``): the 1x1 classifier of the
+    nearest-upsampled tap concatenation,
     conv2d(concat_channels([upsample_nearest(t_k, f_k), ...]), weight, bias),
-    computed at each tap's own resolution. A 1x1 conv commutes with nearest
+    computed at each tap's own resolution. It takes any list of taps whose
+    extents divide the first's; the plain nets pass one, where it equals
+    the 1x1 conv2d bit for bit. A 1x1 conv commutes with nearest
     upsampling, so with W_k tap k's block of the weight's columns (in tap
     order) and f_k its upsampling factor to the first tap's extent,
 
@@ -561,18 +562,18 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
 
 
 class Conv2d:
-    """Convolution layer owning its weight (out,in,m,m) and bias (out,),
-    with its ReLU fused in when ``relu`` is set.
+    """Stride-1 convolution layer owning its weight (out,in,m,m) and bias
+    (out,), with its ReLU fused in when ``relu`` is set. It pads 'same':
+    dilation*(m - 1)//2 zeros on each side, which keeps the extents of an
+    odd kernel's output those of its input.
     ``rng`` draws the He-uniform weight; without one the weight is
     zero-filled, for a caller that sets it (a checkpoint read)."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, dilation: int = 1, padding: int = 0, relu: bool = False,
+                 dilation: int = 1, relu: bool = False,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.kernel_size = kernel_size
-        self.stride = stride
         self.dilation = dilation
-        self.padding = padding
         self.relu = relu
         shape = (out_channels, in_channels, kernel_size, kernel_size)
         if rng is None:
@@ -583,19 +584,17 @@ class Conv2d:
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, self.stride, self.dilation, self.padding,
-                      self.relu)
+        return conv2d(x, self.weight, self.bias, dilation=self.dilation,
+                      padding=self.dilation * (self.kernel_size - 1) // 2, relu=self.relu)
 
 
 class TransposedConv2d(Conv2d):
-    """2x upsampling transposed convolution (2x2 kernel, stride 2)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 2,
-                 stride: int = 2, rng: np.random.Generator | None = None, dtype=np.float32):
-        super().__init__(in_channels, out_channels, kernel_size, stride, rng=rng, dtype=dtype)
+    """Upsampling transposed convolution: an m x m kernel at stride m, so
+    each input pixel fills its own m x m output block (2x2 in every
+    network). It reads neither ``dilation`` nor ``relu``."""
 
     def __call__(self, x: Tensor) -> Tensor:
-        return transposed_conv2d(x, self.weight, self.bias, self.stride)
+        return transposed_conv2d(x, self.weight, self.bias, self.kernel_size)
 
 
 class SGD:

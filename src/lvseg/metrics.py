@@ -1,14 +1,17 @@
 """Segmentation agreement metrics: overlap scores on masks (Dice,
 Jaccard) and contour distances (Hausdorff, mean absolute distance).
 
-Distances are in pixels unless a calibration (mm per pixel) is supplied;
-nearest-point distances come from ``scipy.spatial.distance.cdist``.
+Distances are in pixels unless a calibration (mm per pixel) is supplied,
+which must be finite and positive; nearest-point distances come from
+``scipy.spatial.distance.cdist``.
 When both masks are empty the overlap scores are defined as 1: trivially
 perfect agreement, which keeps aggregation over background-only crops
 well defined.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -49,14 +52,23 @@ def _point_set(points: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _mm_per_px(calibration: float | None) -> float:
+    """The distance scale: 1 for None (pixels), else a finite positive calibration."""
+    if calibration is None:
+        return 1.0
+    if not 0 < calibration < math.inf:
+        raise ContractViolation(f"calibration must be positive and finite, got {calibration}")
+    return calibration
+
+
 def hausdorff(a: np.ndarray, b: np.ndarray, calibration: float | None = None) -> float:
     """Symmetric worst-case nearest-point distance between two contours."""
     d = cdist(_point_set(a), _point_set(b))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max())) * (calibration or 1.0)
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max())) * _mm_per_px(calibration)
 
 
 def mad(a: np.ndarray, b: np.ndarray, calibration: float | None = None) -> float:
     """Mean distance from each point of the automatic contour ``a`` to the
     reference contour ``b`` (asymmetric by definition)."""
     d = cdist(_point_set(a), _point_set(b))
-    return float(np.mean(d.min(axis=1))) * (calibration or 1.0)
+    return float(np.mean(d.min(axis=1))) * _mm_per_px(calibration)

@@ -8,13 +8,13 @@ bottleneck convolutions at dilation 2 (padding widened to keep extents
 level-constant); the decoder stays at dilation 1, which keeps fine
 boundary localization intact (a stack dilated end to end samples a sparse
 lattice at the finest level and visibly quantizes the predicted border).
-The multi-feature-pyramid variant additionally taps every decoder level
-through a 3x3 conv to 16 channels, upsamples each tap to full resolution,
-concatenates the four taps into a 64-channel map (``features``), and
-classifies that with a 1x1 convolution. ``forward`` gets the same logits
-without the map: a 1x1 conv commutes with nearest upsampling, so
-``layers.mfp_head`` classifies each tap at its own resolution and
-upsamples only the 2-channel sums.
+
+Every network ends in one head, ``layers.mfp_head``: the 1x1 classifier
+of its taps, nearest-upsampled to full resolution and concatenated. The
+plain variants have one tap, the topmost decoder output. The
+multi-feature-pyramid variant taps every decoder level through a 3x3 conv
+to 16 channels, so its head reads four taps, 64 channels in all.
+``_taps`` is the one place that knows which a network has.
 
 The input is a 2-channel square image (raw intensity plus the thresholded
 contrast channel); the output is a 2-channel logit map (background,
@@ -59,10 +59,10 @@ def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
 def layer_specs(arch: str, base_width: int, dilation: int) -> list[tuple[str, int, int, int, int]]:
     """(name, in channels, out channels, kernel, dilation) of every layer,
     in construction order, which is also the parameter order. A 2x2 kernel
-    is a stride-2 transposed conv; the others are convs whose "same"
-    padding keeps extents constant within a level. Every 3x3 conv applies
-    its ReLU fused (``Conv2d(relu=True)``); the 1x1 classifier gives
-    logits."""
+    is a stride-2 transposed conv; the others are convs, which ``Conv2d``
+    pads 'same' (dilation*(kernel - 1)//2 on each side), so extents stay
+    constant within a level. Every 3x3 conv applies its ReLU fused
+    (``Conv2d(relu=True)``); the 1x1 classifier is the head's weight."""
     B = base_width
     specs = []
     cin = IN_CHANNELS
@@ -119,11 +119,8 @@ class Model:
         rng = None if seed is None else np.random.default_rng(seed)
         self.layers: dict[str, Conv2d] = {}
         for name, cin, cout, m, d in layer_specs(arch, base_width, dilation):
-            if m == 2:
-                self.layers[name] = TransposedConv2d(cin, cout, rng=rng, dtype=dtype)
-            else:
-                self.layers[name] = Conv2d(cin, cout, m, dilation=d, padding=d * (m - 1) // 2,
-                                           relu=m == 3, rng=rng, dtype=dtype)
+            kind = TransposedConv2d if m == 2 else Conv2d
+            self.layers[name] = kind(cin, cout, m, dilation=d, relu=m == 3, rng=rng, dtype=dtype)
 
         L = self.layers
         levels = range(1, LEVELS + 1)
@@ -137,10 +134,10 @@ class Model:
     # -- forward -------------------------------------------------------
 
     def _taps(self, x: Tensor) -> list[Tensor]:
-        """What the classifier reads, before any upsampling: the topmost
-        decoder output for the plain variants; for MFP-Unet the four
-        pyramid taps, each at its own level's resolution, full-resolution
-        tap first and deepest last (the concatenation order)."""
+        """What the head reads, before any upsampling: the topmost decoder
+        output alone for the plain variants; for MFP-Unet the four pyramid
+        taps, each at its own level's resolution, full-resolution tap first
+        and deepest last (the concatenation order)."""
         if x.shape != (IN_CHANNELS, self.n, self.n):
             raise ContractViolation(
                 f"input shape {x.shape} does not match model spec {(IN_CHANNELS, self.n, self.n)}")
@@ -172,24 +169,19 @@ class Model:
         return [conv(up) for conv, up in zip(self.pyramid[::-1], ups[::-1])]
 
     def features(self, x: Tensor) -> Tensor:
-        """Pre-classifier feature map: the topmost decoder output for the
-        plain variants; for MFP-Unet the 64-channel concatenation of the
-        four pyramid taps, each upsampled (nearest) to full resolution.
+        """The map the head classifies: the taps, each upsampled (nearest)
+        to full resolution, concatenated: for the plain variants a copy of
+        the topmost decoder output, for MFP-Unet 64 channels.
         ``forward`` computes the same logits without building it."""
-        taps = self._taps(x)
-        if self.pyramid is None:
-            return taps[0]
-        return concat_channels([upsample_nearest(t, self.n // t.shape[1]) for t in taps])
+        return concat_channels([upsample_nearest(t, self.n // t.shape[1])
+                                for t in self._taps(x)])
 
     def forward(self, x: Tensor) -> Tensor:
-        """2-channel logit map of shape (2, N, N), classifier(features(x)).
-        MFP-Unet classifies each tap at its own resolution (``mfp_head``)
-        and upsamples only the 2-channel sums, which equals the 1x1
-        classifier on the 64-channel map up to summation order."""
-        taps = self._taps(x)
-        if self.pyramid is None:
-            return self.classifier(taps[0])
-        return mfp_head(taps, self.classifier.weight, self.classifier.bias)
+        """2-channel logit map of shape (2, N, N), classifier(features(x)):
+        ``mfp_head`` classifies each tap at its own resolution and upsamples
+        only the 2-channel sums, which equals the 1x1 classifier on the
+        feature map up to summation order (bit for bit with one tap)."""
+        return mfp_head(self._taps(x), self.classifier.weight, self.classifier.bias)
 
     # -- parameters ----------------------------------------------------
 

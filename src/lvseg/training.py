@@ -56,29 +56,27 @@ samples on two usable CPUs (``usable_cpus``) get the process's helper
 heap). It runs the samples this process names through the same two
 functions: the odd positions of every batch (``_train_fold``) and of the
 validation samples (``mean_val_dice``), and ``backprop_batch`` takes its
-loss and gradient at each odd position. The weights live in a file both
-processes map, so ``opt.step()`` reaches the helper with no copy; each
+loss and gradient at each odd position. ``helper.py`` describes the file
+both processes map, which holds the weights and the gradient slot. Each
 process runs on one BLAS thread while the fold lasts.
 
 The outputs are the same bytes either way. A sample's loss and gradient
 depend only on the weights and the sample, and both processes run the
-same per-sample step with the same scale 1/B. The helper keeps each
-gradient to itself and copies it into a shared slot; ``backprop_batch``
-adds it (``accumulate_grad``, as backward would) at the sample's own
-position, after the sample before it and before the backward of the one
-after it. So every parameter gradient is the float32 left fold
-((g_1 + g_2) + g_3) + ... of one process, the batch loss is summed in
-the same order, and the Dice scores fill one array in sample order; a
+same per-sample step with the same scale 1/B. ``backprop_batch`` adds
+the gradient of each helper sample (``accumulate_grad``, as backward
+would) at the sample's own position, after the sample before it and
+before the backward of the one after it. So every parameter gradient is
+the float32 left fold ((g_1 + g_2) + g_3) + ... of one process, the
+batch loss is summed in the same order, and the Dice scores fill one array in sample order; a
 non-finite loss or logit is reported for the first such sample in that
 order. A fold that fails in any way kills the helper, so nothing of it
 reaches the next fold.
 
 The helper's memory is its own interpreter (numpy and scipy imported),
 one sample's tape at a time as here, with glibc keeping its freed memory
-(``cli._keep_freed_memory``), plus the shared weights and gradient slot,
-two copies of the parameters that both processes map. For the n=64,
-width-8 MFP-Unet of ``train``'s defaults that is 4 MB of shared file;
-the helper peaked at 81 MB RSS beside this process's 87 MB.
+(``cli._keep_freed_memory``), plus the shared file. For the n=64,
+width-8 MFP-Unet of ``train``'s defaults the helper peaked at 81 MB RSS
+beside this process's 87 MB.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from lvseg import cli, errors, training
 from lvseg.checkpoint import checkpoint_read, checkpoint_write
 from lvseg.cli import main
 from lvseg.models import Model
-from lvseg.pgm import pgm_read
+from lvseg.pgm import pgm_read, pgm_write
 from lvseg.report import (MeasurementRow, agreement_reports, anova_text_table, method_anova,
                           read_measurements_csv, read_metrics_csv, write_measurements_csv)
 from lvseg.stats import anova_from_sums
@@ -364,6 +364,21 @@ def test_measure_rejects_a_malformed_meta_csv(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert "meta.csv" in err and message in err
     assert not (tmp_path / "m" / "measurements.csv").exists()
+
+
+def test_measure_rejects_a_mask_whose_values_all_read_as_background(tmp_path, capsys):
+    data = _synth_with_meta(tmp_path, lambda lines: lines)
+    masks = sorted((data / "masks").glob("*.pgm"))
+    for path in masks:
+        pgm_write(path, pgm_read(path) // 255)  # {0, 255} rewritten as {0, 1}
+    capsys.readouterr()
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert f"{masks[0]}: largest mask value is 1" in err
+    assert not (tmp_path / "m" / "measurements.csv").exists()
+    for path in masks:  # an empty mask still reads, as an empty mask
+        pgm_write(path, np.zeros_like(pgm_read(path)))
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "m2")]) == 0
 
 
 def test_meta_csv_may_hold_more_columns_but_not_fewer(tmp_path, capsys):

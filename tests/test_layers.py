@@ -382,6 +382,27 @@ def test_mfp_head_gradients_match_the_conv_form():
         assert np.abs(got - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_mfp_head_of_one_tap_is_the_1x1_conv_bit_for_bit(monkeypatch, dtype, n):
+    # the plain nets' head; at n=256 the conv runs its forward in row bands
+    rng = np.random.default_rng(n)
+    x, w, b, g = (rng.normal(size=s).astype(dtype)
+                  for s in ((8, n, n), (2, 8, 1, 1), 2, (2, n, n)))
+    runs = []
+    for head in (lambda tap, wt, bt: mfp_head([tap], wt, bt), conv2d):
+        params = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        with monkeypatch.context() as patch:
+            built = _spy_column_taps(patch)
+            out = head(*params)
+        backward((out * Tensor(g)).sum())
+        runs.append([out.data] + [p.grad for p in params])
+    # the conv's forward, the last run, built one Q per band; the head builds none
+    assert len(built) == (1 if n < 256 else 4 if dtype == np.float32 else 8)
+    for got, want in zip(*runs):
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def test_mfp_head_rejects_bad_shapes():
     rng = np.random.default_rng(0)
     taps = _pyramid_taps(rng)

@@ -119,6 +119,16 @@ def test_calibration_scales_distances():
     assert mad(a, b, calibration=0.3) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("calibration", [0.0, -0.5, math.nan, math.inf])
+def test_distances_reject_a_calibration_that_is_not_finite_and_positive(calibration):
+    a = np.array([[0.0, 0.0]])
+    b = np.array([[0.0, 4.0]])
+    for distance in (hausdorff, mad):
+        with pytest.raises(ContractViolation, match="positive and finite"):
+            distance(a, b, calibration)
+    assert hausdorff(a, b, None) == mad(a, b, None) == 4.0  # None stays pixels
+
+
 # -- brute-force oracle equality --------------------------------------------------
 
 def _brute_metrics(a_mask, b_mask):

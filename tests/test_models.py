@@ -180,6 +180,21 @@ def test_mfp_forward_argmax_equals_the_classifier_of_the_features_on_phantoms(n)
         assert np.array_equal(np.argmax(split, axis=0), np.argmax(full, axis=0))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch,dilation", [("unet", 1), ("dilated-unet", 2)])
+def test_plain_forward_is_the_1x1_classifier_of_the_tap_bit_for_bit(arch, dilation, dtype):
+    x = _rand_input(32, seed=8, dtype=dtype)
+    g = Tensor(np.random.default_rng(9).normal(size=(2, 32, 32)).astype(dtype))
+    runs = []
+    for logits_of in (lambda m: m.forward(x), lambda m: m.classifier(m._taps(x)[0])):
+        model = Model(arch, 32, 2, dilation, dtype=dtype, seed=7)
+        logits = logits_of(model)
+        backward((logits * g).sum())
+        runs.append([logits.data] + [p.grad for p in model.parameters().values()])
+    for got, want in zip(*runs):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_forward_segment_leaves_no_reference_cycles():
     model = build_mfp_unet(32, 2, seed=1)
     x = _rand_input(32, seed=3, dtype=np.float32)
