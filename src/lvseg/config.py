@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import ContractViolation, FormatError
 from .models import check_spec
+from .units import MAX_EXTENT_PX
 
 
 # the JSON values each field type takes: bool is no number, and a float
@@ -64,6 +65,11 @@ class RunConfig:
         for name in non_negative:
             if getattr(self, name) < 0:
                 raise ContractViolation(f"{name} must be >= 0, got {getattr(self, name)}")
+        # no image is wider than this; far past it scipy's Gaussian kernel
+        # sizing fails (ValueError at 1e20, OverflowError at 1e308)
+        if self.elastic_sigma > MAX_EXTENT_PX:
+            raise ContractViolation(
+                f"elastic_sigma must be <= {MAX_EXTENT_PX}, got {self.elastic_sigma}")
 
     @property
     def model_dilation(self) -> int:

@@ -4,22 +4,21 @@ channel concatenation, the classifier head every network ends in,
 pixelwise softmax cross-entropy, and SGD with momentum.
 
 All image tensors are channels-first ``(C, H, W)``. Convolution weights
-are ``(out, in, m, m)`` with square kernels; dilated kernels space their
-taps by the dilation rate, enlarging the receptive field without adding
-parameters.
+are ``(out, in, m, m)``. Every conv is 'same': stride 1, an odd square
+kernel and p = d*(m - 1)//2 zeros on each side, so its output keeps its
+input's extents; dilated kernels space their taps by the dilation rate d,
+enlarging the receptive field without adding parameters.
 
-Convolution is column-tap GEMM (``conv2d``): with stride s, dilation d and
-padding p, out = bias + sum_a Y[a, rows i*s + a*d - p], where
-Y = Ws @ Q, Q holds the m column-shifted copies of the input
-(Q[b,c,r,j] = x[c, r, j*s + b*d - p]) and Ws[a,o,b,c] = w[o,c,a,b]. Q and
-Y are built per band of output rows, each at most ``_BAND_BYTES`` (512 KB)
-or one output row, so a full-resolution conv never holds the whole
-image's Q or Y; every band sums its row taps in one order, so the result
-does not depend on the bands. The weight gradient is
+Convolution is column-tap GEMM (``conv2d``): out = bias + sum_a Y[a, rows
+i + a*d - p], where Y = Ws @ Q, Q holds the m column-shifted copies of the
+input (Q[b,c,r,j] = x[c, r, j + b*d - p]) and Ws[a,o,b,c] = w[o,c,a,b]. Q
+and Y are built per band of output rows, each at most ``_BAND_BYTES``
+(512 KB) or one output row, so a full-resolution conv never holds the
+whole image's Q or Y; every band sums its row taps in one order, so the
+result does not depend on the bands. The weight gradient is
 gw[:, :, a] = (Q_a @ g_a^T)^T for each row tap a, over the whole image,
-and the input gradient is the same banded kernel on g, zero-stuffed by
-the stride, with the flipped, transposed kernel
-w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
+and the input gradient is the same banded 'same' kernel on g with the
+flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
 
 Everything a conv kernel decides from shapes alone (each row tap's span,
 the order its row taps are summed in, the bands with their input rows and
@@ -38,10 +37,10 @@ afresh. A conv's tape entry holds its input and weight, not Q: backward
 rebuilds Q from the input, so the tape keeps no m-fold copy of each conv
 input alive until backward.
 
-Two ops only lay data out around their GEMMs. The transposed conv
-(kernel m, stride m) writes each of its m*m kernel taps' GEMM blocks into
-a strided view of the output. ``mfp_head``, every network's head, is the
-1x1 classifier of nearest-upsampled, concatenated taps, applied at each
+Two ops only lay data out around their GEMMs. The transposed conv (an
+m x m kernel at stride m) writes each of its m*m kernel taps' GEMM blocks
+into a strided view of the output. ``mfp_head``, every network's head, is
+the 1x1 classifier of nearest-upsampled, concatenated taps, applied at each
 tap's own resolution and broadcast into the output, so no upsampled
 channel and no concatenation is built.
 """
@@ -101,104 +100,84 @@ def he_uniform(shape, fan_in: int, rng: np.random.Generator, dtype) -> np.ndarra
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _span(shift: int, stride: int, n_in: int, n_out: int) -> tuple[slice, slice]:
-    """Slices (out, in) pairing each output index i in [0, n_out) with the
-    input index i*stride + shift, where that lies in [0, n_in)."""
-    lo = max(0, -(shift // stride))
-    hi = min(n_out, (n_in - 1 - shift) // stride + 1)
+def _span(shift: int, n: int) -> tuple[slice, slice]:
+    """Slices (out, in) pairing each index i in [0, n) with i + shift,
+    where that lies in [0, n)."""
+    lo, hi = max(0, -shift), min(n, n - shift)
     if lo >= hi:
         return slice(0, 0), slice(0, 0)
-    return slice(lo, hi), slice(lo * stride + shift, (hi - 1) * stride + shift + 1, stride)
+    return slice(lo, hi), slice(lo + shift, hi + shift)
 
 
 @lru_cache(maxsize=1024)
-def _tap_plan(h: int, w: int, m: int, stride: int, dilation: int, pad: int,
-              w_out: int) -> tuple[bool, tuple]:
-    """``_column_taps``' plan for one shape: whether its copies run on the
-    flattened arrays, and for each tap b (dst, src, zeros), the slices of
-    the copy Q[b, ..., dst] = x[..., src] and the column slices of Q[b]
-    zeroed after it."""
-    if stride == 1 and w_out == w:
-        taps = []
-        for b in range(m):
-            s = b * dilation - pad
-            k = max(h * w - abs(s), 0)
-            if s >= 0:
-                copy = slice(0, k), slice(s, s + k)
-                zeros = (slice(max(w - s, 0), None),) if s else ()
-            else:
-                copy = slice(-s, k - s), slice(0, k)
-                zeros = (slice(0, min(-s, w)),)
-            taps.append((*copy, zeros))
-        return True, tuple(taps)
+def _tap_plan(h: int, w: int, m: int, dilation: int) -> tuple:
+    """``_column_taps``' plan for one shape: for each tap b (dst, src,
+    zeros), the slices of the flat copy Q[b, :, dst] = x[:, src] and the
+    column slices of Q[b] zeroed after it."""
+    pad = dilation * (m - 1) // 2
     taps = []
     for b in range(m):
-        dst, src = _span(b * dilation - pad, stride, w, w_out)
-        zeros = slice(0, dst.start), slice(dst.stop, w_out)
-        taps.append((dst, src, tuple(z for z in zeros if z.start < z.stop)))
-    return False, tuple(taps)
+        s = b * dilation - pad
+        k = max(h * w - abs(s), 0)
+        if s >= 0:
+            copy = slice(0, k), slice(s, s + k)
+            zeros = (slice(max(w - s, 0), None),) if s else ()
+        else:
+            copy = slice(-s, k - s), slice(0, k)
+            zeros = (slice(0, min(-s, w)),)
+        taps.append((*copy, zeros))
+    return tuple(taps)
 
 
-def _column_taps(x: np.ndarray, m: int, stride: int, dilation: int, pad: int,
-                 w_out: int) -> np.ndarray:
-    """The (m*C, H*w_out) column-tap matrix Q[b*C + c, r*w_out + j] =
-    x[c, r, j*stride + b*d - pad], x zero off its extent.
+def _column_taps(x: np.ndarray, m: int, dilation: int) -> np.ndarray:
+    """The (m*C, H*W) column-tap matrix Q[b*C + c, r*W + j] =
+    x[c, r, j + b*d - p], p = d*(m - 1)//2 and x zero off its extent.
 
-    At stride 1 with w_out == W (a 'same' width), tap b is the flattened
-    input shifted by s = b*d - pad: one contiguous copy, after which the
-    |s| columns of each row that the shift wrapped around are zeroed (all of
-    them when |s| >= W). Other strides copy each tap's column span and zero
-    the columns outside it. The slices come from ``_tap_plan``."""
+    Tap b is the flattened input shifted by s = b*d - p: one contiguous
+    copy, after which the |s| columns of each row that the shift wrapped
+    around are zeroed (all of them when |s| >= W). The slices come from
+    ``_tap_plan``."""
     c, h, w = x.shape
-    q = np.empty((m, c, h, w_out), dtype=x.dtype)
-    flat, taps = _tap_plan(h, w, m, stride, dilation, pad, w_out)
-    qv, xv = (q.reshape(m, c, h * w), x.reshape(c, h * w)) if flat else (q, x)
-    for b, (dst, src, zeros) in enumerate(taps):
-        qv[b, ..., dst] = xv[..., src]
+    q = np.empty((m, c, h, w), dtype=x.dtype)
+    qv, xv = q.reshape(m, c, h * w), x.reshape(c, h * w)
+    for b, (dst, src, zeros) in enumerate(_tap_plan(h, w, m, dilation)):
+        qv[b, :, dst] = xv[:, src]
         for cols in zeros:
             q[b, :, :, cols] = 0
-    return q.reshape(m * c, h * w_out)
+    return q.reshape(m * c, h * w)
 
 
 @lru_cache(maxsize=1024)
-def _correlate_plan(c: int, h: int, o: int, m: int, stride: int, dilation: int, pad: int,
-                    h_out: int, w_out: int, itemsize: int,
-                    band_bytes: int) -> tuple[tuple, bool, tuple]:
-    """``_correlate``'s plan for one shape and band budget: (rows, full,
-    bands). rows[a] is row tap a's (output rows, input rows) pair of slices;
-    full says the first tap in the summation order covers every output row
-    (it then starts the sum, which spares a pass over out). Each band is
-    (output rows, input rows or None when all of them lie off the input,
-    their count, taps), each tap (a, output rows, Y rows, first)."""
-    eff = dilation * (m - 1) + 1
-    rows = tuple(_span(a * dilation - pad, stride, h, h_out) for a in range(m))
-    order = sorted(range(m), key=lambda a: rows[a][0] != slice(0, h_out))
-    full = rows[order[0]][0] == slice(0, h_out)
-    row_bytes = m * max(c, o) * w_out * itemsize  # of Q or Y per input row
-    band = max(1, (band_bytes // row_bytes - eff) // stride + 1)
+def _correlate_plan(c: int, h: int, w: int, o: int, m: int, dilation: int, itemsize: int,
+                    band_bytes: int) -> tuple[tuple, tuple]:
+    """``_correlate``'s plan for one shape and band budget: (rows, bands).
+    rows[a] is row tap a's (output rows, input rows) pair of slices. Each
+    band is (input rows, their count, taps), each tap (a, output rows, Y
+    rows). The centre tap, unshifted, covers every output row, so it comes
+    first and starts each band's sum; the others follow in kernel order."""
+    pad = dilation * (m - 1) // 2
+    rows = tuple(_span(a * dilation - pad, h) for a in range(m))
+    order = (m // 2, *range(m // 2), *range(m // 2 + 1, m))
+    row_bytes = m * max(c, o) * w * itemsize  # of Q or Y per input row
+    band = max(1, band_bytes // row_bytes - dilation * (m - 1))
     bands = []
-    for i0 in range(0, h_out, band):
-        i1 = min(i0 + band, h_out)
-        lo, hi = max(0, i0 * stride - pad), min(h, (i1 - 1) * stride + eff - pad)
-        if lo >= hi:
-            bands.append((slice(i0, i1), None, 0, ()))
-            continue
+    for i0 in range(0, h, band):
+        i1 = min(i0 + band, h)
+        lo, hi = max(0, i0 - pad), min(h, i1 + pad)
         taps = []
-        for k, a in enumerate(order):
+        for a in order:
             d0, d1 = max(rows[a][0].start, i0), min(rows[a][0].stop, i1)
             if d0 < d1:
-                r0 = d0 * stride + a * dilation - pad - lo
-                taps.append((a, slice(d0, d1), slice(r0, r0 + (d1 - d0 - 1) * stride + 1, stride),
-                             k == 0 and full))
-        bands.append((slice(i0, i1), slice(lo, hi), hi - lo, tuple(taps)))
-    return rows, full, tuple(bands)
+                r0 = d0 + a * dilation - pad - lo
+                taps.append((a, slice(d0, d1), slice(r0, r0 + d1 - d0)))
+        bands.append((slice(lo, hi), hi - lo, tuple(taps)))
+    return rows, tuple(bands)
 
 
-def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
-               pad: int, h_out: int, w_out: int):
-    """The column-tap kernel: ``base`` plus the (h_out, w_out) correlation
+def _correlate(x: np.ndarray, ws: np.ndarray, base, dilation: int):
+    """The column-tap kernel: ``base`` plus the 'same' correlation
 
-        out[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x[c, i*stride + a*d - pad, j*stride + b*d - pad]
+        out[o,i,j] = sum_{c,a,b} w[o,c,a,b] * x[c, i + a*d - p, j + b*d - p],  p = d*(m - 1)//2,
 
     with x zero off its extent and the kernel given as the (m*O, m*C) matrix
     ws[a*O + o, b*C + c] = w[o,c,a,b]. Returns out and, for each row tap a,
@@ -214,43 +193,39 @@ def _correlate(x: np.ndarray, ws: np.ndarray, base, stride: int, dilation: int,
     the shapes, the itemsize and ``_BAND_BYTES`` alone: ``_correlate_plan``
     works them out once per such key. Per call only the numpy work runs:
     Q, the GEMM and the row-shifted sums."""
-    c, h, _ = x.shape
+    c, h, w = x.shape
     m = ws.shape[1] // c
     o = ws.shape[0] // m
-    out = np.empty((o, h_out, w_out), dtype=np.result_type(ws, x))
-    rows, full, bands = _correlate_plan(c, h, o, m, stride, dilation, pad, h_out, w_out,
-                                        out.itemsize, _BAND_BYTES)
-    for out_rows, in_rows, n_rows, taps in bands:
-        if not full:
-            out[:, out_rows] = base
-        if in_rows is None:
-            continue
-        q = _column_taps(x[:, in_rows], m, stride, dilation, pad, w_out)
-        y = (ws @ q).reshape(m, o, n_rows, w_out)
-        for a, dst, src, first in taps:
-            if first:
-                np.add(y[a, :, src], base, out=out[:, dst])
-            else:
-                out[:, dst] += y[a, :, src]
+    out = np.empty((o, h, w), dtype=np.result_type(ws, x))
+    rows, bands = _correlate_plan(c, h, w, o, m, dilation, out.itemsize, _BAND_BYTES)
+    for in_rows, n_rows, taps in bands:
+        q = _column_taps(x[:, in_rows], m, dilation)
+        y = (ws @ q).reshape(m, o, n_rows, w)
+        (a, dst, src), *rest = taps
+        np.add(y[a, :, src], base, out=out[:, dst])
+        for a, dst, src in rest:
+            out[:, dst] += y[a, :, src]
     return out, rows
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
-           dilation: int = 1, padding: int = 0, relu: bool = False) -> Tensor:
-    """2-D convolution on a (C,H,W) tensor, differentiable in x, weight, bias.
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1,
+           relu: bool = False) -> Tensor:
+    """2-D 'same' convolution on a (C,H,W) tensor, differentiable in x,
+    weight, bias. The kernel is square with odd extent m, and the output
+    keeps the input's extents:
 
-    out[o,i,j] = bias[o] + sum_{c,a,b} w[o,c,a,b] * x[c, i*s + a*d - p, j*s + b*d - p]
+    out[o,i,j] = bias[o] + sum_{c,a,b} w[o,c,a,b] * x[c, i + a*d - p, j + b*d - p]
 
-    with stride s, dilation d, padding p and x zero off its extent, in three
+    with dilation d, p = d*(m - 1)//2 and x zero off its extent, in three
     steps (``_correlate``), taken per band of output rows:
 
-    - the column-tap matrix Q (m*C, rows*W_out), Q[b,c,r,j] = x[c, r, j*s + b*d - p]
+    - the column-tap matrix Q (m*C, rows*W), Q[b,c,r,j] = x[c, r, j + b*d - p]
       for the input rows r that the band reads: m shifted copies of them,
       where an im2col patch matrix takes m*m;
     - one GEMM Y = Ws @ Q with Ws[a,o,b,c] = w[o,c,a,b], an (m*O, m*C) matrix;
-    - the sum of m row-shifted slices, out[o,i] = sum_a Y[a,o, i*s + a*d - p]
-      over the rows i*s + a*d - p that lie in the input, the taps added in
-      the same order in every band.
+    - the sum of m row-shifted slices, out[o,i] = sum_a Y[a,o, i + a*d - p]
+      over the rows i + a*d - p that lie in the input, the centre tap first
+      and the taps added in the same order in every band.
 
     A band holds as many output rows as keep its Q and Y within
     ``_BAND_BYTES``, and at least one. In a 128x128, width-8 MFP-Unet the
@@ -263,15 +238,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     Backward is two more GEMM steps. The weight gradient is m GEMMs over the
     whole image, one per row tap: its block gw[:, :, a] is (Q_a @ g_a^T)^T,
     g_a the output gradient's rows that tap a reads inside the input and Q_a
-    those input rows of Q, rebuilt from x (at stride 1 a range of Q's
-    columns). Banding these would split their sums over pixels and change
-    gw's rounding. That whole-image Q is dropped as soon as gw is formed,
-    before the input-gradient pass starts (for ``up4.conv1`` of an n=64,
-    width-8 MFP-Unet it is 786,432 bytes). The input
-    gradient is the same kernel at stride 1 and the same dilation on g with
-    the flipped, transposed kernel w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3):
-    g is zero-stuffed (stride - 1 zeros between its entries) and offset by
-    eff - 1 - p, eff = d*(m - 1) + 1, the kernel reading zeros off its extent.
+    those input rows of Q (a range of Q's columns), rebuilt from x. Banding
+    these would split their sums over pixels and change gw's rounding. That
+    whole-image Q is dropped as soon as gw is formed, before the
+    input-gradient pass starts (for ``up4.conv1`` of an n=64, width-8
+    MFP-Unet it is 786,432 bytes). The input gradient is the same 'same'
+    kernel on g with the flipped, transposed kernel
+    w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).
 
     ``relu=True`` is ``relu(conv2d(...))`` in one op, bit for bit: the ReLU
     runs in place on the output, so no pre-activation copy stays on the
@@ -281,26 +254,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
     """
     c_in, h, w = x.shape
     o_ch, c_w, m, m2 = weight.shape
-    if m != m2:
-        raise ContractViolation(f"kernel must be square, got {m}x{m2}")
+    if m != m2 or m % 2 == 0:
+        raise ContractViolation(f"kernel must be square with an odd extent, got {m}x{m2}")
     if c_in != c_w:
         raise ContractViolation(f"conv2d channel mismatch: input {c_in}, weight expects {c_w}")
-    if dilation < 1 or stride < 1:
-        raise ContractViolation("stride and dilation must be >= 1")
-    p = padding
-    eff = dilation * (m - 1) + 1
-    h_out = (h + 2 * p - eff) // stride + 1
-    w_out = (w + 2 * p - eff) // stride + 1
-    if eff > h + 2 * p or eff > w + 2 * p or h_out <= 0 or w_out <= 0:
-        raise ContractViolation(
-            f"effective kernel extent {eff} exceeds padded input {h + 2 * p}x{w + 2 * p}")
+    if dilation < 1:
+        raise ContractViolation(f"dilation must be >= 1, got {dilation}")
+    if h < 1 or w < 1:
+        raise ContractViolation(f"conv2d needs a non-empty input, got {h}x{w}")
 
     # Q's rows run (b, c), not (c, b): this copy then moves runs of C values,
     # where runs of the m taps made it ~5x slower at 128x128 channels
     ws = _kernel(weight.data, "ws",
                  lambda wd: wd.transpose(2, 0, 3, 1).reshape(m * o_ch, m * c_in))
-    out_data, rows = _correlate(x.data, ws, bias.data[:, None, None], stride, dilation,
-                                p, h_out, w_out)
+    out_data, rows = _correlate(x.data, ws, bias.data[:, None, None], dilation)
     if relu:
         np.maximum(out_data, 0, out=out_data)
 
@@ -308,10 +275,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if relu:  # g is this node's own gradient, spent once backward returns
             np.multiply(g, out_data > 0, out=g)
         if weight.requires_grad:
-            taps = _column_taps(x.data, m, stride, dilation, p, w_out).reshape(m * c_in, h, w_out)
+            taps = _column_taps(x.data, m, dilation).reshape(m * c_in, h, w)
             gwt = np.empty((m, m * c_in, o_ch), dtype=g.dtype)
             for a, (dst, src) in enumerate(rows):
-                k = (dst.stop - dst.start) * w_out
+                k = (dst.stop - dst.start) * w
                 np.matmul(taps[:, src].reshape(m * c_in, k), g[:, dst].reshape(o_ch, k).T,
                           out=gwt[a])
             del taps  # the whole image's Q, not needed by the input-gradient pass
@@ -320,16 +287,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1,
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=(1, 2)), owned=True)
         if x.requires_grad:
-            if stride > 1:
-                gs = np.zeros((o_ch, (h_out - 1) * stride + 1, (w_out - 1) * stride + 1),
-                              dtype=g.dtype)
-                gs[:, ::stride, ::stride] = g
-            else:
-                gs = g
             flipped = _kernel(weight.data, "flipped", lambda wd: wd[:, :, ::-1, ::-1].transpose(
                 2, 1, 3, 0).reshape(m * c_in, m * o_ch))
-            x.accumulate_grad(_correlate(gs, flipped, 0, 1, dilation, eff - 1 - p, h, w)[0],
-                              owned=True)
+            x.accumulate_grad(_correlate(g, flipped, 0, dilation)[0], owned=True)
 
     return _result(out_data, (x, weight, bias), backward, "conv2d")
 
@@ -385,10 +345,10 @@ def max_pool2d(x: Tensor) -> Tensor:
     return _result(pooled, (x,), backward, "max_pool2d")
 
 
-def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) -> Tensor:
-    """Transposed convolution with an m x m kernel at stride m: each input
-    element scatters weight*value into its own m x m output block, so the
-    blocks never overlap,
+def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Transposed convolution with an m x m kernel at stride m, the kernel's
+    own extent: each input element scatters weight*value into its own
+    m x m output block, so the blocks never overlap,
     out[o, i*m + a, j*m + b] = bias[o] + sum_c w[o,c,a,b] * x[c,i,j].
 
     One GEMM Y = Wm @ x with rows (a, b, o), Wm[(a,b,o), c] = w[o,c,a,b];
@@ -401,9 +361,6 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 2) 
     o_ch, c_w, m, _ = weight.shape
     if c_in != c_w:
         raise ContractViolation(f"transposed_conv2d channel mismatch: {c_in} vs {c_w}")
-    if stride != m:
-        raise ContractViolation(
-            f"transposed_conv2d needs stride equal to the kernel size {m}, got {stride}")
 
     wm = _kernel(weight.data, "wm",
                  lambda wd: wd.transpose(2, 3, 0, 1).reshape(m * m * o_ch, c_in))
@@ -562,10 +519,8 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
 
 
 class Conv2d:
-    """Stride-1 convolution layer owning its weight (out,in,m,m) and bias
-    (out,), with its ReLU fused in when ``relu`` is set. It pads 'same':
-    dilation*(m - 1)//2 zeros on each side, which keeps the extents of an
-    odd kernel's output those of its input.
+    """'Same' convolution layer (``conv2d``) owning its weight (out,in,m,m),
+    m odd, and bias (out,), with its ReLU fused in when ``relu`` is set.
     ``rng`` draws the He-uniform weight; without one the weight is
     zero-filled, for a caller that sets it (a checkpoint read)."""
 
@@ -584,17 +539,16 @@ class Conv2d:
         self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, dilation=self.dilation,
-                      padding=self.dilation * (self.kernel_size - 1) // 2, relu=self.relu)
+        return conv2d(x, self.weight, self.bias, dilation=self.dilation, relu=self.relu)
 
 
 class TransposedConv2d(Conv2d):
-    """Upsampling transposed convolution: an m x m kernel at stride m, so
-    each input pixel fills its own m x m output block (2x2 in every
-    network). It reads neither ``dilation`` nor ``relu``."""
+    """Upsampling transposed convolution (``transposed_conv2d``): each input
+    pixel fills its own m x m output block (2x2 in every network). It reads
+    neither ``dilation`` nor ``relu``."""
 
     def __call__(self, x: Tensor) -> Tensor:
-        return transposed_conv2d(x, self.weight, self.bias, self.kernel_size)
+        return transposed_conv2d(x, self.weight, self.bias)
 
 
 class SGD:

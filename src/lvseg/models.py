@@ -4,7 +4,7 @@ All three share a 4-level encoder-decoder body: two 3x3 conv+ReLU per
 level, 2x2 max pooling on the way down (channel width doubling each
 time), transposed-conv upsampling with skip concatenation on the way up.
 The dilated variant widens the receptive field by running the encoder and
-bottleneck convolutions at dilation 2 (padding widened to keep extents
+bottleneck convolutions at dilation 2 ('same' padding keeps extents
 level-constant); the decoder stays at dilation 1, which keeps fine
 boundary localization intact (a stack dilated end to end samples a sparse
 lattice at the finest level and visibly quantizes the predicted border).
@@ -37,6 +37,10 @@ IN_CHANNELS = 2
 OUT_CHANNELS = 2
 LEVELS = 4
 PYRAMID_CHANNELS = 16
+# the bottleneck's 16*MAX_BASE_WIDTH channels keep every parameter extent
+# inside a checkpoint's 32-bit fields and every parameter's byte count
+# inside numpy's; a net that wide runs out of memory first, a named error
+MAX_BASE_WIDTH = 65536
 
 
 def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
@@ -50,8 +54,12 @@ def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
         raise ContractViolation(f"input extent must be <= {MAX_EXTENT_PX}, got {n}")
     if base_width < 2:
         raise ContractViolation(f"base width must be >= 2, got {base_width}")
+    if base_width > MAX_BASE_WIDTH:
+        raise ContractViolation(f"base width must be <= {MAX_BASE_WIDTH}, got {base_width}")
     if dilation < 1:
         raise ContractViolation(f"dilation must be >= 1, got {dilation}")
+    if dilation > MAX_EXTENT_PX:
+        raise ContractViolation(f"dilation must be <= {MAX_EXTENT_PX}, got {dilation}")
     if arch == "unet" and dilation != 1:
         raise ContractViolation("unet uses dilation 1")
 
@@ -59,10 +67,11 @@ def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
 def layer_specs(arch: str, base_width: int, dilation: int) -> list[tuple[str, int, int, int, int]]:
     """(name, in channels, out channels, kernel, dilation) of every layer,
     in construction order, which is also the parameter order. A 2x2 kernel
-    is a stride-2 transposed conv; the others are convs, which ``Conv2d``
-    pads 'same' (dilation*(kernel - 1)//2 on each side), so extents stay
-    constant within a level. Every 3x3 conv applies its ReLU fused
-    (``Conv2d(relu=True)``); the 1x1 classifier is the head's weight."""
+    is a transposed conv, which doubles the extents; every other layer is a
+    'same' conv (``conv2d``: stride 1, dilation*(kernel - 1)//2 zeros on
+    each side), so extents stay constant within a level. Every 3x3 conv
+    applies its ReLU fused (``Conv2d(relu=True)``); the 1x1 classifier is
+    the head's weight."""
     B = base_width
     specs = []
     cin = IN_CHANNELS

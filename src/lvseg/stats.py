@@ -44,20 +44,18 @@ class BlandAltman:
     cv_pct: float  # NaN when the denominator vanishes
 
 
-def bland_altman(series: PairedSeries, halved_denominator: bool = False) -> BlandAltman:
+def bland_altman(series: PairedSeries) -> BlandAltman:
     """Bias, 1.96-SD limits of agreement, reproducibility coefficient, and
     coefficient of variation of auto - manual differences.
 
-    The CV denominator is mean(auto) + mean(man) by default; pass
-    ``halved_denominator=True`` for the conventional mean of means.
+    The CV denominator is mean(auto) + mean(man), not the conventional
+    mean of means, which would double the CV.
     """
     d = series.auto - series.man
     bias = float(d.mean())
     sd = float(d.std(ddof=1))
     rpc = 1.96 * sd
     denom = float(series.auto.mean() + series.man.mean())
-    if halved_denominator:
-        denom /= 2.0
     cv = sd / denom * 100.0 if abs(denom) > 1e-300 else float("nan")
     return BlandAltman(bias=bias, loa_low=bias - rpc, loa_high=bias + rpc,
                        rpc=rpc, cv_pct=cv)

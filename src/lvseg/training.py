@@ -483,26 +483,30 @@ def format_summary(rows: list[MetricsRow]) -> str:
 # -- measurement ---------------------------------------------------------
 
 def measure_samples(samples: list[ImageSample]) -> list[MeasurementRow]:
-    """Geometry measurements per mask plus one EF row per ED/ES subject
-    pair; rows are flagged when the length procedure fails and EF is
-    omitted for unmatched subjects."""
+    """Geometry measurements per mask plus one EF row per subject with a
+    measured ED or ES volume. A mask whose length procedure fails is
+    flagged ``length_error``. EF is omitted, and its row flagged, for a
+    subject that lacks a measured ED or ES volume (``unmatched``) or has
+    more than one of either (``ambiguous``: which pair is meant is unknown,
+    and taking the last one seen made EF depend on the row order)."""
     rows: list[MeasurementRow] = []
-    volumes: dict[str, dict[str, float]] = {}
+    volumes: dict[str, dict[str, list[float]]] = {}
     for s in samples:
         try:
             m = measure_mask(s.mask, s.calibration, s.phase)
             rows.append(MeasurementRow(s.sample_id, s.phase, m.length_cm, m.area_cm2,
                                        m.volume_ml))
             if s.phase in ("ED", "ES"):
-                volumes.setdefault(s.subject, {})[s.phase] = m.volume_ml
+                volumes.setdefault(s.subject, {}).setdefault(s.phase, []).append(m.volume_ml)
         except MeasurementError:
             rows.append(MeasurementRow(s.sample_id, s.phase, flag="length_error"))
 
     for subject in sorted(volumes):
-        v = volumes[subject]
-        if "ED" in v and "ES" in v:
-            rows.append(MeasurementRow(subject, "EF",
-                                       ef_pct=ejection_fraction(v["ED"], v["ES"])))
+        ed, es = volumes[subject].get("ED", []), volumes[subject].get("ES", [])
+        if len(ed) > 1 or len(es) > 1:
+            rows.append(MeasurementRow(subject, "EF", flag="ambiguous"))
+        elif ed and es:
+            rows.append(MeasurementRow(subject, "EF", ef_pct=ejection_fraction(ed[0], es[0])))
         else:
             rows.append(MeasurementRow(subject, "EF", flag="unmatched"))
     return rows

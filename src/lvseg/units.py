@@ -2,7 +2,9 @@
 cannot creep in at call sites. Calibration is always mm per pixel."""
 
 MM_PER_CM = 10.0
-MAX_EXTENT_PX = 16384  # the largest image extent a network or a phantom is built at
+# the largest image extent a network or a phantom is built at, and the
+# largest pixel length a run takes (a dilation, an elastic sigma)
+MAX_EXTENT_PX = 16384
 
 
 def px_to_cm(px: float, mm_per_px: float) -> float:

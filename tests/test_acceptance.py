@@ -83,7 +83,7 @@ def _primitive_checks(seed: int) -> float:
     b = Tensor(rng.normal(size=3), requires_grad=True)
 
     def conv_loss():
-        out = conv2d(x, w, b, dilation=2, padding=2)
+        out = conv2d(x, w, b, dilation=2)
         return (out * out).sum()
 
     for theta in (x, w, b):
@@ -188,8 +188,8 @@ def test_dilated_kernel_equivalence():
         inflated = np.zeros((3, 2, 5, 5))
         inflated[:, :, ::2, ::2] = w
         zb = Tensor(np.zeros(3))
-        a = conv2d(x, Tensor(w), zb, dilation=2, padding=2)
-        b = conv2d(x, Tensor(inflated), zb, dilation=1, padding=2)
+        a = conv2d(x, Tensor(w), zb, dilation=2)
+        b = conv2d(x, Tensor(inflated), zb, dilation=1)
         worst = max(worst, float(np.abs(a.data - b.data).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 5.0

@@ -100,7 +100,7 @@ def test_no_grad_results_keep_no_tape():
     b = Tensor(rng.normal(size=3), requires_grad=True)
     with no_grad():
         outs = [x + x, x * 2.0, x - x, -x, x.sum(),
-                conv2d(x, w, b, padding=1), conv2d(x, w1, b), conv2d(x, w1, b, stride=2),
+                conv2d(x, w, b), conv2d(x, w1, b), conv2d(x, w, b, dilation=2, relu=True),
                 relu(x), max_pool2d(x), transposed_conv2d(x, wt, b),
                 upsample_nearest(x, 2), upsample_nearest(x, 1), concat_channels([x, x]),
                 softmax_cross_entropy(x, np.zeros((4, 4), dtype=int))]

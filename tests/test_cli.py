@@ -16,7 +16,7 @@ import pytest
 from lvseg import cli, errors, training
 from lvseg.checkpoint import checkpoint_read, checkpoint_write
 from lvseg.cli import main
-from lvseg.models import Model
+from lvseg.models import MAX_BASE_WIDTH, Model
 from lvseg.pgm import pgm_read, pgm_write
 from lvseg.report import (MeasurementRow, agreement_reports, anova_text_table, method_anova,
                           read_measurements_csv, read_metrics_csv, write_measurements_csv)
@@ -712,6 +712,40 @@ def test_an_image_extent_past_the_bound_is_one_named_error(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"extent must be <= {MAX_EXTENT_PX}, got " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field,value,bound", [
+    ("base_width", 2**62, MAX_BASE_WIDTH), ("dilation", 2**32, MAX_EXTENT_PX),
+    ("elastic_sigma", 1e308, MAX_EXTENT_PX), ("elastic_sigma", 1e20, MAX_EXTENT_PX)])
+def test_a_config_value_past_its_bound_is_one_named_error(tmp_path, capsys, field, value,
+                                                          bound):
+    # these ended in a ValueError or OverflowError traceback (exit 1), the
+    # dilation only after training, in the checkpoint writer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 32, "base_width": 2, "folds": 2, "epochs": 1,
+                               "batch_size": 2, "augment_factor": 2, "data_dir": "synthetic:2",
+                               "out_dir": str(tmp_path / "run"), field: value}))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 2
+    name = field.replace("_", " ") if field == "base_width" else field
+    assert capsys.readouterr().err == f"error: {name} must be <= {bound}, got {value}\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("width,dilation", [(MAX_BASE_WIDTH + 1, 2), (2, MAX_EXTENT_PX + 1)])
+def test_a_checkpoint_header_past_a_bound_describes_no_valid_model(tmp_path, capsys, width,
+                                                                    dilation):
+    ck = tmp_path / "ck.bin"
+    checkpoint_write(Model("dilated-unet", 32, 2, 2, seed=0), ck)
+    ck.write_bytes(ck.read_bytes().replace(struct.pack("<III", 32, 2, 2),
+                                           struct.pack("<III", 32, width, dilation), 1))
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(ck), "--data", "synthetic:1",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "header describes no valid model" in err and "must be <= " in err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import pytest
 from lvseg import layers
 from lvseg.autograd import Tensor, backward, grad_check
 from lvseg.errors import ContractViolation
-from lvseg.layers import (SGD, _column_taps, _correlate, _span, concat_channels, conv2d,
+from lvseg.layers import (SGD, _column_taps, _correlate, concat_channels, conv2d,
                           fixed_weights, max_pool2d, mfp_head, relu, softmax_cross_entropy,
                           transposed_conv2d, upsample_nearest)
 from lvseg.models import Model
@@ -30,19 +30,20 @@ def test_conv_identity_kernel():
 
 
 def test_conv_hand_example():
+    # out[i, j] = x[i, j] + x[i + 1, j + 1], zero off the input
     x = t([[[1.0, 2.0], [3.0, 4.0]]])
-    w = t([[[[1.0, 0.0], [0.0, 1.0]]]])
+    w = t([[[[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]])
     out = conv2d(x, w, t([0.0]))
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 5.0
+    assert out.data.tolist() == [[[5.0, 2.0], [3.0, 4.0]]]
 
 
 def test_conv_dilated_nine_taps():
     x = t(np.ones((1, 5, 5)))
     w = t(np.ones((1, 1, 3, 3)))
     out = conv2d(x, w, t([0.0]), dilation=2)
-    assert out.data.shape == (1, 1, 1)
-    assert out.data[0, 0, 0] == 9.0
+    assert out.data.shape == (1, 5, 5)
+    assert out.data[0, 2, 2] == 9.0  # every tap inside; a corner reads four
+    assert out.data[0, 0, 0] == out.data[0, 4, 4] == 4.0
 
 
 def test_conv_channel_mismatch():
@@ -53,19 +54,32 @@ def test_conv_channel_mismatch():
 
 
 def test_conv_kernel_larger_than_input():
-    x = t(np.ones((1, 2, 2)))
-    w = t(np.ones((1, 1, 3, 3)))
-    with pytest.raises(ContractViolation):
-        conv2d(x, w, t([0.0]))
+    # 'same' pads a kernel wider than its input: n=16 at dilation 3 reaches a
+    # 2x2 level, where every tap but the centre reads the padding
+    for d in (1, 3):
+        x = RNG.normal(size=(2, 2, 2))
+        w = RNG.normal(size=(3, 2, 3, 3))
+        b = RNG.normal(size=3)
+        out = conv2d(t(x), t(w), t(b), dilation=d).data
+        np.testing.assert_allclose(out, _im2col_conv_forward(x, w, b, 1, d, d), rtol=1e-12)
+
+
+def test_conv_rejects_an_even_or_non_square_kernel_and_an_empty_input():
+    x = t(np.ones((1, 4, 4)))
+    for shape in ((1, 1, 2, 2), (1, 1, 3, 1), (1, 1, 4, 4)):
+        with pytest.raises(ContractViolation, match="square with an odd extent"):
+            conv2d(x, t(np.ones(shape)), t([0.0]))
+    with pytest.raises(ContractViolation, match="non-empty input, got 0x4"):
+        conv2d(t(np.ones((1, 0, 4))), t(np.ones((1, 1, 3, 3))), t([0.0]))
 
 
 def test_conv_output_extent_formula():
-    for h, pad, stride, d, m in [(8, 1, 1, 1, 3), (8, 2, 2, 2, 3), (9, 0, 1, 1, 2)]:
-        x = t(RNG.normal(size=(1, h, h)))
-        w = t(RNG.normal(size=(1, 1, m, m)))
-        out = conv2d(x, w, t([0.0]), stride=stride, dilation=d, padding=pad)
-        expect = (h + 2 * pad - d * (m - 1) - 1) // stride + 1
-        assert out.data.shape == (1, expect, expect)
+    # 'same': every kernel extent and dilation keeps the input's extents
+    for h, w, d, m in [(8, 8, 1, 3), (8, 5, 2, 3), (9, 7, 1, 5), (3, 4, 3, 3), (6, 6, 1, 1)]:
+        x = t(RNG.normal(size=(1, h, w)))
+        wt = t(RNG.normal(size=(1, 1, m, m)))
+        out = conv2d(x, wt, t([0.0]), dilation=d)
+        assert out.data.shape == (1, h, w)
 
 
 def test_dilated_equals_zero_inflated_kernel():
@@ -77,8 +91,8 @@ def test_dilated_equals_zero_inflated_kernel():
         w = rng.normal(size=(3, 2, 3, 3))
         inflated = np.zeros((3, 2, 5, 5))
         inflated[:, :, ::2, ::2] = w
-        a = conv2d(t(x), t(w), t(np.zeros(3)), dilation=2, padding=2)
-        b = conv2d(t(x), t(inflated), t(np.zeros(3)), dilation=1, padding=2)
+        a = conv2d(t(x), t(w), t(np.zeros(3)), dilation=2)
+        b = conv2d(t(x), t(inflated), t(np.zeros(3)), dilation=1)
         assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -106,12 +120,23 @@ def test_relu_propagates_nan():
     assert x.grad.tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
-def _conv_relu_and_grads(x0, w0, b0, g0, fused, **kw):
+def _conv_relu_and_grads(x0, w0, b0, g0, fused, stride=1, dilation=1):
+    """Output and gradients of relu(conv) at ``stride`` ('same' padding),
+    the ReLU fused or not: g0 reaches every stride-th output pixel."""
     x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
-    out = conv2d(x, w, b, relu=True, **kw) if fused else relu(conv2d(x, w, b, **kw))
-    data = out.data.copy()
-    backward((out * Tensor(g0)).sum())
+    out = (conv2d(x, w, b, dilation=dilation, relu=True) if fused
+           else relu(conv2d(x, w, b, dilation=dilation)))
+    data = out.data[:, ::stride, ::stride].copy()
+    backward((out * Tensor(_strided_gradient(g0, out.shape, stride))).sum())
     return data, x.grad, w.grad, b.grad
+
+
+def _strided_gradient(g, shape, stride):
+    """g on every stride-th pixel of a zero gradient of ``shape``: the
+    gradient a conv at that stride hands its 'same' conv."""
+    full = np.zeros(shape, dtype=g.dtype)
+    full[:, ::stride, ::stride] = g
+    return full
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -119,14 +144,15 @@ def _conv_relu_and_grads(x0, w0, b0, g0, fused, **kw):
 @pytest.mark.parametrize("dilation", [1, 2])
 @pytest.mark.parametrize("nan", [False, True])
 def test_fused_relu_is_bit_identical_to_relu_of_conv(dtype, stride, dilation, nan):
+    # stride 2 reads the 'same' output at every other pixel
     rng = np.random.default_rng(10 * stride + dilation)
     x0 = rng.normal(size=(3, 9, 9)).astype(dtype)
     if nan:
         x0[1, 4, 4] = np.nan
     w0 = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
     b0 = rng.normal(size=4).astype(dtype)
-    kw = dict(stride=stride, dilation=dilation, padding=dilation)
-    g0 = rng.normal(size=conv2d(Tensor(x0), Tensor(w0), Tensor(b0), **kw).shape).astype(dtype)
+    kw = dict(stride=stride, dilation=dilation)
+    g0 = rng.normal(size=(4, -(-9 // stride), -(-9 // stride))).astype(dtype)
     fused = _conv_relu_and_grads(x0, w0, b0, g0, True, **kw)
     plain = _conv_relu_and_grads(x0, w0, b0, g0, False, **kw)
     assert (fused[0] == 0).any() and (fused[0] > 0).any()
@@ -145,14 +171,14 @@ def test_fused_relu_backward_masks_its_gradient_in_place(dtype, stride):
     x0 = rng.normal(size=(3, 9, 9)).astype(dtype)
     w0 = rng.normal(size=(4, 3, 3, 3)).astype(dtype)
     b0 = rng.normal(size=4).astype(dtype)
-    kw = dict(stride=stride, dilation=2, padding=2)
     x, w, b = (Tensor(a, requires_grad=True) for a in (x0, w0, b0))
-    out = conv2d(x, w, b, relu=True, **kw)
-    g = rng.normal(size=out.shape).astype(dtype)
+    out = conv2d(x, w, b, dilation=2, relu=True)
+    g0 = rng.normal(size=(4, -(-9 // stride), -(-9 // stride))).astype(dtype)
+    g = _strided_gradient(g0, out.shape, stride)
     kept = g.copy()
     out.backward_fn(g)
     assert np.array_equal(g, kept * (out.data > 0))  # g itself was masked
-    _, *plain = _conv_relu_and_grads(x0, w0, b0, kept, False, **kw)
+    _, *plain = _conv_relu_and_grads(x0, w0, b0, g0, False, stride=stride, dilation=2)
     for fused, ref in zip((x.grad, w.grad, b.grad), plain):
         assert fused.dtype == ref.dtype == dtype
         assert np.array_equal(fused, ref)
@@ -165,7 +191,7 @@ def test_fused_relu_gradients_against_finite_differences():
     b = Tensor(rng.normal(size=3), requires_grad=True)
     g = Tensor(rng.normal(size=(3, 6, 6)))
     for theta in (x, w, b):
-        err = grad_check(lambda: (conv2d(x, w, b, dilation=2, padding=2, relu=True) * g).sum(),
+        err = grad_check(lambda: (conv2d(x, w, b, dilation=2, relu=True) * g).sum(),
                          theta)
         assert err < 1e-6
 
@@ -280,21 +306,15 @@ def test_tconv_is_adjoint_of_conv():
         x = rng.normal(size=(3, 6, 6))
         w = rng.normal(size=(4, 3, 2, 2))
         y = rng.normal(size=(4, 3, 3))
-        lhs = float((conv2d(t(x), t(w), t(np.zeros(4)), stride=2).data * y).sum())
+        lhs = float((_im2col_conv_forward(x, w, np.zeros(4), 2, 1, 0) * y).sum())
         wt = np.transpose(w, (1, 0, 2, 3))
-        rhs = float((x * transposed_conv2d(t(y), t(wt), t(np.zeros(3)), stride=2).data).sum())
+        rhs = float((x * transposed_conv2d(t(y), t(wt), t(np.zeros(3))).data).sum())
         assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_tconv_channel_mismatch():
     with pytest.raises(ContractViolation):
         transposed_conv2d(t(np.ones((2, 3, 3))), t(np.ones((1, 3, 2, 2))), t([0.0]))
-
-
-def test_tconv_rejects_a_stride_other_than_the_kernel_size():
-    for stride in (1, 3):
-        with pytest.raises(ContractViolation, match=f"kernel size 2, got {stride}"):
-            transposed_conv2d(t(np.ones((1, 3, 3))), t(np.ones((1, 1, 2, 2))), t([0.0]), stride)
 
 
 def _tensordot_tconv(x, w, b):
@@ -579,8 +599,8 @@ def test_primitive_gradients_against_finite_differences():
         b = Tensor(rng.normal(size=3), requires_grad=True)
         for theta in (x, w, b):
             err = grad_check(
-                lambda: (conv2d(x, w, b, dilation=2, padding=2)
-                         * conv2d(x, w, b, dilation=2, padding=2)).sum(), theta)
+                lambda: (conv2d(x, w, b, dilation=2) * conv2d(x, w, b, dilation=2)).sum(),
+                theta)
             assert err < 1e-6
 
         xr = Tensor(rng.normal(size=(2, 4, 4)) + 0.1, requires_grad=True)
@@ -612,14 +632,14 @@ def test_primitive_gradients_against_finite_differences():
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv_1x1_gradients_against_finite_differences(stride):
-    # a 1x1 kernel reads the (strided) input directly, with no im2col copy
+    # the loss reads every stride-th output pixel, as a conv at that stride would
     rng = np.random.default_rng(stride)
     x = Tensor(rng.normal(size=(2, 6, 6)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True)
     b = Tensor(rng.normal(size=3), requires_grad=True)
+    read = Tensor(_strided_gradient(np.ones((3, 6 // stride, 6 // stride)), (3, 6, 6), stride))
     for theta in (x, w, b):
-        err = grad_check(lambda: (conv2d(x, w, b, stride=stride)
-                                  * conv2d(x, w, b, stride=stride)).sum(), theta)
+        err = grad_check(lambda: (conv2d(x, w, b) * conv2d(x, w, b) * read).sum(), theta)
         assert err < 1e-6
 
 
@@ -644,6 +664,47 @@ def _per_tap_conv_grads(x, w, g, stride, dilation, padding):
     return gxp[:, padding:padding + h, padding:padding + wd], gw, g.sum(axis=(1, 2))
 
 
+def _same_frame(x, w, stride, dilation, padding):
+    """A conv at any stride and padding posed to the one 'same' conv2d:
+    (xs, ws, out, crop). ws is w, an even kernel zero-extended by a last row
+    and column to odd extent m'. xs is x zero-padded by max(e, 0) on each
+    side, e = padding - dilation*(m' - 1)//2, and for an even kernel by
+    dilation more at the bottom and right, where its added taps reach. The
+    strided, padded conv's output is the 'same' conv's at ``out``: every
+    stride-th row and column from max(-e, 0) on. The input's gradient is
+    xs's at ``crop``."""
+    c, h, wd = x.shape
+    m = w.shape[2]
+    ws = w if m % 2 else np.pad(w, ((0, 0), (0, 0), (0, 1), (0, 1)))
+    e = padding - dilation * (ws.shape[2] - 1) // 2
+    lo, k = max(e, 0), max(-e, 0)
+    hi = lo + (0 if m % 2 else dilation)
+    xs = np.pad(x, ((0, 0), (lo, hi), (lo, hi)))
+    eff = dilation * (m - 1) + 1
+    h_out = (h + 2 * padding - eff) // stride + 1
+    w_out = (wd + 2 * padding - eff) // stride + 1
+    out = (slice(None), slice(k, k + (h_out - 1) * stride + 1, stride),
+           slice(k, k + (w_out - 1) * stride + 1, stride))
+    return xs, ws, out, (slice(None), slice(lo, lo + h), slice(lo, lo + wd))
+
+
+def _conv_at(x, w, b, stride, dilation, padding):
+    """The conv of x at ``stride`` and ``padding``, run as the one 'same'
+    conv2d (``_same_frame``), and a function of its output gradient g that
+    returns the gradients (gx, gw, gb)."""
+    xs, ws, sel, crop = _same_frame(x, w, stride, dilation, padding)
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (xs, ws, b))
+    out = conv2d(xt, wt, bt, dilation=dilation)
+
+    def grads(g):
+        full = np.zeros_like(out.data)
+        full[sel] = g
+        backward((out * Tensor(full)).sum())
+        m = w.shape[2]
+        return xt.grad[crop], wt.grad[:, :, :m, :m], bt.grad
+    return out.data[sel], grads
+
+
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("stride", [1, 2])
@@ -655,14 +716,13 @@ def test_conv_gradients_match_per_tap_backward(m, stride, dilation, same, dtype,
     h, wd = 9, 8  # at stride 2 one of h, w + 2p - eff is odd: the stride leaves a remainder
     assert stride == 1 or (h - eff) % 2 != (wd - eff) % 2
     rng = np.random.default_rng([m, stride, dilation, padding])
-    x = Tensor(rng.normal(size=(3, h, wd)).astype(dtype), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 3, m, m)).astype(dtype), requires_grad=True)
-    b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
-    out = conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+    x = rng.normal(size=(3, h, wd)).astype(dtype)
+    w = rng.normal(size=(4, 3, m, m)).astype(dtype)
+    b = rng.normal(size=4).astype(dtype)
+    out, grads = _conv_at(x, w, b, stride, dilation, padding)
     g = rng.normal(size=out.shape).astype(dtype)
-    backward((out * Tensor(g)).sum())
-    want = _per_tap_conv_grads(x.data, w.data, g, stride, dilation, padding)
-    for got, ref in zip((x.grad, w.grad, b.grad), want):
+    want = _per_tap_conv_grads(x, w, g, stride, dilation, padding)
+    for got, ref in zip(grads(g), want):
         assert got.dtype == dtype and got.shape == ref.shape
         np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
 
@@ -670,14 +730,12 @@ def test_conv_gradients_match_per_tap_backward(m, stride, dilation, same, dtype,
 def test_conv_gradients_with_padding_beyond_the_kernel_extent():
     # padding 2 > eff - 1 = 0: the input gradient window starts inside g's zero border
     rng = np.random.default_rng(5)
-    x = Tensor(rng.normal(size=(2, 5, 6)), requires_grad=True)
-    w = Tensor(rng.normal(size=(3, 2, 1, 1)), requires_grad=True)
-    b = Tensor(rng.normal(size=3), requires_grad=True)
-    out = conv2d(x, w, b, stride=2, padding=2)
+    x = rng.normal(size=(2, 5, 6))
+    w = rng.normal(size=(3, 2, 1, 1))
+    out, grads = _conv_at(x, w, rng.normal(size=3), 2, 1, 2)
     g = rng.normal(size=out.shape)
-    backward((out * Tensor(g)).sum())
-    want = _per_tap_conv_grads(x.data, w.data, g, 2, 1, 2)
-    for got, ref in zip((x.grad, w.grad, b.grad), want):
+    want = _per_tap_conv_grads(x, w, g, 2, 1, 2)
+    for got, ref in zip(grads(g), want):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -712,8 +770,7 @@ def test_conv_forward_matches_im2col(m, stride, dilation, pad, dtype, tol):
     x = rng.normal(size=(3, 9, 7)).astype(dtype)
     w = rng.normal(size=(4, 3, m, m)).astype(dtype)
     b = rng.normal(size=4).astype(dtype)
-    got = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, dilation=dilation,
-                 padding=padding).data
+    got, _ = _conv_at(x, w, b, stride, dilation, padding)
     ref = _im2col_conv_forward(x, w, b, stride, dilation, padding)
     assert got.dtype == dtype and got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
@@ -726,18 +783,26 @@ def test_conv_gradients_with_padding_beyond_every_kernel_extent(m, stride, dilat
     # p = eff > eff - 1: the input gradient's kernel starts off g's extent (a crop)
     eff = dilation * (m - 1) + 1
     rng = np.random.default_rng([m, stride, dilation])
-    x = Tensor(rng.normal(size=(3, 9, 7)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 3, m, m)), requires_grad=True)
-    b = Tensor(rng.normal(size=4), requires_grad=True)
-    out = conv2d(x, w, b, stride=stride, dilation=dilation, padding=eff)
+    x = rng.normal(size=(3, 9, 7))
+    w = rng.normal(size=(4, 3, m, m))
+    out, grads = _conv_at(x, w, rng.normal(size=4), stride, dilation, eff)
     g = rng.normal(size=out.shape)
-    backward((out * Tensor(g)).sum())
-    want = _per_tap_conv_grads(x.data, w.data, g, stride, dilation, eff)
-    for got, ref in zip((x.grad, w.grad, b.grad), want):
+    want = _per_tap_conv_grads(x, w, g, stride, dilation, eff)
+    for got, ref in zip(grads(g), want):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 # -- fixed costs: kernel layouts, column taps, pool routing ------------------
+
+def _span(shift, stride, n_in, n_out):
+    """Slices (out, in) pairing each output index i in [0, n_out) with the
+    input index i*stride + shift, where that lies in [0, n_in)."""
+    lo = max(0, -(shift // stride))
+    hi = min(n_out, (n_in - 1 - shift) // stride + 1)
+    if lo >= hi:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo, hi), slice(lo * stride + shift, (hi - 1) * stride + shift + 1, stride)
+
 
 def _span_copy_taps(x, m, stride, dilation, left, w_out):
     """The column-tap matrix as one clipped column span per tap, the way
@@ -755,6 +820,8 @@ def _span_copy_taps(x, m, stride, dilation, left, w_out):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("hw", [(1, 1), (2, 2), (3, 5), (6, 4)])
 def test_column_taps_equal_the_span_copy(m, dilation, stride, hw):
+    # the taps of a conv at any stride and left padding are the 'same' taps
+    # of the input padded by the rest, read at every stride-th column
     h, w = hw
     eff = dilation * (m - 1) + 1
     x = np.random.default_rng([m, dilation, h, w]).normal(size=(3, h, w))
@@ -763,40 +830,39 @@ def test_column_taps_equal_the_span_copy(m, dilation, stride, hw):
         w_out = (w + 2 * left - eff) // stride + 1
         if w_out <= 0:
             continue
-        got = _column_taps(x, m, stride, dilation, left, w_out)
+        e = left - dilation * (m - 1) // 2
+        xs = np.pad(x, ((0, 0), (0, 0), (max(e, 0), max(e, 0) + eff)))
+        k = max(-e, 0)
+        got = _column_taps(xs, m, dilation).reshape(m * 3, h, xs.shape[2])
+        got = got[:, :, k:k + (w_out - 1) * stride + 1:stride]
         ref = _span_copy_taps(x, m, stride, dilation, left, w_out)
-        assert got.shape == ref.shape
+        assert got.size == ref.size
         assert got.tobytes() == ref.tobytes(), (left, w_out)
 
 
 def test_column_taps_zero_a_tap_shifted_by_the_whole_width():
     # n=16 at dilation 3 reaches a 2x2 level padded by 3: taps 0 and 2 shift by 3 >= w
     x = np.arange(1.0, 9.0).reshape(2, 2, 2)
-    q = _column_taps(x, 3, 1, 3, 3, 2).reshape(3, 2, 2, 2)
+    q = _column_taps(x, 3, 3).reshape(3, 2, 2, 2)
     assert not q[0].any() and not q[2].any()
     assert np.array_equal(q[1], x)
 
 
-def _kept_q_conv_grads(x, w, g, stride, dilation, padding):
+def _kept_q_conv_grads(x, w, g, dilation):
     """conv2d's backward as it ran when the tape kept the forward's Q: the
     weight gradient from that Q, the input gradient from the flipped kernel."""
     c, h, wd = x.shape
     o, _, m, _ = w.shape
-    eff = dilation * (m - 1) + 1
-    h_out, w_out = g.shape[1:]
-    q = _span_copy_taps(x, m, stride, dilation, padding, w_out).reshape(m * c, h, w_out)
+    padding = dilation * (m - 1) // 2
+    q = _span_copy_taps(x, m, 1, dilation, padding, wd).reshape(m * c, h, wd)
     gwt = np.empty((m, m * c, o), dtype=g.dtype)
     for a in range(m):
-        dst, src = _span(a * dilation - padding, stride, h, h_out)
-        k = (dst.stop - dst.start) * w_out
+        dst, src = _span(a * dilation - padding, 1, h, h)
+        k = (dst.stop - dst.start) * wd
         np.matmul(q[:, src].reshape(m * c, k), g[:, dst].reshape(o, k).T, out=gwt[a])
     gw = gwt.reshape(m, m, c, o).transpose(3, 2, 0, 1)
-    gs = g
-    if stride > 1:
-        gs = np.zeros((o, (h_out - 1) * stride + 1, (w_out - 1) * stride + 1), dtype=g.dtype)
-        gs[:, ::stride, ::stride] = g
     flipped = w[:, :, ::-1, ::-1].transpose(2, 1, 3, 0).reshape(m * c, m * o)
-    gx = _correlate(gs, flipped, 0, 1, dilation, eff - 1 - padding, h, wd)[0]
+    gx = _correlate(g, flipped, 0, dilation)[0]
     return gx, gw, g.sum(axis=(1, 2))
 
 
@@ -805,19 +871,22 @@ def _kept_q_conv_grads(x, w, g, stride, dilation, padding):
     (3, 1, 1, 1), (3, 1, 2, 2), (3, 1, 3, 3), (3, 2, 1, 1), (2, 1, 1, 0), (1, 1, 1, 0),
     (1, 2, 1, 1)])
 def test_conv_gradients_with_q_rebuilt_in_the_backward(m, stride, dilation, padding, dtype):
+    # other strides and paddings run as the 'same' conv of their frame (``_same_frame``)
     rng = np.random.default_rng([m, stride, dilation, padding])
-    x = Tensor(rng.normal(size=(3, 8, 8)).astype(dtype), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 3, m, m)).astype(dtype), requires_grad=True)
+    x0 = rng.normal(size=(3, 8, 8)).astype(dtype)
+    xs, ws, sel, _ = _same_frame(x0, rng.normal(size=(4, 3, m, m)).astype(dtype), stride,
+                                 dilation, padding)
+    x, w = Tensor(xs, requires_grad=True), Tensor(ws, requires_grad=True)
     b = Tensor(rng.normal(size=4).astype(dtype), requires_grad=True)
-    out = conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+    out = conv2d(x, w, b, dilation=dilation)
     # the tape holds x and the weight, and no column-tap matrix
-    h_out, w_out = out.shape[1:]
+    m, (h, wd) = ws.shape[2], xs.shape[1:]
     held = [cell.cell_contents for cell in out.backward_fn.__closure__]
-    assert not any(isinstance(v, np.ndarray) and v.shape == (m * 3, 8 * w_out) for v in held)
-    g = rng.normal(size=out.shape).astype(dtype)
+    assert not any(isinstance(v, np.ndarray) and v.shape == (m * 3, h * wd) for v in held)
+    g = np.zeros(out.shape, dtype=dtype)
+    g[sel] = rng.normal(size=g[sel].shape)
     backward((out * Tensor(g)).sum())
-    for got, ref in zip((x.grad, w.grad, b.grad),
-                        _kept_q_conv_grads(x.data, w.data, g, stride, dilation, padding)):
+    for got, ref in zip((x.grad, w.grad, b.grad), _kept_q_conv_grads(xs, ws, g, dilation)):
         assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
@@ -835,9 +904,9 @@ def _spy_column_taps(monkeypatch):
     return built
 
 
-def _conv_and_input_grad(x, w, b, g, stride, dilation, padding):
+def _conv_and_input_grad(x, w, b, g, dilation):
     xt = Tensor(x, requires_grad=True)
-    out = conv2d(xt, Tensor(w), Tensor(b), stride=stride, dilation=dilation, padding=padding)
+    out = conv2d(xt, Tensor(w), Tensor(b), dilation=dilation)
     backward((out * Tensor(g)).sum())
     return out.data, xt.grad
 
@@ -847,7 +916,7 @@ def _conv_and_input_grad(x, w, b, g, stride, dilation, padding):
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("dilation", [1, 2, 3])
 # paddings of 0-3 beyond 'same', under the ids of the cases that once padded
-# the rows and the columns apart
+# the rows and the columns apart; each runs as the 'same' conv of its frame
 @pytest.mark.parametrize("extras", [(0,), (1,), (2, 3)],
                          ids=["asymmetric0", "asymmetric1", "asymmetric2"])
 @pytest.mark.parametrize("band_rows", [1, 2, 3])
@@ -857,23 +926,22 @@ def test_row_bands_are_bit_identical_to_one_band(monkeypatch, dtype, m, stride, 
     for extra in extras:
         p = (eff - 1) // 2 + extra
         c, o, h, w = 3, 4, 13, 9
-        h_out = (h + 2 * p - eff) // stride + 1
-        w_out = (w + 2 * p - eff) // stride + 1
         rng = np.random.default_rng([m, stride, dilation, p])
-        x = rng.normal(size=(c, h, w)).astype(dtype)
-        wt = rng.normal(size=(o, c, m, m)).astype(dtype)
+        x0 = rng.normal(size=(c, h, w)).astype(dtype)
+        x, wt, sel, _ = _same_frame(x0, rng.normal(size=(o, c, m, m)).astype(dtype), stride,
+                                    dilation, p)
         b = rng.normal(size=o).astype(dtype)
-        g = rng.normal(size=(o, h_out, w_out)).astype(dtype)
-        whole = _conv_and_input_grad(x, wt, b, g, stride, dilation, p)  # in one band
+        g = np.zeros((o, *x.shape[1:]), dtype=dtype)
+        g[sel] = rng.normal(size=g[sel].shape)
+        whole = _conv_and_input_grad(x, wt, b, g, dilation)  # in one band
         with monkeypatch.context() as patch:
             # forward bands of band_rows output rows
-            row_bytes = m * max(c, o) * w_out * np.dtype(dtype).itemsize
-            patch.setattr(layers, "_BAND_BYTES", row_bytes * (eff + (band_rows - 1) * stride))
+            row_bytes = m * max(c, o) * x.shape[2] * np.dtype(dtype).itemsize
+            patch.setattr(layers, "_BAND_BYTES", row_bytes * (eff + band_rows - 1))
             built = _spy_column_taps(patch)
-            banded = _conv_and_input_grad(x, wt, b, g, stride, dilation, p)
-        # a band whose rows all read the padding builds no Q
+            banded = _conv_and_input_grad(x, wt, b, g, dilation)
         forward_bands = sum(1 for ch, _, _ in built if ch == c)
-        assert 1 < forward_bands <= -(-h_out // band_rows)
+        assert forward_bands == -(-x.shape[1] // band_rows)
         assert len(built) > forward_bands + 1  # the input gradient ran in bands too
         for got, ref in zip(banded, whole):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
@@ -894,7 +962,7 @@ def test_no_column_tap_matrix_exceeds_the_band_budget(monkeypatch, budget, shape
     wt = rng.normal(size=(o, c, 3, 3)).astype(np.float32)
     built = _spy_column_taps(monkeypatch)
     _conv_and_input_grad(x, wt, np.zeros(o, np.float32), rng.normal(size=(o, h, w)).astype(
-        np.float32), 1, dilation, dilation)
+        np.float32), dilation)
     assert len(built) > 2
     for channels, rows, q_bytes in built:
         y_bytes = q_bytes // channels * (c + o - channels)  # Y has the other side's channels
@@ -908,7 +976,7 @@ def _forward_bands(monkeypatch, budget, x, wt):
     with monkeypatch.context() as patch:
         patch.setattr(layers, "_BAND_BYTES", budget)
         built = _spy_column_taps(patch)
-        out = conv2d(Tensor(x), Tensor(wt), Tensor(np.zeros(wt.shape[0], x.dtype)), padding=1)
+        out = conv2d(Tensor(x), Tensor(wt), Tensor(np.zeros(wt.shape[0], x.dtype)))
     return [rows for _, rows, _ in built], out.data
 
 
@@ -948,12 +1016,12 @@ def test_conv_plans_are_made_once_per_shape_and_bounded():
     wt = Tensor(rng.normal(size=(5, 3, 3, 3)), requires_grad=True)
     b = Tensor(np.zeros(5), requires_grad=True)
     caches = (layers._correlate_plan, layers._tap_plan)
-    for stride in (1, 2):
-        backward(conv2d(x, wt, b, stride=stride, padding=1).sum())
+    for dilation in (1, 2):
+        backward(conv2d(x, wt, b, dilation=dilation).sum())
     sizes = [cache.cache_info().currsize for cache in caches]
     for _ in range(3):
-        for stride in (1, 2):
-            backward(conv2d(x, wt, b, stride=stride, padding=1).sum())
+        for dilation in (1, 2):
+            backward(conv2d(x, wt, b, dilation=dilation).sum())
     for cache, size in zip(caches, sizes):
         assert cache.cache_info().currsize == size
         assert cache.cache_info().maxsize is not None

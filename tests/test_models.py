@@ -7,8 +7,8 @@ import pytest
 from lvseg.autograd import Tensor, backward, no_grad
 from lvseg.errors import ContractViolation, NonFiniteLogits
 from lvseg.layers import fixed_weights, max_pool2d, relu, softmax_cross_entropy
-from lvseg.models import (Model, build_dilated_unet, build_mfp_unet, build_unet,
-                          check_spec, forward_segment)
+from lvseg.models import (MAX_BASE_WIDTH, Model, build_dilated_unet, build_mfp_unet,
+                          build_unet, check_spec, forward_segment)
 from lvseg.phantom import generate_phantom
 from lvseg.preprocess import compose_input
 from lvseg.units import MAX_EXTENT_PX
@@ -255,6 +255,17 @@ def test_an_extent_past_the_bound_is_rejected_before_any_allocation():
     for n in (MAX_EXTENT_PX + 16, 2**32 - 16, 10**23):
         with pytest.raises(ContractViolation, match=f"must be <= {MAX_EXTENT_PX}, got {n}"):
             check_spec("unet", n, 2, 1)
+    # numpy refused 2**62 channels with a ValueError; a checkpoint header
+    # field could not hold a dilation of 2**32
+    check_spec("mfp-unet", 16, MAX_BASE_WIDTH, MAX_EXTENT_PX)
+    for width in (MAX_BASE_WIDTH + 1, 2**62):
+        with pytest.raises(ContractViolation,
+                           match=f"base width must be <= {MAX_BASE_WIDTH}, got {width}"):
+            check_spec("mfp-unet", 16, width, 2)
+    for dilation in (MAX_EXTENT_PX + 1, 2**32):
+        with pytest.raises(ContractViolation,
+                           match=f"dilation must be <= {MAX_EXTENT_PX}, got {dilation}"):
+            check_spec("dilated-unet", 16, 2, dilation)
 
 
 def test_unet_with_dilation_rejected():

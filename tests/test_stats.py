@@ -57,11 +57,9 @@ def test_reported_reproducibility_rows_are_self_consistent(name, lo, hi, reporte
     assert abs(ba.bias - bias) < 1e-9
 
 
-def test_cv_literal_vs_halved_denominator():
-    s = _series([12.0, 14.0], [10.0, 12.0])
-    lit = bland_altman(s)
-    conv = bland_altman(s, halved_denominator=True)
-    assert conv.cv_pct == pytest.approx(2.0 * lit.cv_pct)
+def test_cv_divides_the_sd_by_the_sum_of_the_means():
+    s = _series([12.0, 15.0], [10.0, 12.0])  # differences 2 and 3, means 13.5 and 11
+    assert bland_altman(s).cv_pct == pytest.approx(math.sqrt(0.5) / 24.5 * 100.0, rel=1e-12)
 
 
 def test_cv_zero_denominator_is_nan_not_exception():

@@ -512,6 +512,23 @@ def test_measure_unmatched_subject_flagged():
     assert math.isnan(ef.ef_pct)
 
 
+@pytest.mark.parametrize("phase", ["ED", "ES"])
+def test_measure_flags_a_subject_with_two_frames_of_a_phase_in_either_order(phase):
+    # the last volume seen used to win: two row orders gave EF -0.73 % and 47.6 %
+    from lvseg.dataset import ImageSample
+    ed, es = generate_phantom_set(1, 64, 12)
+    other, _ = generate_phantom_set(1, 64, 13)
+    second = ImageSample(other.image, other.mask, ed.calibration, phase, ed.subject,
+                         f"{ed.subject}_{phase}2")
+    efs = []
+    for samples in ([ed, second, es], [second, es, ed]):
+        rows = measure_samples(samples)
+        assert all(r.flag == "ok" for r in rows if r.phase != "EF")
+        efs += [r for r in rows if r.phase == "EF"]
+    assert [r.flag for r in efs] == ["ambiguous", "ambiguous"]
+    assert all(math.isnan(r.ef_pct) for r in efs)
+
+
 def test_measure_flags_failed_geometry():
     from lvseg.dataset import ImageSample
     mask = np.zeros((64, 64), dtype=np.uint8)
