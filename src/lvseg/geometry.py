@@ -16,6 +16,7 @@ shoelace area).
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
@@ -33,9 +34,14 @@ _BACK = tuple(_RING.index((_RING[i - 1][0] - _RING[i][0], _RING[i - 1][1] - _RIN
               for i in range(8))
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """``np.roll(a, -1, axis=0)``: each row's successor, cyclically."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def signed_area(poly: np.ndarray) -> float:
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    return 0.5 * float(np.dot(x, _next(y)) - np.dot(y, _next(x)))
 
 
 def _foreground_box(mask: np.ndarray) -> tuple[int, int, int, int]:
@@ -136,17 +142,29 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 def _contains(tri: np.ndarray, pts: np.ndarray, tol: float) -> bool:
     """Whether every point is on or left of each side of a counterclockwise triangle."""
-    for k in range(3):
-        a, b = tri[k], tri[(k + 1) % 3]
-        e = b - a
-        if np.min(e[0] * (pts[:, 1] - a[1]) - e[1] * (pts[:, 0] - a[0])) < -tol:
-            return False
-    return True
+    e = _next(tri) - tri
+    side = (e[:, 0, None] * (pts[:, 1] - tri[:, 1, None])
+            - e[:, 1, None] * (pts[:, 0] - tri[:, 0, None]))
+    return not side.min() < -tol
 
 
 # Bound on the (edge pairs x hull vertices) elements searched per numpy
 # pass, so a large hull costs several passes rather than unbounded memory.
 _PASS_ELEMENTS = 1 << 20
+# Relative slack on the vertex bound: far above the rounding by which an
+# edge's stationary product can fall short of a vertex product, so no pair
+# that ties the optimum is ruled out.
+_BOUND_SLACK = 1e-9
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edge pairs i < j in the search's order, ``np.triu_indices(n, 1)``,
+    read-only since every call with this n shares them."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
@@ -177,29 +195,46 @@ def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
     the area is 2 max(H_i H_j) / |e_i x e_j|. The maximum over the
     boundary lies at a vertex or, on an edge where the product is a
     concave quadratic, at its stationary point; the latter also covers
-    triangles with three flush sides. All edge pairs are searched in one
-    vectorised pass, O(n^3) for n hull vertices.
+    triangles with three flush sides.
+
+    The maximum over the vertices alone bounds each pair's area from
+    below. The search runs in full on the pairs in rising order of that
+    bound, 2n pairs at a time, and stops once the next bound exceeds the
+    least area found: no pair left can reach it. Of all pairs searched, the
+    first of least area in ``np.triu_indices`` order wins, which is the
+    triangle a search of every pair returns. The bound costs one product
+    per (pair, vertex), O(n^3) for n hull vertices; the full search, about
+    ten operations per element, runs only on the chunks the bound lets
+    through. On 20-29-vertex pixel hulls 10-53 of the 190-406 pairs pass,
+    so one chunk of 2n pairs is searched.
     """
     hull = np.asarray(hull, dtype=np.float64)
     if hull.ndim != 2 or hull.shape[1] != 2 or len(hull) < 3 or not np.isfinite(hull).all():
         raise ContractViolation(f"hull must be finite and (n, 2) with n >= 3, got {hull.shape}")
     n = len(hull)
-    edges = np.roll(hull, -1, axis=0) - hull
+    edges = _next(hull) - hull
+    ex, ey = edges[:, 0], edges[:, 1]
     # cross[i, k] = e_i x e_k is also the change of H_i along edge k;
     # height[i, k] = H_i(p_k) >= 0 on a counterclockwise hull
-    cross = np.outer(edges[:, 0], edges[:, 1]) - np.outer(edges[:, 1], edges[:, 0])
-    rel = hull[None, :, :] - hull[:, None, :]
-    height = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    tol = 1e-9 * max(float(np.max(np.ptp(hull, axis=0))), 1.0)
+    cross = ex[:, None] * ey - ey[:, None] * ex
+    dx, dy = (c - c[:, None] for c in hull.T)  # p_k - p_i
+    height = ex[:, None] * dy - ey[:, None] * dx
+    lengths = np.hypot(ex, ey)
+    tol = 1e-9 * max(float(dx.max()), float(dy.max()), 1.0)  # the hull's extents
     if not signed_area(hull) > 0 or (height < -tol * lengths[:, None]).any():
         raise ContractViolation("hull must be a counterclockwise convex polygon")
 
-    first, second = np.triu_indices(n, 1)
-    best_area, best = np.inf, None
+    first, second = _pairs(n)
+    span = np.abs(cross[first, second])
+    wedge = span > 1e-12 * lengths[first] * lengths[second]  # parallel lines bound none
     step = max(1, _PASS_ELEMENTS // n)
-    for lo in range(0, len(first), step):
-        i, j = first[lo:lo + step], second[lo:lo + step]
+
+    def area(pick, peak):
+        return np.divide(2.0 * peak, span[pick], out=np.full(len(peak), np.inf),
+                         where=wedge[pick])
+
+    def search(pick):
+        i, j = first[pick], second[pick]
         hi, hj, si, sj = height[i], height[j], cross[i], cross[j]
         # H_i H_j along edge k is hi hj + (hi sj + hj si) t + si sj t^2, t in [0, 1]
         curv = si * sj
@@ -207,19 +242,34 @@ def min_enclosing_triangle(hull: np.ndarray) -> np.ndarray:
         t = np.zeros_like(curv)
         t[concave] = np.clip(-(hi * sj + hj * si)[concave] / (2.0 * curv[concave]), 0.0, 1.0)
         prod = (hi + t * si) * (hj + t * sj)
-        span = np.abs(cross[i, j])
-        area = np.divide(2.0 * prod.max(axis=1), span, out=np.full(len(i), np.inf),
-                         where=span > 1e-12 * lengths[i] * lengths[j])  # parallel edges
-        w = int(np.argmin(area))
-        if area[w] < best_area:
+        return area(pick, prod.max(axis=1)), prod, t
+
+    # The vertex products, copied to (vertex, pair) order for the maximum:
+    # numpy reduces a (pair, vertex) array along its short rows ~3x slower.
+    bound = np.concatenate([
+        area(slice(lo, lo + step),
+             (height[first[lo:lo + step]] * height[second[lo:lo + step]]).T.copy().max(axis=0))
+        for lo in range(0, len(first), step)])
+    order = np.argsort(bound)
+    chunk = min(2 * n, step)
+    # the least (area, pair) wins; -1 keeps a pair of infinite area from winning
+    best_area, best_pair, best = np.inf, -1, None
+    for lo in range(0, len(order), chunk):
+        if bound[order[lo]] > best_area * (1.0 + _BOUND_SLACK):
+            break  # no pair left can reach the least area found
+        pick = np.sort(order[lo:lo + chunk])
+        areas, prod, t = search(pick)
+        w = int(np.argmin(areas))
+        if (areas[w], pick[w]) < (best_area, best_pair):
             k = int(np.argmax(prod[w]))
-            best_area, best = area[w], (i[w], j[w], k, t[w, k])
+            best_area, best_pair = areas[w], pick[w]
+            best = first[best_pair], second[best_pair], k, t[w, k]
     if best is None:
         raise MeasurementError("no enclosing triangle found (degenerate hull?)")
 
     i, j, k, t = best
     x = cross[i, j]
-    apex = hull[i] + edges[i] * ((rel[i, j, 0] * edges[j, 1] - rel[i, j, 1] * edges[j, 0]) / x)
+    apex = hull[i] + edges[i] * ((dx[i, j] * ey[j] - dy[i, j] * ex[j]) / x)
     touch = hull[k] + t * edges[k]
     on_i = apex - edges[i] * (2.0 * (height[j, k] + t * cross[j, k]) / x)
     tri = np.array([apex, on_i, 2.0 * touch - on_i])

@@ -358,7 +358,9 @@ def transposed_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     read as the (O*m*m, H*W) matrix: gw is G @ x^T and gx is w^T @ G.
     """
     c_in, h, w = x.shape
-    o_ch, c_w, m, _ = weight.shape
+    o_ch, c_w, m, m2 = weight.shape
+    if m != m2:
+        raise ContractViolation(f"transposed_conv2d kernel must be square, got {m}x{m2}")
     if c_in != c_w:
         raise ContractViolation(f"transposed_conv2d channel mismatch: {c_in} vs {c_w}")
 

@@ -61,14 +61,22 @@ def _mm_per_px(calibration: float | None) -> float:
     return calibration
 
 
+def contour_distances(a: np.ndarray, b: np.ndarray,
+                      calibration: float | None = None) -> tuple[float, float]:
+    """``(hausdorff(a, b), mad(a, b))`` from one distance matrix."""
+    d = cdist(_point_set(a), _point_set(b))
+    scale = _mm_per_px(calibration)
+    near = d.min(axis=1)
+    return (float(max(near.max(), d.min(axis=0).max())) * scale,
+            float(np.mean(near)) * scale)
+
+
 def hausdorff(a: np.ndarray, b: np.ndarray, calibration: float | None = None) -> float:
     """Symmetric worst-case nearest-point distance between two contours."""
-    d = cdist(_point_set(a), _point_set(b))
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max())) * _mm_per_px(calibration)
+    return contour_distances(a, b, calibration)[0]
 
 
 def mad(a: np.ndarray, b: np.ndarray, calibration: float | None = None) -> float:
     """Mean distance from each point of the automatic contour ``a`` to the
     reference contour ``b`` (asymmetric by definition)."""
-    d = cdist(_point_set(a), _point_set(b))
-    return float(np.mean(d.min(axis=1))) * _mm_per_px(calibration)
+    return contour_distances(a, b, calibration)[1]

@@ -251,3 +251,5 @@ def write_agreement_report(reports: list[AgreementReport], directory: str | Path
         with open(directory / "anova.txt", "w", encoding="utf-8") as fh:
             for param, table in anova_tables.items():
                 fh.write(f"[{param}]\n{anova_text_table(table)}\n\n")
+    else:  # an earlier report's tables would read as this one's
+        (directory / "anova.txt").unlink(missing_ok=True)

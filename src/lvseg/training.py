@@ -100,7 +100,7 @@ from .errors import ContractViolation, MeasurementError, NonFiniteLogits, Traini
 from .geometry import extract_contour
 from .layers import SGD, fixed_weights, softmax_cross_entropy
 from .measure import ejection_fraction, measure_mask
-from .metrics import dice, hausdorff, jaccard, mad
+from .metrics import contour_distances, dice, jaccard
 from .models import Model, forward_segment
 from .phantom import generate_phantom_set
 from .preprocess import compose_input, elastic_deform
@@ -424,8 +424,7 @@ def metrics_for_masks(pred: np.ndarray, truth: np.ndarray,
             warnings.simplefilter("ignore")
             cp = extract_contour(pred)
             ct = extract_contour(truth)
-        hd = hausdorff(cp, ct, calibration)
-        md = mad(cp, ct, calibration)
+        hd, md = contour_distances(cp, ct, calibration)
     else:
         hd = md = math.nan
     return dm, jc, hd, md

@@ -630,6 +630,59 @@ def test_report_of_two_methods_writes_anova_and_leaves_out_a_flagged_row(tmp_pat
         assert total.split()[-1] == str(2 * n[param] - 1)  # two methods, n ids each
 
 
+def test_a_single_auto_report_removes_an_earlier_reports_anova(tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth", "--count", "4", "--n", "64", "--seed", "8", "--out", str(data)]) == 0
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "man")]) == 0
+    manual = str(tmp_path / "man" / "measurements.csv")
+    rows = read_measurements_csv(manual)
+    for r in rows:
+        r.v_ml += 1.0
+    (tmp_path / "b").mkdir()
+    other = str(tmp_path / "b" / "measurements.csv")
+    write_measurements_csv(rows, other)
+    out = tmp_path / "rep"
+    assert main(["report", "--auto", manual, "--auto", other, "--manual", manual,
+                 "--out", str(out)]) == 0
+    assert (out / "anova.txt").exists()
+    assert main(["report", "--auto", other, "--manual", manual, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["agreement.csv", "boxplot.csv"]
+    assert main(["report", "--auto", other, "--manual", manual,
+                 "--out", str(tmp_path / "fresh")]) == 0
+    for name in ("agreement.csv", "boxplot.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_main_runs_verb_after_verb_in_one_process_as_fresh_processes_do(
+        tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; no call may see an earlier one's arguments
+    calls = [(["measure", "--data", "synthetic:x", "--out", "bad"], 2),
+             (["synth", "--count", "3", "--n", "48", "--seed", "5", "--out", "data"], 0),
+             (["measure", "--data", "data", "--out", "m1"], 0),
+             (["report", "--auto", "m1/measurements.csv", "--manual", "m1/measurements.csv",
+               "--out", "rep"], 0),
+             (["measure", "--data", "synthetic:2", "--out", "m2"], 0),  # --n's default, 64
+             (["report", "--auto", "m2/measurements.csv", "--manual", "m2/measurements.csv",
+               "--out", "rep2"], 0)]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(here)
+    for argv, code in calls:
+        capsys.readouterr()
+        assert main(argv) == code
+        got = capsys.readouterr()
+        proc = subprocess.run([sys.executable, "-m", "lvseg", *argv], cwd=fresh,
+                              capture_output=True, text=True, env=_child_env(), timeout=120)
+        assert (proc.returncode, proc.stdout) == (code, got.out)
+        if code:
+            assert proc.stderr == got.err
+    files = sorted(p.relative_to(here) for p in here.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+    assert [f for f in files if (here / f).read_bytes() != (fresh / f).read_bytes()] == []
+    assert {f.parts[0] for f in files} == {"data", "m1", "m2", "rep", "rep2"}
+
+
 def test_anova_from_sums_matches_published_table():
     t = anova_from_sums(3.524, 3, 2.198, 12)
     assert round(t.f, 2) == 6.41

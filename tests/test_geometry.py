@@ -616,3 +616,100 @@ def test_contour_in_the_foreground_box_equals_the_full_frame_trace(n):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert np.array_equal(extract_contour(mask), _full_frame_contour(mask))
+
+
+def _exhaustive_triangle(hull):
+    """Reference: every edge pair searched with the hyperbola search's own
+    arithmetic, one row of pairs (i, j > i) at a time, and the first pair of
+    least area in ``np.triu_indices`` order kept; the triangle is built as
+    ``min_enclosing_triangle`` builds it."""
+    hull = np.asarray(hull, dtype=np.float64)
+    n = len(hull)
+    edges = np.roll(hull, -1, axis=0) - hull
+    cross = np.outer(edges[:, 0], edges[:, 1]) - np.outer(edges[:, 1], edges[:, 0])
+    rel = hull[None, :, :] - hull[:, None, :]
+    height = edges[:, None, 0] * rel[..., 1] - edges[:, None, 1] * rel[..., 0]
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    best_area, best = np.inf, None
+    for i in range(n - 1):
+        j = np.arange(i + 1, n)
+        hi, hj, si, sj = height[i], height[j], cross[i], cross[j]
+        curv = si * sj
+        concave = curv < 0
+        t = np.zeros_like(curv)
+        t[concave] = np.clip(-(hi * sj + hj * si)[concave] / (2.0 * curv[concave]), 0.0, 1.0)
+        prod = (hi + t * si) * (hj + t * sj)
+        span = np.abs(cross[i, j])
+        area = np.divide(2.0 * prod.max(axis=1), span, out=np.full(len(j), np.inf),
+                         where=span > 1e-12 * lengths[i] * lengths[j])
+        w = int(np.argmin(area))
+        if area[w] < best_area:
+            k = int(np.argmax(prod[w]))
+            best_area, best = area[w], (i, j[w], k, t[w, k])
+    i, j, k, t = best
+    x = cross[i, j]
+    apex = hull[i] + edges[i] * ((rel[i, j, 0] * edges[j, 1] - rel[i, j, 1] * edges[j, 0]) / x)
+    touch = hull[k] + t * edges[k]
+    on_i = apex - edges[i] * (2.0 * (height[j, k] + t * cross[j, k]) / x)
+    tri = np.array([apex, on_i, 2.0 * touch - on_i])
+    return tri[::-1].copy() if signed_area(tri) < 0 else tri
+
+
+def _regular_polygon(m, radius=10.0, phase=0.0):
+    angles = phase + 2 * np.pi * np.arange(m) / m
+    return convex_hull(radius * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+
+
+def _near_parallel_hulls():
+    """Hulls with pairs of edges whose lines are parallel or within ~1e-9 rad."""
+    hulls = []
+    for eps in (0.0, 1e-12, 1e-9, 1e-6):
+        hulls.append(convex_hull(np.array([[0.0, 0.0], [6.0, eps], [6.0, 2.0], [0.0, 2.0]])))
+        hulls.append(convex_hull(np.array([[0.0, 0.0], [3.0, 0.0], [4.0, 2.0 + eps],
+                                           [3.0, 4.0], [0.0, 4.0 + eps], [-1.0, 2.0]])))
+        hulls.append(convex_hull(np.array([[0.0, 0.0], [1e4, eps * 1e4], [1e4 + 1.0, 1.0],
+                                           [1.0, 1.0 + eps]])))
+    return hulls
+
+
+def _normal_hull(seed):
+    rng = np.random.default_rng(seed)
+    return convex_hull(rng.normal(size=(int(rng.integers(3, 80)), 2)) * rng.uniform(0.01, 100.0))
+
+
+_SEARCH_CASES = {
+    "random": lambda: [_random_hull(seed) for seed in range(60)]
+    + [_normal_hull(seed) for seed in range(60)],
+    "pixel": lambda: [_bullet_hull(seed, n) for n in (64, 256) for seed in range(10)]
+    + [convex_hull(np.random.default_rng(seed).integers(0, 40, size=(30, 2)).astype(float))
+       for seed in range(20)],
+    "regular": lambda: [_regular_polygon(m, phase=p) for m in range(3, 41)
+                        for p in (0.0, 0.3)]
+    + [convex_hull(np.array(pts, dtype=float)) for pts in (
+        [[0, 0], [2, 0], [2, 2], [0, 2]],
+        [[1, 0], [2, 0], [3, 1], [3, 2], [2, 3], [1, 3], [0, 2], [0, 1]])],
+    "near-parallel": _near_parallel_hulls,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SEARCH_CASES))
+def test_bounded_search_equals_the_exhaustive_search_bit_for_bit(kind):
+    for hull in _SEARCH_CASES[kind]():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tri = min_enclosing_triangle(hull)
+        assert tri.tobytes() == _exhaustive_triangle(hull).tobytes(), len(hull)
+
+
+def test_bounded_search_over_several_passes_equals_the_exhaustive_search(monkeypatch):
+    # 150 points on a circle: 11,175 pairs x 150 vertices is more than one pass
+    angles = np.sort(np.random.default_rng(11).uniform(0, 2 * np.pi, 150))
+    large = convex_hull(40.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+    assert len(large) * (len(large) * (len(large) - 1) // 2) > geometry._PASS_ELEMENTS
+    assert min_enclosing_triangle(large).tobytes() == _exhaustive_triangle(large).tobytes()
+    # passes of a few pairs each, on hulls of every kind
+    hulls = [_regular_polygon(12), _random_hull(3), _bullet_hull(2), *_near_parallel_hulls()[:3]]
+    for elements in (1, 40, 200):
+        monkeypatch.setattr(geometry, "_PASS_ELEMENTS", elements)
+        for hull in hulls:
+            assert min_enclosing_triangle(hull).tobytes() == _exhaustive_triangle(hull).tobytes()

@@ -317,6 +317,12 @@ def test_tconv_channel_mismatch():
         transposed_conv2d(t(np.ones((2, 3, 3))), t(np.ones((1, 3, 2, 2))), t([0.0]))
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 2, 3), (1, 1, 3, 2), (2, 1, 1, 4)])
+def test_tconv_non_square_kernel_is_a_contract_violation(shape):
+    with pytest.raises(ContractViolation, match=r"square, got \d+x\d+"):
+        transposed_conv2d(t(np.ones((1, 3, 3))), t(np.ones(shape)), t(np.zeros(shape[0])))
+
+
 def _tensordot_tconv(x, w, b):
     """The transposed conv as one tensordot laid out by a transpose, and its
     three gradients for an output gradient g."""

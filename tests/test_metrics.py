@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lvseg.errors import ContractViolation
-from lvseg.metrics import dice, hausdorff, jaccard, mad
+from lvseg.metrics import contour_distances, dice, hausdorff, jaccard, mad
 
 
 def _rand_mask(rng, shape, p):
@@ -179,3 +179,19 @@ def test_sub_pixel_distances_match_brute_force_within_two_ulp():
         hd_o, md_o = max(ab + ba), math.fsum(ab) / len(ab)
         assert abs(hausdorff(a, b) - hd_o) <= 2 * np.spacing(hd_o)
         assert abs(mad(a, b) - md_o) <= 2 * np.spacing(md_o)
+
+
+def test_contour_distances_equal_a_distance_matrix_each_bit_for_bit():
+    from scipy.spatial.distance import cdist
+    rng = np.random.default_rng(23)
+    for k in range(40):
+        a = rng.uniform(-40.0, 40.0, size=(int(rng.integers(1, 80)), 2))
+        b = rng.integers(-40, 40, size=(int(rng.integers(1, 80)), 2)).astype(np.float64)
+        calibration = None if k % 4 == 0 else float(rng.uniform(0.05, 2.0))
+        scale = 1.0 if calibration is None else calibration
+        d_ab, d_ba = cdist(a, b), cdist(a, b)  # one matrix per distance, as each once had
+        expected = (float(max(d_ab.min(axis=1).max(), d_ab.min(axis=0).max())) * scale,
+                    float(np.mean(d_ba.min(axis=1))) * scale)
+        got = contour_distances(a, b, calibration)
+        assert got == expected
+        assert (hausdorff(a, b, calibration), mad(a, b, calibration)) == got
