@@ -11,7 +11,8 @@ Layout (all integers little-endian unsigned 32-bit):
 the reader both use them. Write -> read -> write is byte-identical.
 
 A read parses only the fixed header, behind one bounds check. It
-validates the magic, version and architecture tag, and checks the spec
+validates the magic, version and architecture tag, checks the header's d
+against the tag's dilation (``models.ARCH_DILATION``), and checks the spec
 and parameter count against the parameter shapes the spec implies
 (``models.parameter_shapes``). From those shapes it builds the expected
 layout, so one exact-size check finds a truncated file or trailing bytes
@@ -33,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractViolation, FormatError
-from .models import Model, parameter_shapes
+from .models import ARCH_DILATION, Model, parameter_shapes
 
 MAGIC = b"MFPU"
 VERSION = 1
@@ -90,7 +91,9 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
         raise FormatError(
             f"{path}: architecture tag mismatch: checkpoint holds {tag!r}, expected {expect_arch!r}")
     try:
-        shapes = parameter_shapes(tag, n, base_width, dilation)
+        shapes = parameter_shapes(tag, n, base_width)
+        if dilation != ARCH_DILATION[tag]:
+            raise ContractViolation(f"{tag} uses dilation {ARCH_DILATION[tag]}, got {dilation}")
     except ContractViolation as exc:
         raise FormatError(f"{path}: header describes no valid model: {exc}") from exc
     if count != len(shapes):
@@ -106,7 +109,7 @@ def checkpoint_read(path: str | Path, expect_arch: str | None = None) -> Model:
         raise FormatError(f"{path}: {what}: the header's {count} parameters take {size - head} "
                           f"bytes: expected {size} bytes, file has {len(buf)}")
 
-    model = Model(tag, n, base_width, dilation, dtype=np.float32, seed=None)
+    model = Model(tag, n, base_width, dtype=np.float32, seed=None)
     at = head
     for (name, header, values), tensor in zip(layout, model.parameters().values()):
         found = buf[at:at + len(header)]

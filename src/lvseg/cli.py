@@ -168,8 +168,10 @@ def _cmd_measure(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    for p in args.auto:
-        if args.auto.count(p) > 1:
+    # one file under two spellings would read as two identical methods
+    resolved = [Path(p).resolve() for p in args.auto]
+    for p, r in zip(args.auto, resolved):
+        if resolved.count(r) > 1:
             raise ContractViolation(f"--auto {p} is given more than once")
     manual = read_measurements_csv(args.manual)
     # each method is named by its path as given: every ``measure`` writes measurements.csv

@@ -221,7 +221,7 @@ class Helper:
             t.data = view
             self._weights.append(view)
         self._offsets, self._slots = offsets, None
-        self._send(("fold", (model.arch, model.n, model.base_width, model.dilation),
+        self._send(("fold", (model.arch, model.n, model.base_width),
                     self._dtype.str, offsets, size, samples, val_samples, np.geterr()))
 
     def start_batch(self, indices, size: int) -> None:

@@ -3,9 +3,11 @@
 All three share a 4-level encoder-decoder body: two 3x3 conv+ReLU per
 level, 2x2 max pooling on the way down (channel width doubling each
 time), transposed-conv upsampling with skip concatenation on the way up.
-The dilated variant widens the receptive field by running the encoder and
-bottleneck convolutions at dilation 2 ('same' padding keeps extents
-level-constant); the decoder stays at dilation 1, which keeps fine
+Each architecture fixes its own dilation, in ``ARCH_DILATION``: U-net
+runs every conv at dilation 1, while the dilated variant and MFP-Unet
+widen the receptive field by running the encoder and bottleneck
+convolutions at dilation 2 ('same' padding keeps extents
+level-constant). The decoder stays at dilation 1, which keeps fine
 boundary localization intact (a stack dilated end to end samples a sparse
 lattice at the finest level and visibly quantizes the predicted border).
 
@@ -32,7 +34,9 @@ from .layers import (Conv2d, TransposedConv2d, concat_channels, max_pool2d, mfp_
                      upsample_nearest)
 from .units import MAX_EXTENT_PX
 
-ARCH_TAGS = ("unet", "dilated-unet", "mfp-unet")
+# the dilation of each network's encoder and bottleneck convolutions
+ARCH_DILATION = {"unet": 1, "dilated-unet": 2, "mfp-unet": 2}
+ARCH_TAGS = tuple(ARCH_DILATION)
 IN_CHANNELS = 2
 OUT_CHANNELS = 2
 LEVELS = 4
@@ -43,7 +47,7 @@ PYRAMID_CHANNELS = 16
 MAX_BASE_WIDTH = 65536
 
 
-def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
+def check_spec(arch: str, n: int, base_width: int) -> None:
     """Raise ContractViolation for a spec no network can be built from;
     ``RunConfig`` checks its model fields with this too."""
     if arch not in ARCH_TAGS:
@@ -56,32 +60,28 @@ def check_spec(arch: str, n: int, base_width: int, dilation: int) -> None:
         raise ContractViolation(f"base width must be >= 2, got {base_width}")
     if base_width > MAX_BASE_WIDTH:
         raise ContractViolation(f"base width must be <= {MAX_BASE_WIDTH}, got {base_width}")
-    if dilation < 1:
-        raise ContractViolation(f"dilation must be >= 1, got {dilation}")
-    if dilation > MAX_EXTENT_PX:
-        raise ContractViolation(f"dilation must be <= {MAX_EXTENT_PX}, got {dilation}")
-    if arch == "unet" and dilation != 1:
-        raise ContractViolation("unet uses dilation 1")
 
 
-def layer_specs(arch: str, base_width: int, dilation: int) -> list[tuple[str, int, int, int, int]]:
+def layer_specs(arch: str, base_width: int) -> list[tuple[str, int, int, int, int]]:
     """(name, in channels, out channels, kernel, dilation) of every layer,
-    in construction order, which is also the parameter order. A 2x2 kernel
-    is a transposed conv, which doubles the extents; every other layer is a
-    'same' conv (``conv2d``: stride 1, dilation*(kernel - 1)//2 zeros on
-    each side), so extents stay constant within a level. Every 3x3 conv
-    applies its ReLU fused (``Conv2d(relu=True)``); the 1x1 classifier is
-    the head's weight."""
+    in construction order, which is also the parameter order. The encoder
+    and bottleneck convs take the architecture's ``ARCH_DILATION``, every
+    other layer 1. A 2x2 kernel is a transposed conv, which doubles the
+    extents; every other layer is a 'same' conv (``conv2d``: stride 1,
+    dilation*(kernel - 1)//2 zeros on each side), so extents stay constant
+    within a level. Every 3x3 conv applies its ReLU fused
+    (``Conv2d(relu=True)``); the 1x1 classifier is the head's weight."""
     B = base_width
+    d = ARCH_DILATION[arch]
     specs = []
     cin = IN_CHANNELS
     for lvl in range(1, LEVELS + 1):
         cout = B * (2 ** (lvl - 1))
-        specs += [(f"enc{lvl}.conv1", cin, cout, 3, dilation),
-                  (f"enc{lvl}.conv2", cout, cout, 3, dilation)]
+        specs += [(f"enc{lvl}.conv1", cin, cout, 3, d),
+                  (f"enc{lvl}.conv2", cout, cout, 3, d)]
         cin = cout
-    specs += [("bottleneck.conv1", 8 * B, 16 * B, 3, dilation),
-              ("bottleneck.conv2", 16 * B, 16 * B, 3, dilation)]
+    specs += [("bottleneck.conv1", 8 * B, 16 * B, 3, d),
+              ("bottleneck.conv2", 16 * B, 16 * B, 3, d)]
     for stage in range(1, LEVELS + 1):  # up1 deepest .. up4 full resolution
         cup = B * (2 ** (LEVELS - stage))        # channels after upsampling
         specs += [(f"up{stage}.tconv", 2 * cup, cup, 2, 1),
@@ -97,13 +97,12 @@ def layer_specs(arch: str, base_width: int, dilation: int) -> list[tuple[str, in
     return specs
 
 
-def parameter_shapes(arch: str, n: int, base_width: int,
-                     dilation: int) -> dict[str, tuple[int, ...]]:
+def parameter_shapes(arch: str, n: int, base_width: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in ``Model.parameters()`` order,
     without building the model; ``check_spec`` vets the spec first."""
-    check_spec(arch, n, base_width, dilation)
+    check_spec(arch, n, base_width)
     shapes = {}
-    for name, cin, cout, m, _ in layer_specs(arch, base_width, dilation):
+    for name, cin, cout, m, _ in layer_specs(arch, base_width):
         shapes[f"{name}.weight"] = (cout, cin, m, m)
         shapes[f"{name}.bias"] = (cout,)
     return shapes
@@ -117,17 +116,17 @@ class Model:
     nothing: every parameter is zero-filled, for a caller that overwrites
     them all, as ``checkpoint_read`` does."""
 
-    def __init__(self, arch: str, n: int, base_width: int, dilation: int,
+    def __init__(self, arch: str, n: int, base_width: int,
                  dtype=np.float32, seed: int | None = 0):
-        check_spec(arch, n, base_width, dilation)
+        check_spec(arch, n, base_width)
         self.arch = arch
         self.n = n
         self.base_width = base_width
-        self.dilation = dilation
+        self.dilation = ARCH_DILATION[arch]
         self.dtype = dtype
         rng = None if seed is None else np.random.default_rng(seed)
         self.layers: dict[str, Conv2d] = {}
-        for name, cin, cout, m, d in layer_specs(arch, base_width, dilation):
+        for name, cin, cout, m, d in layer_specs(arch, base_width):
             kind = TransposedConv2d if m == 2 else Conv2d
             self.layers[name] = kind(cin, cout, m, dilation=d, relu=m == 3, rng=rng, dtype=dtype)
 
@@ -209,19 +208,18 @@ class Model:
 
 def build_unet(n: int, base_width: int, dtype=np.float32, seed: int = 0) -> Model:
     """Plain encoder-decoder with skip concatenation and a 1x1 classifier."""
-    return Model("unet", n, base_width, dilation=1, dtype=dtype, seed=seed)
+    return Model("unet", n, base_width, dtype=dtype, seed=seed)
 
 
-def build_dilated_unet(n: int, base_width: int, dilation: int = 2,
-                       dtype=np.float32, seed: int = 0) -> Model:
-    """Identical topology with every 3x3 convolution dilated (same parameter count)."""
-    return Model("dilated-unet", n, base_width, dilation=dilation, dtype=dtype, seed=seed)
+def build_dilated_unet(n: int, base_width: int, dtype=np.float32, seed: int = 0) -> Model:
+    """Identical topology with the encoder and bottleneck convolutions at
+    dilation 2 (same parameter count)."""
+    return Model("dilated-unet", n, base_width, dtype=dtype, seed=seed)
 
 
-def build_mfp_unet(n: int, base_width: int, dilation: int = 2,
-                   dtype=np.float32, seed: int = 0) -> Model:
+def build_mfp_unet(n: int, base_width: int, dtype=np.float32, seed: int = 0) -> Model:
     """Dilated body plus the per-level feature pyramid feeding a 64-channel classifier."""
-    return Model("mfp-unet", n, base_width, dilation=dilation, dtype=dtype, seed=seed)
+    return Model("mfp-unet", n, base_width, dtype=dtype, seed=seed)
 
 
 def forward_segment(model: Model, image_2ch: Tensor | np.ndarray) -> np.ndarray:

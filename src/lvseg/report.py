@@ -127,9 +127,20 @@ def write_measurements_csv(rows: list[MeasurementRow], path: str | Path) -> None
 
 
 def read_measurements_csv(path: str | Path) -> list[MeasurementRow]:
-    return [MeasurementRow(row["id"], row["phase"],
-                           *_numbers(path, line, row, MEASUREMENT_HEADER[2:6]), row["flag"])
-            for line, row in csv_rows(path, MEASUREMENT_HEADER, "measurement")]
+    """The file's rows; a second image row, or a second EF row, with the
+    same id raises FormatError naming the file, the id and both lines."""
+    rows, first_line = [], {}
+    for line, row in csv_rows(path, MEASUREMENT_HEADER, "measurement"):
+        key = (row["id"], row["phase"] == "EF")
+        if key in first_line:
+            raise FormatError(f"{path}: line {line}: field id: duplicate "
+                              f"{'EF' if key[1] else 'image'} row id {row['id']!r} "
+                              f"(first on line {first_line[key]})")
+        first_line[key] = line
+        rows.append(MeasurementRow(row["id"], row["phase"],
+                                   *_numbers(path, line, row, MEASUREMENT_HEADER[2:6]),
+                                   row["flag"]))
+    return rows
 
 
 # -- agreement analysis --------------------------------------------------

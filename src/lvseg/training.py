@@ -181,15 +181,14 @@ def _derived_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def augment_samples(samples: list[ImageSample], factor: int, alpha: float,
-                    sigma: float, base_seed: int) -> list[ImageSample]:
-    """One original plus factor - 1 deformations per sample."""
+def augment_samples(samples: list[ImageSample], factor: int, base_seed: int) -> list[ImageSample]:
+    """One original plus factor - 1 deformations per sample, with
+    ``elastic_deform``'s own alpha and sigma."""
     out = []
     for i, s in enumerate(samples):
         out.append(s)
         for k in range(1, factor):
-            out.append(elastic_deform(s, alpha=alpha, sigma=sigma,
-                                      seed=_derived_seed(base_seed, i, k)))
+            out.append(elastic_deform(s, seed=_derived_seed(base_seed, i, k)))
     return out
 
 
@@ -308,17 +307,15 @@ def train_fold(config: RunConfig, train_samples: list[ImageSample],
 
 def _train_fold(config: RunConfig, train_samples: list[ImageSample],
                 val_samples: list[ImageSample], fold: int, helper) -> FoldResult:
-    model = Model(config.arch, config.n, config.base_width, config.model_dilation,
+    model = Model(config.arch, config.n, config.base_width,
                   dtype=np.float32, seed=_derived_seed(config.seed, fold, 0))
     augmented = augment_samples(train_samples, config.augment_factor,
-                                config.elastic_alpha, config.elastic_sigma,
                                 _derived_seed(config.seed, fold, 1))
     if helper is not None:
         helper.start_fold(model, augmented, val_samples)
 
     params = model.parameters()
-    opt = SGD(params, learning_rate=config.learning_rate, momentum=config.momentum,
-              weight_decay=config.weight_decay, lr_decay=config.lr_decay)
+    opt = SGD(params, learning_rate=config.learning_rate)
     shuffle_rng = np.random.default_rng(_derived_seed(config.seed, fold, 2))
 
     best, best_dice = None, math.nan
@@ -370,11 +367,11 @@ def train(config: RunConfig) -> list[FoldResult]:
     results carry ``model=None`` and one fold's model is alive at a time."""
     if config.folds < 2:
         raise ContractViolation(f"training needs >= 2 folds, got {config.folds}")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     samples = [resize_sample(s, config.n)
                for s in resolve_data(config.data_dir, config.n, config.seed)]
     assignment = make_folds(samples, config.folds, config.seed)
+    out_dir = Path(config.out_dir)  # made once the data are known to split
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     results = []
     audit = []

@@ -2,8 +2,7 @@
 cannot creep in at call sites. Calibration is always mm per pixel."""
 
 MM_PER_CM = 10.0
-# the largest image extent a network or a phantom is built at, and the
-# largest pixel length a run takes (a dilation, an elastic sigma)
+# the largest image extent a network or a phantom is built at
 MAX_EXTENT_PX = 16384
 
 

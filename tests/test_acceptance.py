@@ -126,13 +126,12 @@ def test_gradient_suite():
     t0 = time.perf_counter()
     worst_primitive = max(_primitive_checks(seed) for seed in range(20))
 
-    archs = [("unet", 1), ("dilated-unet", 2), ("mfp-unet", 2)]
+    archs = ["unet", "dilated-unet", "mfp-unet"]
     probe_names = ["enc1.conv1.weight", "bottleneck.conv1.bias", "up4.conv2.weight",
                    "up3.tconv.weight", "classifier.weight", "classifier.bias"]
     worst_arch = 0.0
     for seed in range(20):
-        arch, dilation = archs[seed % 3]
-        model = Model(arch, 16, 2, dilation, dtype=np.float64, seed=seed)
+        model = Model(archs[seed % 3], 16, 2, dtype=np.float64, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         x = Tensor(rng.uniform(0, 1, (2, 16, 16)))
         target = rng.integers(0, 2, (16, 16))
@@ -226,8 +225,7 @@ def overfit_run(tmp_path_factory):
     cfg = RunConfig(arch="mfp-unet", n=64, base_width=4, learning_rate=0.05,
                     batch_size=1, epochs=60, augment_factor=1, folds=5, seed=17,
                     data_dir="synthetic:6", out_dir=str(tmp))
-    untrained = Model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
-                      dtype=np.float32, seed=999)
+    untrained = Model(cfg.arch, cfg.n, cfg.base_width, dtype=np.float32, seed=999)
     baseline = mean_val_dice(untrained, val_s)
     t0 = time.perf_counter()
     result = train_fold(cfg, train_s, val_s, fold=0)

@@ -166,7 +166,7 @@ def test_a_dropped_taped_forward_leaves_no_reference_cycle():
 
     from lvseg.models import Model
 
-    model = Model("mfp-unet", 32, 4, 2, dtype=np.float32, seed=1)
+    model = Model("mfp-unet", 32, 4, dtype=np.float32, seed=1)
     x = Tensor(np.random.default_rng(2).normal(size=(2, 32, 32)).astype(np.float32))
     gc.collect()
     gc.disable()

@@ -6,7 +6,7 @@ import pytest
 from lvseg.checkpoint import MAGIC, checkpoint_read, checkpoint_write
 from lvseg.cli import main
 from lvseg.errors import FormatError
-from lvseg.models import build_dilated_unet, build_mfp_unet, build_unet
+from lvseg.models import Model, build_dilated_unet, build_mfp_unet, build_unet
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -28,6 +28,26 @@ def test_write_read_write_byte_identical(tmp_path):
     checkpoint_write(model, p1)
     checkpoint_write(checkpoint_read(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("arch,dilation", [("unet", 2), ("dilated-unet", 1), ("mfp-unet", 3)])
+def test_a_header_dilation_other_than_the_tags_is_a_format_error(tmp_path, capsys, arch,
+                                                                 dilation):
+    path = tmp_path / "ck.bin"
+    checkpoint_write(Model(arch, 16, 2, seed=0), path)
+    raw = bytearray(path.read_bytes())
+    at = 12 + len(arch) + 8  # magic, version, tag length, tag, N, B
+    raw[at:at + 4] = struct.pack("<I", dilation)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"ck.bin: header describes no valid model: "
+                                          f"{arch} uses dilation [12], got {dilation}"):
+        checkpoint_read(path)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(path), "--data", "synthetic:1",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_truncated_file_names_byte_counts(tmp_path):

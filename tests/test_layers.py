@@ -1044,7 +1044,7 @@ def _logits_and_grads(model, x, target):
 @pytest.mark.parametrize("arch", ["unet", "dilated-unet", "mfp-unet"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_fixed_weights_scope_is_bit_identical(arch, dtype):
-    model = Model(arch, 16, 2, 1 if arch == "unet" else 2, dtype=dtype, seed=3)
+    model = Model(arch, 16, 2, dtype=dtype, seed=3)
     rng = np.random.default_rng(8)
     xs = [rng.uniform(size=(2, 16, 16)).astype(dtype) for _ in range(2)]
     target = (rng.uniform(size=(16, 16)) > 0.5).astype(np.int64)
@@ -1058,13 +1058,13 @@ def test_fixed_weights_scope_is_bit_identical(arch, dtype):
 
 
 def test_weights_changed_after_the_scope_are_used():
-    model = Model("unet", 16, 2, 1, dtype=np.float64, seed=4)
+    model = Model("unet", 16, 2, dtype=np.float64, seed=4)
     x = Tensor(np.random.default_rng(9).uniform(size=(2, 16, 16)))
     with fixed_weights():
         before = model.forward(x).data
     for t in model.parameters().values():
         t.data *= 0.5  # in place: the arrays keep their ids
-    fresh = Model("unet", 16, 2, 1, dtype=np.float64, seed=4)
+    fresh = Model("unet", 16, 2, dtype=np.float64, seed=4)
     for t in fresh.parameters().values():
         t.data *= 0.5
     want = fresh.forward(x).data

@@ -7,8 +7,8 @@ import pytest
 from lvseg.autograd import Tensor, backward, no_grad
 from lvseg.errors import ContractViolation, NonFiniteLogits
 from lvseg.layers import fixed_weights, max_pool2d, relu, softmax_cross_entropy
-from lvseg.models import (MAX_BASE_WIDTH, Model, build_dilated_unet, build_mfp_unet,
-                          build_unet, check_spec, forward_segment)
+from lvseg.models import (ARCH_DILATION, ARCH_TAGS, MAX_BASE_WIDTH, Model, build_dilated_unet,
+                          build_mfp_unet, build_unet, check_spec, forward_segment)
 from lvseg.phantom import generate_phantom
 from lvseg.preprocess import compose_input
 from lvseg.units import MAX_EXTENT_PX
@@ -59,16 +59,21 @@ def test_skip_concat_doubles_decoder_input():
 
 
 def test_dilated_degenerate_matches_unet():
+    # the two nets differ only in the dilation of their encoder and bottleneck
     unet = build_unet(64, 4, seed=2)
-    degenerate = build_dilated_unet(64, 4, dilation=1, seed=2)
+    degenerate = build_dilated_unet(64, 4, seed=2)
     assert unet.parameter_count() == degenerate.parameter_count()
     assert [t.data.shape for t in unet.parameters().values()] == \
            [t.data.shape for t in degenerate.parameters().values()]
+    for layer in degenerate.layers.values():
+        layer.dilation = 1
+    x = _rand_input(64, seed=3, dtype=np.float32)
+    assert unet.forward(x).data.tobytes() == degenerate.forward(x).data.tobytes()
 
 
 def test_dilated_same_parameter_count_wider_receptive_field():
     unet = build_unet(64, 4)
-    dil = build_dilated_unet(64, 4, dilation=2)
+    dil = build_dilated_unet(64, 4)
     assert unet.parameter_count() == dil.parameter_count()
     conv = dil.encoders[0][0]
     assert conv.dilation * (conv.kernel_size - 1) + 1 == 5
@@ -150,7 +155,7 @@ def test_forward_segment_sign_map_of_chosen_feature():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("arch", ["unet", "dilated-unet", "mfp-unet"])
 def test_forward_segment_equals_argmax_of_taped_logits(arch, dtype):
-    model = Model(arch, 32, 2, 1 if arch == "unet" else 2, dtype=dtype, seed=4)
+    model = Model(arch, 32, 2, dtype=dtype, seed=4)
     x = _rand_input(32, seed=6, dtype=dtype)
     logits = model.forward(x)
     assert logits.requires_grad  # Model.forward itself stays taped
@@ -187,7 +192,8 @@ def test_plain_forward_is_the_1x1_classifier_of_the_tap_bit_for_bit(arch, dilati
     g = Tensor(np.random.default_rng(9).normal(size=(2, 32, 32)).astype(dtype))
     runs = []
     for logits_of in (lambda m: m.forward(x), lambda m: m.classifier(m._taps(x)[0])):
-        model = Model(arch, 32, 2, dilation, dtype=dtype, seed=7)
+        model = Model(arch, 32, 2, dtype=dtype, seed=7)
+        assert model.dilation == dilation
         logits = logits_of(model)
         backward((logits * g).sum())
         runs.append([logits.data] + [p.grad for p in model.parameters().values()])
@@ -245,33 +251,34 @@ def test_invalid_configs_rejected():
     with pytest.raises(ContractViolation):
         build_unet(64, 1)  # base width too small
     with pytest.raises(ContractViolation):
-        Model("unet", 64, 4, dilation=2)
-    with pytest.raises(ContractViolation):
-        Model("resnet", 64, 4, dilation=1)
+        Model("resnet", 64, 4)
 
 
 def test_an_extent_past_the_bound_is_rejected_before_any_allocation():
-    Model("unet", MAX_EXTENT_PX, 2, 1, seed=None)  # builds: no parameter depends on n
+    Model("unet", MAX_EXTENT_PX, 2, seed=None)  # builds: no parameter depends on n
     for n in (MAX_EXTENT_PX + 16, 2**32 - 16, 10**23):
         with pytest.raises(ContractViolation, match=f"must be <= {MAX_EXTENT_PX}, got {n}"):
-            check_spec("unet", n, 2, 1)
-    # numpy refused 2**62 channels with a ValueError; a checkpoint header
-    # field could not hold a dilation of 2**32
-    check_spec("mfp-unet", 16, MAX_BASE_WIDTH, MAX_EXTENT_PX)
+            check_spec("unet", n, 2)
+    # numpy refused 2**62 channels with a ValueError
+    check_spec("mfp-unet", 16, MAX_BASE_WIDTH)
     for width in (MAX_BASE_WIDTH + 1, 2**62):
         with pytest.raises(ContractViolation,
                            match=f"base width must be <= {MAX_BASE_WIDTH}, got {width}"):
-            check_spec("mfp-unet", 16, width, 2)
-    for dilation in (MAX_EXTENT_PX + 1, 2**32):
-        with pytest.raises(ContractViolation,
-                           match=f"dilation must be <= {MAX_EXTENT_PX}, got {dilation}"):
-            check_spec("dilated-unet", 16, 2, dilation)
+            check_spec("mfp-unet", 16, width)
 
 
 def test_unet_with_dilation_rejected():
-    # a dilated net labelled unet would write a checkpoint its reader refuses
-    with pytest.raises(ContractViolation, match="unet uses dilation 1"):
-        Model("unet", 32, 2, 2)
+    # the architecture fixes the dilation: a unet runs every conv at 1
+    with pytest.raises(TypeError):
+        Model("unet", 32, 2, dilation=2)
+    assert ARCH_DILATION == {"unet": 1, "dilated-unet": 2, "mfp-unet": 2}
+    assert ARCH_TAGS == tuple(ARCH_DILATION)
+    for arch, dilation in ARCH_DILATION.items():
+        model = Model(arch, 32, 2, seed=None)
+        assert model.dilation == dilation
+        for name, layer in model.layers.items():
+            encoder = name.startswith(("enc", "bottleneck"))
+            assert layer.dilation == (dilation if encoder else 1), (arch, name)
 
 
 def test_input_shape_mismatch_rejected():
@@ -320,12 +327,13 @@ def test_forward_segment_mask_equals_argmax_on_ties_and_nan(dtype):
 def test_undrawn_model_matches_seeded_layout(arch, dilation):
     from lvseg.models import parameter_shapes
 
-    seeded = Model(arch, 32, 4, dilation, seed=3).parameters()
-    undrawn = Model(arch, 32, 4, dilation, seed=None).parameters()
+    seeded = Model(arch, 32, 4, seed=3).parameters()
+    undrawn = Model(arch, 32, 4, seed=None).parameters()
+    assert Model(arch, 32, 4, seed=None).dilation == dilation
     assert list(undrawn) == list(seeded)
     for name, tensor in undrawn.items():
         assert tensor.data.shape == seeded[name].data.shape, name
         assert tensor.data.dtype == seeded[name].data.dtype == np.float32, name
         assert not tensor.data.any() and tensor.requires_grad, name
-    assert parameter_shapes(arch, 32, 4, dilation) == {
+    assert parameter_shapes(arch, 32, 4) == {
         name: t.data.shape for name, t in seeded.items()}

@@ -210,5 +210,5 @@ def test_augmentation_factor_scaling():
     # 1 original + 9 deformations per image scales 137 -> 1370
     from lvseg.training import augment_samples
     samples = generate_phantom_set(2, 64, 8)
-    out = augment_samples(samples, factor=10, alpha=2.0, sigma=6.0, base_seed=0)
+    out = augment_samples(samples, factor=10, base_seed=0)
     assert len(out) == 10 * len(samples)

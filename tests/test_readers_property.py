@@ -129,7 +129,7 @@ def test_pgm_round_trip_with_any_blanks_and_comments_in_the_header(tmp_path_fact
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory) -> bytes:
     path = tmp_path_factory.mktemp("checkpoint") / "valid.bin"
-    checkpoint_write(Model("unet", 16, 2, 1, seed=0), path)
+    checkpoint_write(Model("unet", 16, 2, seed=0), path)
     return path.read_bytes()
 
 

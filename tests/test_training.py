@@ -28,8 +28,7 @@ from lvseg.training import (_derived_seed, audit_folds, backprop_batch, evaluate
 
 
 def _tiny_cfg(tmp_path, **overrides):
-    base = dict(arch="mfp-unet", n=32, base_width=2, dilation=2, learning_rate=0.05,
-                momentum=0.9, weight_decay=0.0005, lr_decay=1e-4, batch_size=1,
+    base = dict(arch="mfp-unet", n=32, base_width=2, learning_rate=0.05, batch_size=1,
                 epochs=1, augment_factor=1, folds=3, seed=4,
                 data_dir="synthetic:3", out_dir=str(tmp_path / "run"))
     base.update(overrides)
@@ -62,11 +61,13 @@ def test_config_validation():
 
 
 def test_unet_config_refuses_a_dilation_it_would_ignore():
-    with pytest.raises(ContractViolation, match="unet uses dilation 1, got 3"):
-        RunConfig(arch="unet", dilation=3)
-    # the default (the mfp-unet and dilated-unet value) stands for "unset"
-    assert RunConfig(arch="unet").model_dilation == 1
-    assert RunConfig(arch="unet", dilation=1).model_dilation == 1
+    # the architecture fixes the dilation, so a config names none
+    for dilation in (1, 3):
+        with pytest.raises(ContractViolation, match=r"unknown config keys: \['dilation'\]"):
+            RunConfig.from_dict({"arch": "unet", "dilation": dilation})
+    cfg = RunConfig.from_dict({"arch": "unet"})
+    assert len(dataclasses.fields(cfg)) == 11
+    assert Model(cfg.arch, cfg.n, cfg.base_width, seed=None).dilation == 1
 
 
 # -- data resolution -------------------------------------------------------------
@@ -157,7 +158,7 @@ def test_measure_zooms_no_image(tmp_path, monkeypatch):
     train(_tiny_cfg(tmp_path, n=160, folds=2, data_dir=data))
     assert sorted(orders) == [0, 0, 0, 0, 1, 1, 1, 1]
     orders.clear()
-    evaluate_model(Model("unet", 160, 2, 1, seed=0), load_dataset(data))
+    evaluate_model(Model("unet", 160, 2, seed=0), load_dataset(data))
     # eval zooms each off-size image, not its mask, and maps each prediction
     # back to its frame's grid
     assert sorted(orders) == [0] * 4 + [1] * 4
@@ -196,7 +197,7 @@ def test_evaluate_model_scores_a_frame_on_its_own_grid(monkeypatch):
         return metrics(pred, truth, calibration)
     monkeypatch.setattr(training, "forward_segment", forward_segment)
     monkeypatch.setattr(training, "metrics_for_masks", metrics_for_masks)
-    rows = evaluate_model(Model("unet", n, 2, 1, seed=0), [frame])
+    rows = evaluate_model(Model("unet", n, 2, seed=0), [frame])
     assert inputs == [(2, n, n)]
     [(pred, truth, calibration)] = scored
     assert pred.shape == (h, w) and truth is mask and calibration == 0.3
@@ -240,8 +241,8 @@ def test_zero_epochs_checkpoint_equals_initialization(tmp_path):
     samples = generate_phantom_set(3, 32, 5)
     cfg = _tiny_cfg(tmp_path, epochs=0)
     result = train_fold(cfg, samples[:4], samples[4:], fold=0)
-    fresh = Model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
-                  dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
+    fresh = Model(cfg.arch, cfg.n, cfg.base_width, dtype=np.float32,
+                  seed=_derived_seed(cfg.seed, 0, 0))
     for (name, t), (_, f) in zip(result.model.parameters().items(),
                                  fresh.parameters().items()):
         assert np.array_equal(t.data, f.data), name
@@ -252,8 +253,8 @@ def test_no_validation_samples_keeps_last_epoch_weights(tmp_path):
     samples = generate_phantom_set(2, 32, 5)
     cfg = _tiny_cfg(tmp_path, epochs=2)
     result = train_fold(cfg, samples, [], fold=0)
-    fresh = Model(cfg.arch, cfg.n, cfg.base_width, cfg.dilation,
-                  dtype=np.float32, seed=_derived_seed(cfg.seed, 0, 0))
+    fresh = Model(cfg.arch, cfg.n, cfg.base_width, dtype=np.float32,
+                  seed=_derived_seed(cfg.seed, 0, 0))
     moved = [not np.array_equal(t.data, f.data)
              for t, f in zip(result.model.parameters().values(),
                              fresh.parameters().values())]
@@ -334,7 +335,7 @@ class _ScaledModel:
 def test_mean_val_dice_equals_the_mean_dice_of_forward_segment():
     samples = generate_phantom_set(2, 32, 3)
     for arch in ("unet", "dilated-unet", "mfp-unet"):
-        model = Model(arch, 32, 2, 1 if arch == "unet" else 2, dtype=np.float32, seed=5)
+        model = Model(arch, 32, 2, dtype=np.float32, seed=5)
         ref = float(np.mean([training.dice(training.forward_segment(
             model, compose_input(s, dtype=model.dtype)), s.mask) for s in samples]))
         assert training.mean_val_dice(model, samples) == ref
@@ -343,7 +344,7 @@ def test_mean_val_dice_equals_the_mean_dice_of_forward_segment():
 @pytest.mark.parametrize("scale", [np.inf, np.nan])
 def test_non_finite_validation_logits_name_the_sample(scale):
     samples = generate_phantom_set(2, 32, 3)
-    model = _ScaledModel(Model("unet", 32, 2, 1, dtype=np.float32, seed=5), scale)
+    model = _ScaledModel(Model("unet", 32, 2, dtype=np.float32, seed=5), scale)
     with np.errstate(all="ignore"), pytest.raises(
             TrainingDiverged, match="non-finite validation logits on sample 'subj000_ED'"):
         training.mean_val_dice(model, samples)
@@ -381,8 +382,7 @@ def _summed_batch_loss(model, inputs, targets):
 @pytest.mark.parametrize("arch", ["unet", "dilated-unet", "mfp-unet"])
 def test_per_sample_backprop_equals_summed_batch_loss(arch):
     inputs, targets = _batch()
-    dilation = 1 if arch == "unet" else 2
-    per_sample, summed = (Model(arch, 32, 4, dilation, dtype=np.float32, seed=2)
+    per_sample, summed = (Model(arch, 32, 4, dtype=np.float32, seed=2)
                           for _ in range(2))
     assert backprop_batch(per_sample, inputs, targets) == _summed_batch_loss(
         summed, inputs, targets)
@@ -393,7 +393,7 @@ def test_per_sample_backprop_equals_summed_batch_loss(arch):
 
 def test_backprop_batch_reads_a_generator_like_a_list():
     inputs, targets = _batch()
-    from_list, from_generator = (Model("mfp-unet", 32, 4, 2, dtype=np.float32, seed=2)
+    from_list, from_generator = (Model("mfp-unet", 32, 4, dtype=np.float32, seed=2)
                                  for _ in range(2))
     loss = backprop_batch(from_list, inputs, targets)
     assert backprop_batch(from_generator, (x for x in inputs), targets) == loss
@@ -411,7 +411,7 @@ def test_backprop_batch_heap_peak_at_n64():
     samples = generate_phantom_set(4, 64, 5)
     assert len(samples) == 8
     targets = [s.mask for s in samples]
-    model = Model("mfp-unet", 64, 8, 2, dtype=np.float32, seed=1)
+    model = Model("mfp-unet", 64, 8, dtype=np.float32, seed=1)
     with fixed_weights():
         backprop_batch(model, [compose_input(s) for s in samples], targets)  # warm batch
         tracemalloc.start()
@@ -425,7 +425,7 @@ def test_backprop_batch_heap_peak_at_n64():
 
 def test_training_step_leaves_no_reference_cycles():
     inputs, targets = _batch()
-    model = Model("mfp-unet", 32, 4, 2, dtype=np.float32, seed=2)
+    model = Model("mfp-unet", 32, 4, dtype=np.float32, seed=2)
     opt = SGD(model.parameters(), learning_rate=0.01)
     gc.collect()
     gc.disable()
@@ -470,7 +470,7 @@ def test_summary_rows_match_independent_recomputation():
 
 def test_evaluate_model_emits_rows_and_summary(tmp_path):
     samples = generate_phantom_set(2, 32, 9)
-    model = Model("unet", 32, 2, 1, seed=0)
+    model = Model("unet", 32, 2, seed=0)
     rows = evaluate_model(model, samples)
     assert len(rows) == len(samples) + 2
     assert rows[-2].sample_id == "mean" and rows[-1].sample_id == "sd"
@@ -576,8 +576,8 @@ def test_every_fold_checkpoint_comes_from_a_trained_epoch(tmp_path):
     cfg = _tiny_cfg(tmp_path, base_width=4, batch_size=3, epochs=2)
     results = train(cfg)
     for r in results:
-        fresh = Model(cfg.arch, cfg.n, cfg.base_width, cfg.model_dilation,
-                      dtype=np.float32, seed=_derived_seed(cfg.seed, r.fold, 0))
+        fresh = Model(cfg.arch, cfg.n, cfg.base_width, dtype=np.float32,
+                      seed=_derived_seed(cfg.seed, r.fold, 0))
         saved = checkpoint_read(tmp_path / "run" / f"fold{r.fold}" / "checkpoint.bin")
         assert not all(np.array_equal(t.data, f.data) for t, f in
                        zip(saved.parameters().values(), fresh.parameters().values()))

@@ -154,7 +154,7 @@ def test_a_fold_keeps_its_weights_after_the_next_fold_rewrites_the_shared_file()
     first = training.train_fold(cfg, samples[:4], samples[4:], 0)
     second = training.train_fold(cfg, samples[:4], samples[4:], 1)
     assert first.processes == second.processes == 2
-    initial = Model("unet", 32, 2, 1, dtype=np.float32, seed=training._derived_seed(3, 0, 0))
+    initial = Model("unet", 32, 2, dtype=np.float32, seed=training._derived_seed(3, 0, 0))
     params = first.model.parameters()
     for name, t in initial.parameters().items():
         assert np.array_equal(params[name].data, t.data), name
@@ -165,7 +165,7 @@ def test_a_fold_keeps_its_weights_after_the_next_fold_rewrites_the_shared_file()
 def test_the_helper_scores_the_validation_samples_it_is_given():
     import lvseg.helper as helper
     val = generate_phantom_set(2, 32, 4)
-    model = Model("unet", 32, 2, 1, dtype=np.float32, seed=0)
+    model = Model("unet", 32, 2, dtype=np.float32, seed=0)
     helpers = helper.acquire()
     try:
         helpers.start_fold(model, [], val)
@@ -366,7 +366,7 @@ def test_eval_and_measure_never_import_the_helper(tmp_path):
     code = ("import sys; from lvseg.cli import main; "
             "from lvseg.checkpoint import checkpoint_write; from lvseg.models import Model; "
             f"main(['measure', '--data', 'synthetic:1', '--out', {str(tmp_path)!r}]); "
-            f"checkpoint_write(Model('unet', 32, 2, 1, seed=0), {checkpoint!r}); "
+            f"checkpoint_write(Model('unet', 32, 2, seed=0), {checkpoint!r}); "
             f"assert main(['eval', '--checkpoint', {checkpoint!r}, '--data', 'synthetic:1', "
             f"'--out', {str(tmp_path / 'eval')!r}]) == 0; "
             "print('lvseg.helper' in sys.modules)")

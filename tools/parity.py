@@ -6,13 +6,14 @@ Run it from anywhere inside a checkout. It extracts REV's ``src/`` with
 ``git archive`` and runs one fixed sequence of verbs on fixed seeds twice,
 once with REV's sources and once with the working tree's, each in a fresh
 directory and a fresh process per verb (one BLAS thread, a fixed
-``PYTHONHASHSEED``): ``synth``, two small cross-validated ``train`` runs
-(beside the training helper and in one process), ``eval`` of the first
-run's first fold, ``measure`` of four datasets, and a one- and a
-two-method ``report``. It prints the SHA-256 of every file the verbs
-wrote on both sides and exits 1 if any file differs or exists on one side
-only, or if a verb's exit code differs; 0 otherwise. Printed timings are
-not compared, since they change from run to run.
+``PYTHONHASHSEED``): ``synth``, four small cross-validated ``train`` runs
+(mfp-unet beside the training helper and in one process, unet and
+dilated-unet beside the helper), ``eval`` of the first run's first fold,
+``measure`` of four datasets, and a one- and a two-method ``report``. It
+prints the SHA-256 of every file the verbs wrote on both sides and exits
+1 if any file differs or exists on one side only, or if a verb's exit
+code differs; 0 otherwise. Printed timings are not compared, since they
+change from run to run.
 """
 
 from __future__ import annotations
@@ -33,17 +34,21 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Train configs small enough to run in seconds. Batches of 2 train beside
 # the helper process on a host with two CPUs; batches of 1 in one process.
+# Each architecture runs at least once, so each one's dilation is checked.
 _TRAIN = {"arch": "mfp-unet", "n": 32, "base_width": 2, "epochs": 2, "folds": 2,
           "augment_factor": 2, "learning_rate": 0.01, "seed": 7, "data_dir": "data"}
 TRAIN_CONFIGS = {"train.json": {**_TRAIN, "batch_size": 2, "out_dir": "train"},
-                 "train-1.json": {**_TRAIN, "batch_size": 1, "out_dir": "train-1"}}
+                 "train-1.json": {**_TRAIN, "batch_size": 1, "out_dir": "train-1"},
+                 "train-unet.json": {**_TRAIN, "arch": "unet", "batch_size": 2,
+                                     "out_dir": "train-unet"},
+                 "train-dilated.json": {**_TRAIN, "arch": "dilated-unet", "batch_size": 2,
+                                        "out_dir": "train-dilated"}}
 
 VERBS = [
     ["synth", "--count", "4", "--n", "64", "--seed", "3", "--out", "data"],
     ["synth", "--count", "4", "--n", "64", "--seed", "4", "--out", "manual"],
     ["synth", "--count", "4", "--n", "64", "--seed", "5", "--out", "other"],
-    ["train", "--config", "train.json"],
-    ["train", "--config", "train-1.json"],
+    *(["train", "--config", name] for name in TRAIN_CONFIGS),
     ["eval", "--checkpoint", "train/fold0/checkpoint.bin", "--data", "data", "--out", "eval"],
     ["measure", "--data", "data", "--out", "m-data"],
     ["measure", "--data", "manual", "--out", "m-manual"],
