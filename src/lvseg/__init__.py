@@ -9,11 +9,10 @@ from .geometry import convex_hull, extract_contour, min_enclosing_triangle
 from .measure import (LVMeasures, ejection_fraction, lv_area, lv_landmarks, lv_length,
                       lv_volume, measure_mask)
 from .metrics import dice, hausdorff, jaccard, mad
-from .models import build_dilated_unet, build_mfp_unet, build_unet, forward_segment
+from .models import Model, build_mfp_unet, forward_segment
 from .preprocess import elastic_deform, niblack_threshold
 from .phantom import generate_phantom
-from .stats import (AnovaTable, PairedSeries, anova_from_sums, anova_oneway, bland_altman,
-                    f_sf, pearson_fit)
+from .stats import AnovaTable, PairedSeries, anova_oneway, bland_altman, pearson_fit
 
 __version__ = "0.1.0"
 
@@ -27,8 +26,7 @@ __all__ = [
     "LVMeasures", "ejection_fraction", "lv_area", "lv_landmarks", "lv_length",
     "lv_volume", "measure_mask",
     "dice", "hausdorff", "jaccard", "mad",
-    "build_dilated_unet", "build_mfp_unet", "build_unet", "forward_segment",
+    "Model", "build_mfp_unet", "forward_segment",
     "elastic_deform", "niblack_threshold", "generate_phantom",
-    "AnovaTable", "PairedSeries", "anova_from_sums", "anova_oneway", "bland_altman",
-    "f_sf", "pearson_fit",
+    "AnovaTable", "PairedSeries", "anova_oneway", "bland_altman", "pearson_fit",
 ]

@@ -71,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="agreement report between measurement CSVs")
     p_report.add_argument("--auto", action="append", required=True,
-                          help="automatic measurement CSV (repeat for several methods)")
+                          help="automatic measurement CSV; repeat for several methods, "
+                               "which anova.txt compares (agreement.csv and boxplot.csv "
+                               "describe the first)")
     p_report.add_argument("--manual", required=True, help="manual reference CSV")
     p_report.add_argument("--out", required=True, help="output directory")
     return parser
@@ -175,11 +177,12 @@ def _cmd_report(args) -> None:
             raise ContractViolation(f"--auto {p} is given more than once")
     manual = read_measurements_csv(args.manual)
     # each method is named by its path as given: every ``measure`` writes measurements.csv
-    autos = {p if len(args.auto) > 1 else "auto": read_measurements_csv(p) for p in args.auto}
-    first = next(iter(autos.values()))
-    reports = agreement_reports(first, manual)
+    autos = {p: read_measurements_csv(p) for p in args.auto}
+    first = args.auto[0]
+    reports = agreement_reports(autos[first], manual, first)
     tables = method_anova(autos, manual) if len(autos) >= 2 else None
     write_agreement_report(reports, args.out, tables)
+    print(f"agreement of {first} with {args.manual}:")
     for r in reports:
         print(f"{r.parameter}: slope {r.fit.slope:.3f}, R {r.fit.r:.3f}, "
               f"bias {r.ba.bias:.3f}, RPC {r.ba.rpc:.3f}")

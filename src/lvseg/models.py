@@ -1,4 +1,5 @@
-"""Topology builders for the three segmentation networks.
+"""The three segmentation networks: ``Model(tag, n, base_width)`` builds
+any of them from its tag in ``ARCH_TAGS``.
 
 All three share a 4-level encoder-decoder body: two 3x3 conv+ReLU per
 level, 2x2 max pooling on the way down (channel width doubling each
@@ -206,19 +207,9 @@ class Model:
             t.zero_grad()
 
 
-def build_unet(n: int, base_width: int, dtype=np.float32, seed: int = 0) -> Model:
-    """Plain encoder-decoder with skip concatenation and a 1x1 classifier."""
-    return Model("unet", n, base_width, dtype=dtype, seed=seed)
-
-
-def build_dilated_unet(n: int, base_width: int, dtype=np.float32, seed: int = 0) -> Model:
-    """Identical topology with the encoder and bottleneck convolutions at
-    dilation 2 (same parameter count)."""
-    return Model("dilated-unet", n, base_width, dtype=dtype, seed=seed)
-
-
 def build_mfp_unet(n: int, base_width: int, dtype=np.float32, seed: int = 0) -> Model:
-    """Dilated body plus the per-level feature pyramid feeding a 64-channel classifier."""
+    """``Model("mfp-unet", ...)``, kept because the benchmark's gradient
+    check (``perfbench/checks.py``) imports it; no verb calls it."""
     return Model("mfp-unet", n, base_width, dtype=dtype, seed=seed)
 
 

@@ -162,47 +162,60 @@ class AgreementReport:
 def _series_by_parameter(rows: list[MeasurementRow],
                          side: str) -> dict[str, dict[str, float]]:
     """parameter -> {key: value}; geometry keyed by sample id, EF by the
-    subject id carried in the EF row's id column. A blank EF is skipped;
-    any other value that is not finite raises ContractViolation naming
-    ``side``, the id and the field."""
+    subject id carried in the EF row's id column. A flagged image row, or
+    an EF row with a blank EF, keys its id to NaN: it is in the file but
+    measured nothing. Any other value that is not finite raises
+    ContractViolation naming ``side``, the id and the field."""
     out: dict[str, dict[str, float]] = {p: {} for p in PARAMETERS}
     for r in rows:
         if r.phase == "EF":
-            cells = [] if math.isnan(r.ef_pct) else [("EF", "EF_pct", r.ef_pct)]
-        elif r.flag == "ok":
+            cells, blank = [("EF", "EF_pct", r.ef_pct)], math.isnan(r.ef_pct)
+        else:
             cells = [("volume", "V_ml", r.v_ml), ("area", "S_cm2", r.s_cm2),
                      ("length", "D_cm", r.d_cm)]
-        else:
-            continue
+            blank = r.flag != "ok"
         for param, field, value in cells:
-            if not math.isfinite(value):
+            if blank:
+                value = math.nan
+            elif not math.isfinite(value):
                 raise ContractViolation(
                     f"{side} row {r.sample_id!r}: field {field}: not a finite number: {value}")
             out[param][r.sample_id] = value
     return out
 
 
-def agreement_reports(auto_rows: list[MeasurementRow],
-                      manual_rows: list[MeasurementRow]) -> list[AgreementReport]:
-    """One report per clinical parameter with at least two ids, and at
-    least one report; ids must match between the two row sets (offenders
-    are listed otherwise)."""
-    auto = _series_by_parameter(auto_rows, "auto")
+def _paired(auto_rows: list[MeasurementRow], manual_rows: list[MeasurementRow],
+            method: str | None) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """parameter -> (auto values, manual values) over the sorted ids that
+    both sides measured: an id flagged on either side, or with a blank EF,
+    is left out of that parameter on both. An id in one file but not the
+    other raises ContractViolation, beginning with ``method``'s name."""
+    where = f"{method}: " if method else ""
+    auto = _series_by_parameter(auto_rows, f"{where}auto")
     manual = _series_by_parameter(manual_rows, "manual")
-    reports = []
+    pairs = {}
     for param in PARAMETERS:
         a, m = auto[param], manual[param]
-        missing = sorted(set(a) ^ set(m))
+        missing = sorted(a.keys() ^ m.keys())
         if missing:
             raise ContractViolation(
-                f"{param}: ids not present on both sides: {missing}")
-        keys = sorted(a)
-        if len(keys) < 2:
+                f"{where}{param}: ids not present on both sides: {missing}")
+        keys = [k for k in sorted(a) if not (math.isnan(a[k]) or math.isnan(m[k]))]
+        pairs[param] = (np.array([a[k] for k in keys]), np.array([m[k] for k in keys]))
+    return pairs
+
+
+def agreement_reports(auto_rows: list[MeasurementRow], manual_rows: list[MeasurementRow],
+                      method: str | None = None) -> list[AgreementReport]:
+    """One report per clinical parameter with at least two ids measured on
+    both sides, and at least one report; ids pair as ``_paired`` says."""
+    reports = []
+    for param, (auto, man) in _paired(auto_rows, manual_rows, method).items():
+        if len(auto) < 2:
             continue
-        series = PairedSeries(auto=np.array([a[k] for k in keys]),
-                              man=np.array([m[k] for k in keys]), name=param)
+        series = PairedSeries(auto=auto, man=man, name=param)
         reports.append(AgreementReport(
-            parameter=param, n=len(keys),
+            parameter=param, n=len(auto),
             fit=pearson_fit(series), ba=bland_altman(series),
             abs_error_box=box_summary(np.abs(series.auto - series.man)),
             t_p=paired_t_pvalue(series)))
@@ -215,19 +228,14 @@ def agreement_reports(auto_rows: list[MeasurementRow],
 def method_anova(per_method_rows: dict[str, list[MeasurementRow]],
                  manual_rows: list[MeasurementRow]) -> dict[str, AnovaTable]:
     """One-way ANOVA per parameter over the per-method absolute errors
-    against the shared manual reference."""
+    against the shared manual reference; each method's ids pair with the
+    reference as in ``agreement_reports``, and errors name the method."""
     if len(per_method_rows) < 2:
         raise ContractViolation("method ANOVA needs >= 2 methods")
-    manual = _series_by_parameter(manual_rows, "manual")
-    methods = [_series_by_parameter(per_method_rows[m], m) for m in sorted(per_method_rows)]
+    pairs = [_paired(per_method_rows[m], manual_rows, m) for m in sorted(per_method_rows)]
     tables = {}
     for param in PARAMETERS:
-        groups = []
-        for series in methods:
-            vals = series[param]
-            keys = sorted(set(vals) & set(manual[param]))
-            if keys:
-                groups.append(np.array([abs(vals[k] - manual[param][k]) for k in keys]))
+        groups = [np.abs(auto - man) for auto, man in (p[param] for p in pairs) if len(auto)]
         if len(groups) >= 2 and sum(len(g) for g in groups) > len(groups):
             tables[param] = anova_oneway(groups)
     return tables

@@ -18,7 +18,7 @@ from lvseg.metrics import dice, hausdorff, jaccard, mad
 from lvseg.models import Model, build_mfp_unet, forward_segment
 from lvseg.phantom import bullet_area, bullet_height, ellipse_mask, generate_phantom_set
 from lvseg.preprocess import compose_input
-from lvseg.stats import PairedSeries, anova_from_sums, bland_altman
+from lvseg.stats import AnovaTable, PairedSeries, bland_altman
 from lvseg.training import mean_val_dice, train, train_fold
 from lvseg.units import px_area_to_cm2, px_to_cm
 
@@ -36,7 +36,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 
 def test_anova_reproduction():
     t0 = time.perf_counter()
-    table = anova_from_sums(3.524, 3, 2.198, 12)
+    table = AnovaTable(ss_between=3.524, ss_within=2.198, df_between=3, df_within=12)
     ok = (abs(table.ms_between - 1.1747) <= 0.005
           and abs(table.f - 6.41) <= 0.02
           and abs(table.p - 0.0077) <= 0.0005)

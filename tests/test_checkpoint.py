@@ -6,7 +6,7 @@ import pytest
 from lvseg.checkpoint import MAGIC, checkpoint_read, checkpoint_write
 from lvseg.cli import main
 from lvseg.errors import FormatError
-from lvseg.models import Model, build_dilated_unet, build_mfp_unet, build_unet
+from lvseg.models import Model, build_mfp_unet
 
 
 def test_round_trip_bit_identical(tmp_path):
@@ -23,7 +23,7 @@ def test_round_trip_bit_identical(tmp_path):
 
 
 def test_write_read_write_byte_identical(tmp_path):
-    model = build_dilated_unet(32, 2, seed=9)
+    model = Model("dilated-unet", 32, 2, seed=9)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     checkpoint_write(model, p1)
     checkpoint_write(checkpoint_read(p1), p2)
@@ -51,7 +51,7 @@ def test_a_header_dilation_other_than_the_tags_is_a_format_error(tmp_path, capsy
 
 
 def test_truncated_file_names_byte_counts(tmp_path):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
     raw = path.read_bytes()
@@ -69,7 +69,7 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_version_mismatch_rejected(tmp_path):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
     raw = bytearray(path.read_bytes())
@@ -81,7 +81,7 @@ def test_version_mismatch_rejected(tmp_path):
 
 
 def test_architecture_tag_mismatch(tmp_path):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "unet.bin"
     checkpoint_write(model, path)
     with pytest.raises(FormatError, match="architecture tag mismatch"):
@@ -91,7 +91,7 @@ def test_architecture_tag_mismatch(tmp_path):
 
 
 def test_trailing_bytes_rejected(tmp_path):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
     bloated = tmp_path / "extra.bin"
@@ -101,7 +101,7 @@ def test_trailing_bytes_rejected(tmp_path):
 
 
 def test_header_the_model_rejects_is_a_format_error(tmp_path, capsys):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
     raw = bytearray(path.read_bytes())
@@ -119,7 +119,7 @@ def test_header_the_model_rejects_is_a_format_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_weight_is_a_format_error(tmp_path, capsys, value):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     name, tensor = list(model.parameters().items())[3]
     tensor.data[(0,) * tensor.data.ndim] = value
     path = tmp_path / "bad_weight.bin"
@@ -175,7 +175,7 @@ def test_header_too_large_for_the_file_is_a_format_error(tmp_path, capsys):
 
 
 def test_header_check_counts_every_byte_a_parameter_takes(tmp_path):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
     raw = path.read_bytes()
@@ -187,7 +187,7 @@ def test_header_check_counts_every_byte_a_parameter_takes(tmp_path):
 
 @pytest.mark.parametrize("field", ["tag", "name"])
 def test_text_that_is_not_utf8_is_a_format_error(tmp_path, capsys, field):
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
     raw = bytearray(path.read_bytes())
@@ -225,7 +225,7 @@ def _packed_from_the_layout(model) -> tuple[bytes, list[tuple[int, int]]]:
 
 
 def test_write_and_read_follow_the_documented_layout(tmp_path):
-    model = build_unet(16, 2, seed=4)
+    model = Model("unet", 16, 2, seed=4)
     packed, _ = _packed_from_the_layout(model)
     path = tmp_path / "ck.bin"
     checkpoint_write(model, path)
@@ -240,7 +240,7 @@ def test_write_and_read_follow_the_documented_layout(tmp_path):
 
 
 def test_every_flipped_parameter_header_byte_is_a_format_error(tmp_path):
-    packed, spans = _packed_from_the_layout(build_unet(16, 2, seed=4))
+    packed, spans = _packed_from_the_layout(Model("unet", 16, 2, seed=4))
     assert len(spans) == 46
     path = tmp_path / "flipped.bin"
     for start, end in spans:

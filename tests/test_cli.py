@@ -20,7 +20,7 @@ from lvseg.models import MAX_BASE_WIDTH, Model
 from lvseg.pgm import pgm_read, pgm_write
 from lvseg.report import (MeasurementRow, agreement_reports, anova_text_table, method_anova,
                           read_measurements_csv, read_metrics_csv, write_measurements_csv)
-from lvseg.stats import anova_from_sums
+from lvseg.stats import AnovaTable
 from lvseg.units import MAX_EXTENT_PX
 
 
@@ -652,12 +652,77 @@ def test_report_of_two_methods_writes_anova_and_leaves_out_a_flagged_row(tmp_pat
     assert n == {"volume": 9, "area": 9, "length": 9, "EF": 5}  # 10 images, one flagged
     sections = (tmp_path / "rep" / "anova.txt").read_text().split("\n\n")
     assert len(sections) == 5 and sections[-1] == ""
-    header = anova_text_table(anova_from_sums(1.0, 1, 1.0, 2)).splitlines()[0]
+    header = anova_text_table(AnovaTable(1.0, 1.0, 1, 2)).splitlines()[0]
     for section, param in zip(sections, ["volume", "area", "length", "EF"]):
         title, head, between, within, total = section.splitlines()
         assert (title, head) == (f"[{param}]", header)
         assert between.startswith("between-groups variation")
         assert total.split()[-1] == str(2 * n[param] - 1)  # two methods, n ids each
+
+
+def _noisy_measurements(tmp_path, count, seed):
+    """The manual reference of ``count`` synthetic subjects, and its rows
+    with noise on every value, as an automatic method's."""
+    data = tmp_path / "data"
+    assert main(["synth", "--count", str(count), "--n", "64", "--seed", "8",
+                 "--out", str(data)]) == 0
+    assert main(["measure", "--data", str(data), "--out", str(tmp_path / "man")]) == 0
+    manual = tmp_path / "man" / "measurements.csv"
+    rows = read_measurements_csv(manual)
+    rng = np.random.default_rng(seed)
+    for r in rows:
+        for col in ("d_cm", "s_cm2", "v_ml", "ef_pct"):
+            setattr(r, col, getattr(r, col) + rng.normal(0, 0.2))
+    return str(manual), rows
+
+
+@pytest.mark.parametrize("edit", ["missing", "flagged"])
+def test_a_two_method_report_does_not_depend_on_the_order_of_auto(tmp_path, capsys, edit):
+    # the ids were checked for the first --auto only: with B short of one
+    # id, "--auto A --auto B" left it out of the ANOVA and "--auto B --auto
+    # A" exited 2; a flagged id in B exited 2 in the second order too
+    manual, rows = _noisy_measurements(tmp_path, 6, 5)
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_measurements_csv(rows, a)
+    if edit == "missing":
+        rows = [r for r in rows if r.sample_id != "subj001_ED"]
+    else:
+        rows = [MeasurementRow(r.sample_id, r.phase, flag="length_error")
+                if r.sample_id == "subj001_ED" else r for r in rows]
+    write_measurements_csv(rows, b)
+    results = []
+    for i, order in enumerate(([a, b], [b, a])):
+        out = tmp_path / f"rep{i}"
+        capsys.readouterr()
+        code = main(["report", "--auto", order[0], "--auto", order[1], "--manual", manual,
+                     "--out", str(out)])
+        anova = (out / "anova.txt").read_text() if code == 0 else None
+        results.append((code, capsys.readouterr().err, anova))
+    assert results[0] == results[1]
+    code, err, anova = results[0]
+    if edit == "missing":
+        assert (code, anova) == (2, None)
+        assert err == f"error: {b}: volume: ids not present on both sides: ['subj001_ED']\n"
+    else:
+        assert code == 0
+        # 12 ids of A and 11 of B: one flagged id leaves B's group only
+        within = [line.split() for line in anova.splitlines() if line.startswith("within")]
+        assert [w[3] for w in within] == ["21", "21", "21", "10"]
+
+
+def test_report_says_which_auto_path_its_agreement_describes(tmp_path, capsys):
+    manual, rows = _noisy_measurements(tmp_path, 4, 6)
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    write_measurements_csv(rows, a)
+    write_measurements_csv(rows[::-1], b)
+    for autos in ([a], [b, a]):
+        capsys.readouterr()
+        assert main(["report", *(arg for p in autos for arg in ("--auto", p)),
+                     "--manual", manual, "--out", str(tmp_path / "rep")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"agreement of {autos[0]} with {manual}:"
+        assert [line.split(":")[0] for line in lines[1:-1]] == ["volume", "area", "length",
+                                                                "EF"]
 
 
 def test_a_single_auto_report_removes_an_earlier_reports_anova(tmp_path):
@@ -714,7 +779,7 @@ def test_main_runs_verb_after_verb_in_one_process_as_fresh_processes_do(
 
 
 def test_anova_from_sums_matches_published_table():
-    t = anova_from_sums(3.524, 3, 2.198, 12)
+    t = AnovaTable(ss_between=3.524, ss_within=2.198, df_between=3, df_within=12)
     assert round(t.f, 2) == 6.41
     assert round(t.p, 4) == 0.0077
 

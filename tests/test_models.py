@@ -7,8 +7,8 @@ import pytest
 from lvseg.autograd import Tensor, backward, no_grad
 from lvseg.errors import ContractViolation, NonFiniteLogits
 from lvseg.layers import fixed_weights, max_pool2d, relu, softmax_cross_entropy
-from lvseg.models import (ARCH_DILATION, ARCH_TAGS, MAX_BASE_WIDTH, Model, build_dilated_unet,
-                          build_mfp_unet, build_unet, check_spec, forward_segment)
+from lvseg.models import (ARCH_DILATION, ARCH_TAGS, MAX_BASE_WIDTH, Model, build_mfp_unet,
+                          check_spec, forward_segment)
 from lvseg.phantom import generate_phantom
 from lvseg.preprocess import compose_input
 from lvseg.units import MAX_EXTENT_PX
@@ -19,13 +19,13 @@ def _rand_input(n, seed=0, dtype=np.float64):
 
 
 def test_unet_shape_contract():
-    model = build_unet(64, 8, dtype=np.float64)
+    model = Model("unet", 64, 8, dtype=np.float64)
     out = model.forward(_rand_input(64))
     assert out.data.shape == (2, 64, 64)
 
 
 def test_encoder_depth_and_width():
-    model = build_unet(64, 8, dtype=np.float64)
+    model = Model("unet", 64, 8, dtype=np.float64)
     h = _rand_input(64, seed=1)
     for conv1, conv2 in model.encoders:
         h = max_pool2d(relu(conv2(relu(conv1(h)))))
@@ -52,7 +52,7 @@ def test_mfp_unet_tape_holds_no_separate_relu():
 
 
 def test_skip_concat_doubles_decoder_input():
-    model = build_unet(64, 8)
+    model = Model("unet", 64, 8)
     for tconv, conv1, conv2 in model.decoders:
         assert conv1.weight.data.shape[1] == 2 * conv1.weight.data.shape[0]
         assert tconv.weight.data.shape[0] == conv1.weight.data.shape[0]
@@ -60,8 +60,8 @@ def test_skip_concat_doubles_decoder_input():
 
 def test_dilated_degenerate_matches_unet():
     # the two nets differ only in the dilation of their encoder and bottleneck
-    unet = build_unet(64, 4, seed=2)
-    degenerate = build_dilated_unet(64, 4, seed=2)
+    unet = Model("unet", 64, 4, seed=2)
+    degenerate = Model("dilated-unet", 64, 4, seed=2)
     assert unet.parameter_count() == degenerate.parameter_count()
     assert [t.data.shape for t in unet.parameters().values()] == \
            [t.data.shape for t in degenerate.parameters().values()]
@@ -72,8 +72,8 @@ def test_dilated_degenerate_matches_unet():
 
 
 def test_dilated_same_parameter_count_wider_receptive_field():
-    unet = build_unet(64, 4)
-    dil = build_dilated_unet(64, 4)
+    unet = Model("unet", 64, 4)
+    dil = Model("dilated-unet", 64, 4)
     assert unet.parameter_count() == dil.parameter_count()
     conv = dil.encoders[0][0]
     assert conv.dilation * (conv.kernel_size - 1) + 1 == 5
@@ -103,7 +103,7 @@ def test_mfp_shape_contract():
 
 def test_mfp_parameter_census_formula():
     for b in (2, 4, 8):
-        dil = build_dilated_unet(64, b)
+        dil = Model("dilated-unet", 64, b)
         mfp = build_mfp_unet(64, b)
         widths = [8 * b, 4 * b, 2 * b, b]  # channels at up1..up4
         pyramid = sum(3 * 3 * c * 16 + 16 for c in widths)
@@ -133,7 +133,7 @@ def test_forward_segment_pure_function():
 
 
 def test_forward_segment_background_dominant():
-    model = build_unet(32, 2, seed=1)
+    model = Model("unet", 32, 2, seed=1)
     model.classifier.weight.data[:] = 0
     model.classifier.bias.data[:] = [5.0, 0.0]
     mask = forward_segment(model, _rand_input(32, seed=2, dtype=np.float32))
@@ -247,9 +247,9 @@ def test_taped_gradients_unchanged_by_a_prior_forward_segment():
 
 def test_invalid_configs_rejected():
     with pytest.raises(ContractViolation):
-        build_unet(60, 8)  # not a multiple of 16
+        Model("unet", 60, 8)  # not a multiple of 16
     with pytest.raises(ContractViolation):
-        build_unet(64, 1)  # base width too small
+        Model("unet", 64, 1)  # base width too small
     with pytest.raises(ContractViolation):
         Model("resnet", 64, 4)
 
@@ -282,7 +282,7 @@ def test_unet_with_dilation_rejected():
 
 
 def test_input_shape_mismatch_rejected():
-    model = build_unet(32, 2)
+    model = Model("unet", 32, 2)
     with pytest.raises(ContractViolation):
         model.forward(Tensor(np.zeros((2, 64, 64), dtype=np.float32)))
     with pytest.raises(ContractViolation):

@@ -2,6 +2,8 @@
 workload's hooks and the tracer's spans. Installing them all here makes a
 rename of a hooked function fail the tests, not only the benchmark."""
 
+import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -34,3 +36,28 @@ def test_every_perfbench_hook_and_span_installs_and_restores(monkeypatch, tmp_pa
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert Model.__init__ is init
+
+
+def test_every_lvseg_name_perfbench_imports_resolves():
+    # an import inside a function (checks.py's build_mfp_unet) runs only
+    # when the benchmark does; a deleted name would fail nothing else here
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "lvseg":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(path.name, alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "lvseg"]
+    assert ("checks.py", "lvseg.models", "build_mfp_unet") in imported
+    missing = [(file, module, name) for file, module, name in imported
+               if not _resolves(module, name)]
+    assert missing == []
+
+
+def _resolves(module: str, name: str | None) -> bool:
+    try:
+        mod = importlib.import_module(module)
+    except ImportError:
+        return False
+    return name is None or hasattr(mod, name)
