@@ -1,7 +1,9 @@
 """Network layer vocabulary: (dilated) convolution with an optional fused
 ReLU, ReLU, max pooling, transposed convolution, nearest upsampling,
 channel concatenation, the classifier head every network ends in,
-pixelwise softmax cross-entropy, and SGD with momentum.
+pixelwise softmax cross-entropy, and SGD with momentum. Each layer is a
+function of its input and the parameter tensors it is handed; no layer
+owns a weight, since a network's parameters live in its ``Model.params``.
 
 All image tensors are channels-first ``(C, H, W)``. Convolution weights
 are ``(out, in, m, m)``. Every conv is 'same': stride 1, an odd square
@@ -518,39 +520,6 @@ def softmax_cross_entropy(logits: Tensor, target: np.ndarray) -> Tensor:
         logits.accumulate_grad(g * (p - onehot) / n, owned=True)
 
     return _result(loss_val, (logits,), backward, "softmax_cross_entropy")
-
-
-class Conv2d:
-    """'Same' convolution layer (``conv2d``) owning its weight (out,in,m,m),
-    m odd, and bias (out,), with its ReLU fused in when ``relu`` is set.
-    ``rng`` draws the He-uniform weight; without one the weight is
-    zero-filled, for a caller that sets it (a checkpoint read)."""
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 dilation: int = 1, relu: bool = False,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        self.kernel_size = kernel_size
-        self.dilation = dilation
-        self.relu = relu
-        shape = (out_channels, in_channels, kernel_size, kernel_size)
-        if rng is None:
-            weight = np.zeros(shape, dtype=dtype)
-        else:
-            weight = he_uniform(shape, in_channels * kernel_size * kernel_size, rng, dtype)
-        self.weight = Tensor(weight, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_channels, dtype=dtype), requires_grad=True)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, self.bias, dilation=self.dilation, relu=self.relu)
-
-
-class TransposedConv2d(Conv2d):
-    """Upsampling transposed convolution (``transposed_conv2d``): each input
-    pixel fills its own m x m output block (2x2 in every network). It reads
-    neither ``dilation`` nor ``relu``."""
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return transposed_conv2d(x, self.weight, self.bias)
 
 
 class SGD:

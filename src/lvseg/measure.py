@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, MeasurementError
-from .geometry import convex_hull, extract_contour, min_enclosing_triangle
+from .geometry import _next, convex_hull, extract_contour, min_enclosing_triangle
 from .units import px_area_to_cm2, px_to_cm
 
 Landmarks = tuple[np.ndarray, np.ndarray, np.ndarray]  # annulus_a, annulus_b, apex
@@ -91,8 +91,8 @@ def lv_length(contour: np.ndarray, landmarks: Landmarks, calibration: float) -> 
 
     eps = 1e-9
     rel = contour - mid
-    rel_next = np.roll(rel, -1, axis=0)
-    e = np.roll(contour, -1, axis=0) - contour
+    rel_next = _next(rel)
+    e = _next(contour) - contour
     denom = d[0] * e[:, 1] - d[1] * e[:, 0]
     off_line = rel[:, 0] * d[1] - rel[:, 1] * d[0]
     parallel = np.abs(denom) < 1e-12

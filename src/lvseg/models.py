@@ -1,5 +1,7 @@
 """The three segmentation networks: ``Model(tag, n, base_width)`` builds
-any of them from its tag in ``ARCH_TAGS``.
+any of them from its tag in ``ARCH_TAGS``. A model is its parameter dict
+plus ``layer_specs``, the table of its layers; ``Model._taps`` calls the
+layer functions of ``layers.py`` on those parameters.
 
 All three share a 4-level encoder-decoder body: two 3x3 conv+ReLU per
 level, 2x2 max pooling on the way down (channel width doubling each
@@ -27,12 +29,14 @@ foreground). Decoder stages are indexed up1..up4 with up1 the deepest
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .autograd import Tensor, no_grad
 from .errors import ContractViolation, NonFiniteLogits
-from .layers import (Conv2d, TransposedConv2d, concat_channels, max_pool2d, mfp_head,
-                     upsample_nearest)
+from .layers import (concat_channels, conv2d, he_uniform, max_pool2d, mfp_head,
+                     transposed_conv2d, upsample_nearest)
 from .units import MAX_EXTENT_PX
 
 # the dilation of each network's encoder and bottleneck convolutions
@@ -71,7 +75,10 @@ def layer_specs(arch: str, base_width: int) -> list[tuple[str, int, int, int, in
     extents; every other layer is a 'same' conv (``conv2d``: stride 1,
     dilation*(kernel - 1)//2 zeros on each side), so extents stay constant
     within a level. Every 3x3 conv applies its ReLU fused
-    (``Conv2d(relu=True)``); the 1x1 classifier is the head's weight."""
+    (``conv2d(relu=True)``); the 1x1 classifier is the head's weight. This
+    table is the one description of a network: ``parameter_shapes`` reads
+    its shapes and ``Model`` its dilations, so a new layer is a row
+    here plus its call in ``_taps``."""
     B = base_width
     d = ARCH_DILATION[arch]
     specs = []
@@ -110,35 +117,31 @@ def parameter_shapes(arch: str, n: int, base_width: int) -> dict[str, tuple[int,
 
 
 class Model:
-    """Ordered layer graph; ``layers`` maps each layer's name to the layer,
-    in construction order, which is also the parameter order.
+    """A network is its parameter dict plus ``layer_specs``: ``params`` maps
+    each parameter's name to its tensor, in ``parameter_shapes`` order, and
+    ``_taps`` runs the layers of the spec table on them.
 
-    ``seed`` draws the He-uniform initial weights. ``seed=None`` draws
-    nothing: every parameter is zero-filled, for a caller that overwrites
-    them all, as ``checkpoint_read`` does."""
+    ``seed`` draws the He-uniform initial weights, in that order; biases
+    start at zero. ``seed=None`` draws nothing: every parameter is
+    zero-filled, for a caller that overwrites them all, as
+    ``checkpoint_read`` does."""
 
     def __init__(self, arch: str, n: int, base_width: int,
                  dtype=np.float32, seed: int | None = 0):
-        check_spec(arch, n, base_width)
+        rng = None if seed is None else np.random.default_rng(seed)
+        self.params: dict[str, Tensor] = {}
+        for name, shape in parameter_shapes(arch, n, base_width).items():
+            if rng is None or name.endswith(".bias"):
+                data = np.zeros(shape, dtype=dtype)
+            else:
+                data = he_uniform(shape, prod(shape[1:]), rng, dtype)
+            self.params[name] = Tensor(data, requires_grad=True)
         self.arch = arch
         self.n = n
         self.base_width = base_width
         self.dilation = ARCH_DILATION[arch]
         self.dtype = dtype
-        rng = None if seed is None else np.random.default_rng(seed)
-        self.layers: dict[str, Conv2d] = {}
-        for name, cin, cout, m, d in layer_specs(arch, base_width):
-            kind = TransposedConv2d if m == 2 else Conv2d
-            self.layers[name] = kind(cin, cout, m, dilation=d, relu=m == 3, rng=rng, dtype=dtype)
-
-        L = self.layers
-        levels = range(1, LEVELS + 1)
-        self.encoders = [(L[f"enc{lvl}.conv1"], L[f"enc{lvl}.conv2"]) for lvl in levels]
-        self.bottleneck = (L["bottleneck.conv1"], L["bottleneck.conv2"])
-        self.decoders = [(L[f"up{s}.tconv"], L[f"up{s}.conv1"], L[f"up{s}.conv2"])
-                         for s in levels]
-        self.pyramid = [L[f"pyramid{s}.conv"] for s in levels] if arch == "mfp-unet" else None
-        self.classifier = L["classifier"]
+        self._layer_dilation = {name: d for name, *_, d in layer_specs(arch, base_width)}
 
     # -- forward -------------------------------------------------------
 
@@ -150,32 +153,36 @@ class Model:
         if x.shape != (IN_CHANNELS, self.n, self.n):
             raise ContractViolation(
                 f"input shape {x.shape} does not match model spec {(IN_CHANNELS, self.n, self.n)}")
+        p, dilation = self.params, self._layer_dilation
+
+        def conv(name: str, h: Tensor) -> Tensor:
+            return conv2d(h, p[f"{name}.weight"], p[f"{name}.bias"],
+                          dilation=dilation[name], relu=True)
 
         # each activation is rebound as soon as its consumer has run, and each
         # skip is popped by the concatenation that reads it, so without a
         # tape an activation is freed once consumed
         skips = []
         h = x
-        for conv1, conv2 in self.encoders:
-            h = conv1(h)
-            h = conv2(h)
+        for lvl in range(1, LEVELS + 1):
+            h = conv(f"enc{lvl}.conv1", h)
+            h = conv(f"enc{lvl}.conv2", h)
             skips.append(h)
             h = max_pool2d(h)
-        conv1, conv2 = self.bottleneck
-        h = conv1(h)
-        h = conv2(h)
+        h = conv("bottleneck.conv1", h)
+        h = conv("bottleneck.conv2", h)
 
         ups = []
-        for tconv, conv1, conv2 in self.decoders:
-            h = tconv(h)
+        for stage in range(1, LEVELS + 1):
+            h = transposed_conv2d(h, p[f"up{stage}.tconv.weight"], p[f"up{stage}.tconv.bias"])
             h = concat_channels([h, skips.pop()])
-            h = conv1(h)
-            h = conv2(h)
+            h = conv(f"up{stage}.conv1", h)
+            h = conv(f"up{stage}.conv2", h)
             ups.append(h)
 
-        if self.pyramid is None:
+        if self.arch != "mfp-unet":
             return [ups[-1]]
-        return [conv(up) for conv, up in zip(self.pyramid[::-1], ups[::-1])]
+        return [conv(f"pyramid{stage}.conv", ups[stage - 1]) for stage in range(LEVELS, 0, -1)]
 
     def features(self, x: Tensor) -> Tensor:
         """The map the head classifies: the taps, each upsampled (nearest)
@@ -190,20 +197,20 @@ class Model:
         ``mfp_head`` classifies each tap at its own resolution and upsamples
         only the 2-channel sums, which equals the 1x1 classifier on the
         feature map up to summation order (bit for bit with one tap)."""
-        return mfp_head(self._taps(x), self.classifier.weight, self.classifier.bias)
+        return mfp_head(self._taps(x), self.params["classifier.weight"],
+                        self.params["classifier.bias"])
 
     # -- parameters ----------------------------------------------------
 
     def parameters(self) -> dict[str, Tensor]:
-        """Stable name -> tensor map (insertion ordered)."""
-        return {f"{name}.{attr}": getattr(layer, attr)
-                for name, layer in self.layers.items() for attr in ("weight", "bias")}
+        """Stable name -> tensor map (insertion ordered), a new dict each call."""
+        return dict(self.params)
 
     def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.parameters().values())
+        return sum(t.data.size for t in self.params.values())
 
     def zero_grad(self) -> None:
-        for t in self.parameters().values():
+        for t in self.params.values():
             t.zero_grad()
 
 

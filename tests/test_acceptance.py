@@ -208,7 +208,7 @@ def test_architecture_contract():
         out = model.forward(x)
         ok &= feats.data.shape == (64, n, n)
         ok &= out.data.shape == (2, n, n)
-        ok &= model.classifier.weight.data.shape[1] == 64
+        ok &= model.params["classifier.weight"].data.shape[1] == 64
     elapsed = time.perf_counter() - t0
     _report("architecture-contract", ok and elapsed < 10.0,
             f"64-channel concatenation and 2xNxN output for N in (16, 64) "

@@ -137,7 +137,7 @@ def test_magic_constant():
 
 
 def test_read_draws_no_initialisation(tmp_path, monkeypatch):
-    import lvseg.layers
+    import lvseg.models
 
     model = build_mfp_unet(32, 2, seed=11)
     path = tmp_path / "ck.bin"
@@ -145,7 +145,8 @@ def test_read_draws_no_initialisation(tmp_path, monkeypatch):
 
     def no_draw(*args, **kwargs):
         raise AssertionError("checkpoint_read drew an initialisation")
-    monkeypatch.setattr(lvseg.layers, "he_uniform", no_draw)
+    # the binding Model draws its weights through
+    monkeypatch.setattr(lvseg.models, "he_uniform", no_draw)
     loaded = checkpoint_read(path)
     written = model.parameters()
     for name, tensor in loaded.parameters().items():

@@ -6,9 +6,9 @@ import pytest
 
 from lvseg.autograd import Tensor, backward, no_grad
 from lvseg.errors import ContractViolation, NonFiniteLogits
-from lvseg.layers import fixed_weights, max_pool2d, relu, softmax_cross_entropy
+from lvseg.layers import conv2d, fixed_weights, max_pool2d, relu, softmax_cross_entropy
 from lvseg.models import (ARCH_DILATION, ARCH_TAGS, MAX_BASE_WIDTH, Model, build_mfp_unet,
-                          check_spec, forward_segment)
+                          check_spec, forward_segment, layer_specs)
 from lvseg.phantom import generate_phantom
 from lvseg.preprocess import compose_input
 from lvseg.units import MAX_EXTENT_PX
@@ -16,6 +16,11 @@ from lvseg.units import MAX_EXTENT_PX
 
 def _rand_input(n, seed=0, dtype=np.float64):
     return Tensor(np.random.default_rng(seed).uniform(0, 1, (2, n, n)).astype(dtype))
+
+
+def _classifier(model, features):
+    """The model's 1x1 classifier applied to a full feature map."""
+    return conv2d(features, model.params["classifier.weight"], model.params["classifier.bias"])
 
 
 def test_unet_shape_contract():
@@ -26,13 +31,15 @@ def test_unet_shape_contract():
 
 def test_encoder_depth_and_width():
     model = Model("unet", 64, 8, dtype=np.float64)
+    p = model.params
     h = _rand_input(64, seed=1)
-    for conv1, conv2 in model.encoders:
-        h = max_pool2d(relu(conv2(relu(conv1(h)))))
+    for lvl in range(1, 5):
+        for conv in (f"enc{lvl}.conv1", f"enc{lvl}.conv2"):
+            h = relu(conv2d(h, p[f"{conv}.weight"], p[f"{conv}.bias"]))
+        h = max_pool2d(h)
     # four halvings: 64 -> 4; bottleneck doubles to 16*B channels
     assert h.data.shape[1:] == (4, 4)
-    c1, c2 = model.bottleneck
-    assert c2.weight.data.shape[0] == 16 * 8
+    assert p["bottleneck.conv2.weight"].data.shape[0] == 16 * 8
 
 
 def test_mfp_unet_tape_holds_no_separate_relu():
@@ -53,20 +60,22 @@ def test_mfp_unet_tape_holds_no_separate_relu():
 
 def test_skip_concat_doubles_decoder_input():
     model = Model("unet", 64, 8)
-    for tconv, conv1, conv2 in model.decoders:
-        assert conv1.weight.data.shape[1] == 2 * conv1.weight.data.shape[0]
-        assert tconv.weight.data.shape[0] == conv1.weight.data.shape[0]
+    for stage in range(1, 5):
+        tconv, conv1 = (model.params[f"up{stage}.{layer}.weight"] for layer in ("tconv", "conv1"))
+        assert conv1.data.shape[1] == 2 * conv1.data.shape[0]
+        assert tconv.data.shape[0] == conv1.data.shape[0]
 
 
-def test_dilated_degenerate_matches_unet():
+def test_dilated_degenerate_matches_unet(monkeypatch):
     # the two nets differ only in the dilation of their encoder and bottleneck
     unet = Model("unet", 64, 4, seed=2)
     degenerate = Model("dilated-unet", 64, 4, seed=2)
     assert unet.parameter_count() == degenerate.parameter_count()
     assert [t.data.shape for t in unet.parameters().values()] == \
            [t.data.shape for t in degenerate.parameters().values()]
-    for layer in degenerate.layers.values():
-        layer.dilation = 1
+    # every layer's dilation comes from layer_specs, which reads ARCH_DILATION
+    monkeypatch.setitem(ARCH_DILATION, "dilated-unet", 1)
+    degenerate = Model("dilated-unet", 64, 4, seed=2)
     x = _rand_input(64, seed=3, dtype=np.float32)
     assert unet.forward(x).data.tobytes() == degenerate.forward(x).data.tobytes()
 
@@ -75,8 +84,9 @@ def test_dilated_same_parameter_count_wider_receptive_field():
     unet = Model("unet", 64, 4)
     dil = Model("dilated-unet", 64, 4)
     assert unet.parameter_count() == dil.parameter_count()
-    conv = dil.encoders[0][0]
-    assert conv.dilation * (conv.kernel_size - 1) + 1 == 5
+    name, _, _, kernel_size, dilation = layer_specs("dilated-unet", 4)[0]
+    assert name == "enc1.conv1" and dil.params[f"{name}.weight"].data.shape[-1] == kernel_size
+    assert dilation * (kernel_size - 1) + 1 == 5
     out = dil.forward(_rand_input(64, dtype=np.float32))
     assert out.data.shape == (2, 64, 64)
 
@@ -85,14 +95,15 @@ def test_mfp_pyramid_has_sixty_four_channels():
     model = build_mfp_unet(64, 8, dtype=np.float64)
     feats = model.features(_rand_input(64, seed=3))
     assert feats.data.shape == (64, 64, 64)
-    assert model.classifier.weight.data.shape[1] == 64
+    assert model.params["classifier.weight"].data.shape[1] == 64
 
 
 def test_mfp_pyramid_input_widths_follow_decoder_levels():
     model = build_mfp_unet(64, 8)
-    widths = [conv.weight.data.shape[1] for conv in model.pyramid]
+    pyramid = [model.params[f"pyramid{stage}.conv.weight"] for stage in range(1, 5)]
+    widths = [weight.data.shape[1] for weight in pyramid]
     assert widths == [64, 32, 16, 8]  # up1 deepest .. up4 full resolution
-    assert all(conv.weight.data.shape[0] == 16 for conv in model.pyramid)
+    assert all(weight.data.shape[0] == 16 for weight in pyramid)
 
 
 def test_mfp_shape_contract():
@@ -134,8 +145,8 @@ def test_forward_segment_pure_function():
 
 def test_forward_segment_background_dominant():
     model = Model("unet", 32, 2, seed=1)
-    model.classifier.weight.data[:] = 0
-    model.classifier.bias.data[:] = [5.0, 0.0]
+    model.params["classifier.weight"].data[:] = 0
+    model.params["classifier.bias"].data[:] = [5.0, 0.0]
     mask = forward_segment(model, _rand_input(32, seed=2, dtype=np.float32))
     assert not mask.any()
 
@@ -145,9 +156,10 @@ def test_forward_segment_sign_map_of_chosen_feature():
     x = _rand_input(32, seed=5)
     feats = model.features(x)
     k = 11
-    model.classifier.weight.data[:] = 0
-    model.classifier.bias.data[:] = 0
-    model.classifier.weight.data[1, k, 0, 0] = 1.0
+    weight, bias = model.params["classifier.weight"], model.params["classifier.bias"]
+    weight.data[:] = 0
+    bias.data[:] = 0
+    weight.data[1, k, 0, 0] = 1.0
     mask = forward_segment(model, x)
     assert np.array_equal(mask, (feats.data[k] > 0).astype(np.uint8))
 
@@ -169,7 +181,7 @@ def test_mfp_forward_equals_the_classifier_of_the_features_float64(n):
     x = _rand_input(n, seed=n + 1)
     with no_grad():
         split = model.forward(x).data
-        full = model.classifier(model.features(x)).data
+        full = _classifier(model, model.features(x)).data
     assert np.abs(split - full).max() < 1e-12
 
 
@@ -180,7 +192,7 @@ def test_mfp_forward_argmax_equals_the_classifier_of_the_features_on_phantoms(n)
         x = Tensor(compose_input(generate_phantom(n, seed)[0]))
         with no_grad():
             split = model.forward(x).data
-            full = model.classifier(model.features(x)).data
+            full = _classifier(model, model.features(x)).data
         assert np.abs(split - full).max() < 1e-5
         assert np.array_equal(np.argmax(split, axis=0), np.argmax(full, axis=0))
 
@@ -191,7 +203,7 @@ def test_plain_forward_is_the_1x1_classifier_of_the_tap_bit_for_bit(arch, dilati
     x = _rand_input(32, seed=8, dtype=dtype)
     g = Tensor(np.random.default_rng(9).normal(size=(2, 32, 32)).astype(dtype))
     runs = []
-    for logits_of in (lambda m: m.forward(x), lambda m: m.classifier(m._taps(x)[0])):
+    for logits_of in (lambda m: m.forward(x), lambda m: _classifier(m, m._taps(x)[0])):
         model = Model(arch, 32, 2, dtype=dtype, seed=7)
         assert model.dilation == dilation
         logits = logits_of(model)
@@ -276,9 +288,9 @@ def test_unet_with_dilation_rejected():
     for arch, dilation in ARCH_DILATION.items():
         model = Model(arch, 32, 2, seed=None)
         assert model.dilation == dilation
-        for name, layer in model.layers.items():
+        for name, *_, layer_dilation in layer_specs(arch, 2):
             encoder = name.startswith(("enc", "bottleneck"))
-            assert layer.dilation == (dilation if encoder else 1), (arch, name)
+            assert layer_dilation == (dilation if encoder else 1), (arch, name)
 
 
 def test_input_shape_mismatch_rejected():

@@ -7,6 +7,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -36,6 +38,33 @@ def test_every_perfbench_hook_and_span_installs_and_restores(monkeypatch, tmp_pa
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert Model.__init__ is init
+
+
+def test_the_tracer_names_the_level_of_every_conv(monkeypatch):
+    # the tracer names a conv's level by looking its weight up among the
+    # parameters it registered at construction; a weight it did not register
+    # would show as an "unknown" level and leave a level's span empty
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+    from lvseg.autograd import Tensor, backward
+    from lvseg.layers import softmax_cross_entropy
+    from lvseg.models import ARCH_TAGS, Model
+
+    body = ("enc1", "enc2", "enc3", "enc4", "bottleneck", "up1", "up2", "up3", "up4")
+    for arch in ARCH_TAGS:
+        trace, patches = tracer.Tracer(), tracer.Patches()
+        try:
+            trace.install(patches)
+            model = Model(arch, 32, 2, dtype=np.float64, seed=1)
+            x = Tensor(np.random.default_rng(2).uniform(0, 1, (2, 32, 32)))
+            backward(softmax_cross_entropy(model.forward(x), np.eye(32, dtype=int)))
+        finally:
+            patches.restore()
+        levels = body + ("pyramid",) if arch == "mfp-unet" else body
+        spans = {name: s for name, s in trace.self_s.items() if name.startswith("layers.conv2d.")}
+        assert sorted(spans) == sorted(f"layers.conv2d.{level}.{pass_}_ms"
+                                       for level in levels for pass_ in ("fwd", "bwd")), arch
+        assert all(s > 0 for s in spans.values()), arch
 
 
 def test_every_lvseg_name_perfbench_imports_resolves():

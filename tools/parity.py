@@ -9,11 +9,14 @@ directory and a fresh process per verb (one BLAS thread, a fixed
 ``PYTHONHASHSEED``): ``synth``, four small cross-validated ``train`` runs
 (mfp-unet beside the training helper and in one process, unet and
 dilated-unet beside the helper), ``eval`` of the first run's first fold,
-``measure`` of four datasets, and a one- and a two-method ``report``. It
-prints the SHA-256 of every file the verbs wrote on both sides and exits
-1 if any file differs or exists on one side only, or if a verb's exit
-code differs; 0 otherwise. Printed timings are not compared, since they
-change from run to run.
+``measure`` of four datasets, and a one- and a two-method ``report``.
+Then each side's sources ``eval`` the other side's first checkpoint into
+``eval-cross``, so a checkpoint must read the same across the two
+revisions. It prints the SHA-256 of every file the verbs wrote on both
+sides and exits 1 if any file differs or exists on one side only, if a
+verb's exit code differs, or if a side's ``eval-cross/metrics.csv`` is not
+its ``eval/metrics.csv``; 0 otherwise. Printed timings are not compared,
+since they change from run to run.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ VERBS = [
     ["report", "--auto", "m-data/measurements.csv", "--auto", "m-other/measurements.csv",
      "--manual", "m-manual/measurements.csv", "--out", "report-2"],
 ]
+# run once both sides have trained; {other} is the other side's directory
+CROSS_EVAL = ["eval", "--checkpoint", "{other}/train/fold0/checkpoint.bin", "--data", "data",
+              "--out", "eval-cross"]
 
 
 def extract_sources(rev: str, dest: Path) -> Path:
@@ -72,15 +78,12 @@ def extract_sources(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def run_verbs(src: Path, work: Path) -> list[int]:
+def run_verbs(src: Path, work: Path, verbs: list[list[str]]) -> list[int]:
     """Exit code of each verb, run from ``work`` with ``src`` on the path."""
-    work.mkdir(parents=True)
-    for name, config in TRAIN_CONFIGS.items():
-        (work / name).write_text(json.dumps(config))
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     codes = []
-    for argv in VERBS:
+    for argv in verbs:
         proc = subprocess.run([sys.executable, "-m", "lvseg", *argv], cwd=work, env=env,
                               capture_output=True, text=True)
         codes.append(proc.returncode)
@@ -103,22 +106,35 @@ def main() -> int:
     args = parser.parse_args()
     base = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="lvseg-parity-"))
     try:
-        parent_src = extract_sources(args.parent, base / "parent-src")
-        sides = {name: (run_verbs(src, base / name), digests(base / name))
-                 for name, src in (("parent", parent_src), ("change", ROOT / "src"))}
+        srcs = {"parent": extract_sources(args.parent, base / "parent-src"),
+                "change": ROOT / "src"}
+        codes = {}
+        for side, src in srcs.items():
+            work = base / side
+            work.mkdir(parents=True)
+            for name, config in TRAIN_CONFIGS.items():
+                (work / name).write_text(json.dumps(config))
+            codes[side] = run_verbs(src, work, VERBS)
+        for side, other in (("parent", "change"), ("change", "parent")):
+            cross = [arg.format(other=(base / other).resolve()) for arg in CROSS_EVAL]
+            codes[side] += run_verbs(srcs[side], base / side, [cross])
+        parent, change = (digests(base / side) for side in srcs)
     finally:
         if not args.keep:
             shutil.rmtree(base, ignore_errors=True)
-    (parent_codes, parent), (change_codes, change) = sides["parent"], sides["change"]
     differ = 0
     for name in sorted(parent.keys() | change.keys()):
         a, b = parent.get(name, "-" * 64), change.get(name, "-" * 64)
         differ += a != b
         print(f"{'same   ' if a == b else 'DIFFERS'} {a} {b} {name}")
-    for argv, a, b in zip(VERBS, parent_codes, change_codes):
+    for argv, a, b in zip(VERBS + [CROSS_EVAL], codes["parent"], codes["change"]):
         if a != b:
             differ += 1
             print(f"DIFFERS exit code {a} -> {b}: lvseg {' '.join(argv)}")
+    for side, files in (("parent", parent), ("change", change)):
+        if files.get("eval-cross/metrics.csv", "-") != files.get("eval/metrics.csv"):
+            differ += 1
+            print(f"DIFFERS {side}: eval-cross/metrics.csv is not eval/metrics.csv")
     print(f"{len(parent.keys() | change.keys())} files, {differ} differences "
           f"against {args.parent}")
     return 1 if differ else 0
