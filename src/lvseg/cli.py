@@ -84,15 +84,13 @@ def _cmd_synth(args) -> None:
     print(f"wrote {len(samples)} samples ({args.count} subjects) to {args.out}")
 
 
-@functools.cache
 def _keep_freed_memory() -> None:
     """Have glibc keep the memory a verb frees in the process, so the next
     training sample's tape, or the next image's forward, reuses its pages.
     ``main`` applies it for every verb, and the training helper
     (``helper.serve``) applies it to itself, since the setting holds only
-    for the process that makes it. It holds for the rest of that process,
-    so only the first call looks ``mallopt`` up and sets it. Does nothing
-    where the C library has no ``mallopt``."""
+    for the process that makes it. Does nothing where the C library has no
+    ``mallopt``."""
     # Backward frees each sample's tape as it goes, and glibc by default
     # returns the freed heap top to the OS, so the next sample faults the
     # same pages in again. MFP-Unet ``train_fold`` at n=64, base width 8,

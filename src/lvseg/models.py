@@ -141,6 +141,8 @@ class Model:
         self.base_width = base_width
         self.dilation = ARCH_DILATION[arch]
         self.dtype = dtype
+        # the table is read a second time, for its dilation column only, so
+        # that parameter shapes stay worked out in parameter_shapes alone
         self._layer_dilation = {name: d for name, *_, d in layer_specs(arch, base_width)}
 
     # -- forward -------------------------------------------------------

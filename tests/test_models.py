@@ -23,6 +23,25 @@ def _classifier(model, features):
     return conv2d(features, model.params["classifier.weight"], model.params["classifier.bias"])
 
 
+def _conv_dilations(monkeypatch, model, x):
+    """Layer name -> the dilations of the ``conv2d`` calls one forward of
+    ``model`` makes with that layer's weight, in call order: what each conv
+    ran at, recorded from the calls themselves."""
+    import lvseg.models
+
+    layer_of = {id(t): name.rsplit(".", 1)[0] for name, t in model.params.items()}
+    seen = {}
+
+    def spy(x, weight, bias, dilation=1, relu=False):
+        seen.setdefault(layer_of[id(weight)], []).append(dilation)
+        return conv2d(x, weight, bias, dilation=dilation, relu=relu)
+
+    with monkeypatch.context() as patch, no_grad():
+        patch.setattr(lvseg.models, "conv2d", spy)
+        model.forward(x)
+    return seen
+
+
 def test_unet_shape_contract():
     model = Model("unet", 64, 8, dtype=np.float64)
     out = model.forward(_rand_input(64))
@@ -80,12 +99,12 @@ def test_dilated_degenerate_matches_unet(monkeypatch):
     assert unet.forward(x).data.tobytes() == degenerate.forward(x).data.tobytes()
 
 
-def test_dilated_same_parameter_count_wider_receptive_field():
+def test_dilated_same_parameter_count_wider_receptive_field(monkeypatch):
     unet = Model("unet", 64, 4)
     dil = Model("dilated-unet", 64, 4)
     assert unet.parameter_count() == dil.parameter_count()
-    name, _, _, kernel_size, dilation = layer_specs("dilated-unet", 4)[0]
-    assert name == "enc1.conv1" and dil.params[f"{name}.weight"].data.shape[-1] == kernel_size
+    [dilation] = _conv_dilations(monkeypatch, dil, _rand_input(64, dtype=np.float32))["enc1.conv1"]
+    kernel_size = dil.params["enc1.conv1.weight"].data.shape[-1]
     assert dilation * (kernel_size - 1) + 1 == 5
     out = dil.forward(_rand_input(64, dtype=np.float32))
     assert out.data.shape == (2, 64, 64)
@@ -279,7 +298,7 @@ def test_an_extent_past_the_bound_is_rejected_before_any_allocation():
             check_spec("mfp-unet", 16, width)
 
 
-def test_unet_with_dilation_rejected():
+def test_unet_with_dilation_rejected(monkeypatch):
     # the architecture fixes the dilation: a unet runs every conv at 1
     with pytest.raises(TypeError):
         Model("unet", 32, 2, dilation=2)
@@ -288,9 +307,13 @@ def test_unet_with_dilation_rejected():
     for arch, dilation in ARCH_DILATION.items():
         model = Model(arch, 32, 2, seed=None)
         assert model.dilation == dilation
-        for name, *_, layer_dilation in layer_specs(arch, 2):
+        ran = _conv_dilations(monkeypatch, model, _rand_input(32, dtype=np.float32))
+        # every 3x3 layer runs through conv2d once; the transposed convs and
+        # the 1x1 classifier run through functions that take no dilation
+        assert sorted(ran) == sorted(name for name, *_, m, _ in layer_specs(arch, 2) if m == 3)
+        for name, dilations in ran.items():
             encoder = name.startswith(("enc", "bottleneck"))
-            assert layer_dilation == (dilation if encoder else 1), (arch, name)
+            assert dilations == [dilation if encoder else 1], (arch, name)
 
 
 def test_input_shape_mismatch_rejected():
